@@ -44,9 +44,9 @@ def _build_initial(grid: TorusGrid, obj) -> tuple[Field, Field]:
         try:
             um, ua = float(obj["u_mean"]), float(obj["u_amp"])
             vm, va = float(obj["v_mean"]), float(obj["v_amp"])
-        except (KeyError, TypeError, ValueError) as exc:
+            mode = int(obj.get("mode", 1))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad cosine initial data: {exc}") from exc
-        mode = int(obj.get("mode", 1))
         wave = np.cos(2.0 * np.pi * mode * grid.coords(0))
         if grid.d == 2:
             wave = np.broadcast_to(wave[:, None], grid.shape).copy()
@@ -69,11 +69,14 @@ def _parse_run(obj, force_record_every: int | None = None):
             raise ConfigError(f"run config is missing {key!r}")
     grid, spec = parse_model_json(obj["model"])
     u0, v0 = _build_initial(grid, obj["initial"])
-    record_every = int(obj.get("record_every", 1))
+    try:
+        record_every = int(obj.get("record_every", 1))
+        dt, t_end = float(obj["dt"]), float(obj["t_end"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad run parameters: {exc}") from exc
     if force_record_every is not None:
         record_every = force_record_every
-    cfg = RunConfig(spec, State(0.0, u0, v0),
-                    dt=float(obj["dt"]), t_end=float(obj["t_end"]),
+    cfg = RunConfig(spec, State(0.0, u0, v0), dt=dt, t_end=t_end,
                     record_every=record_every,
                     scheme=str(obj.get("scheme", "imex")),
                     variant=str(obj.get("variant", "plain")))
@@ -293,6 +296,15 @@ def _sweep_row(payload: str) -> str:
     return ",".join(row)
 
 
+def _worker_count(cap: str | None) -> int:
+    """Sweep worker cap from CROSSFLUX_THREADS; the CPU count when unset."""
+    if not cap:
+        return os.cpu_count() or 1
+    if not cap.isdecimal() or int(cap) < 1:
+        raise ConfigError(f"CROSSFLUX_THREADS must be a positive integer, got {cap!r}")
+    return int(cap)
+
+
 def _cmd_sweep(args) -> int:
     obj = io.load_json(args.config)
     for key in ("base", "axis", "values"):
@@ -312,9 +324,8 @@ def _cmd_sweep(args) -> int:
         payloads.append(json.dumps(run_obj, sort_keys=True))
     parallel = bool(obj.get("parallel", False))
     if parallel and len(payloads) > 1:
-        cap = os.environ.get("CROSSFLUX_THREADS")
         workers = min(len(payloads),
-                      int(cap) if cap else (os.cpu_count() or 1))
+                      _worker_count(os.environ.get("CROSSFLUX_THREADS")))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, payloads))
     else:

@@ -22,9 +22,8 @@ import numpy as np
 
 from .errors import BlowupError, ConfigError, DomainError
 from .model import ModelSpec, X, Y, derive_QR
-from .spaces import TimeSeriesField
-from .spectral import (FOUR_PI_SQ, Field, TorusGrid, _fourier_data, _pad_centered,
-                       _truncate_centered)
+from .spaces import TimeSeriesField, interp_linear
+from .spectral import FOUR_PI_SQ, Field, TorusGrid, dealias_size, spectral_plan
 
 RK4_STABILITY_CONSTANT = 0.4
 
@@ -59,6 +58,8 @@ class RunConfig:
     variant: str = "plain"
 
     def __post_init__(self):
+        if not (math.isfinite(self.dt) and math.isfinite(self.t_end)):
+            raise ConfigError(f"dt and t_end must be finite, got {self.dt} and {self.t_end}")
         if self.dt <= 0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.t_end < self.dt:
@@ -111,79 +112,51 @@ class Trajectory:
         return TimeSeriesField(self.times, [s.v for s in self.states])
 
 
-class _SpectralKit:
-    """Raw-array transform helpers for one (coarse, fine) grid pair."""
-
-    def __init__(self, grid: TorusGrid, pad: int):
-        self.grid = grid
-        self.lam = FOUR_PI_SQ * grid.xi_sq
-        M = pad * grid.N
-        self.M = M
-        if M != grid.N:
-            _, _, self.fine_fwd, self.fine_inv = _fourier_data(grid.d, M)
-
-    def to_coeffs(self, vals: np.ndarray) -> np.ndarray:
-        g = self.grid
-        return np.fft.fftn(vals) / g.size * g._phase_fwd
-
-    def to_values(self, coeffs: np.ndarray) -> np.ndarray:
-        g = self.grid
-        return (np.fft.ifftn(coeffs * g._phase_inv) * g.size).real
-
-    def fine_values(self, coeffs: np.ndarray) -> np.ndarray:
-        g = self.grid
-        if self.M == g.N:
-            return self.to_values(coeffs)
-        padded = np.fft.ifftshift(_pad_centered(np.fft.fftshift(coeffs), g.N, self.M))
-        return (np.fft.ifftn(padded * self.fine_inv) * self.M ** g.d).real
-
-    def project_fine(self, vals: np.ndarray) -> np.ndarray:
-        g = self.grid
-        if self.M == g.N:
-            return self.to_coeffs(vals)
-        fine = np.fft.fftn(vals) / vals.size * self.fine_fwd
-        return np.fft.ifftshift(_truncate_centered(np.fft.fftshift(fine), self.M, g.N))
+def _flux_plan(spec: ModelSpec, grid: TorusGrid, min_degree: int = 1):
+    """Plan that dealiases the fluxes X*p and Y*q, of degree >= min_degree."""
+    degree = max(spec.p.total_degree() + 1, spec.q.total_degree() + 1, min_degree)
+    return spectral_plan(grid, dealias_size(grid.N, degree))
 
 
-def _flux_pad(spec: ModelSpec) -> int:
-    deg = max(spec.p.total_degree(), spec.q.total_degree()) + 1
-    return (deg + 2) // 2
+def amplitude(states) -> float:
+    """Largest |u| or |v| over the given states."""
+    return max(max(float(np.max(np.abs(s.u.values))),
+                   float(np.max(np.abs(s.v.values)))) for s in states)
 
 
 def rk4_max_dt(spec: ModelSpec, state: State) -> float:
     """Explicit stability bound for the rk4 stepper at this state."""
     g = state.grid
-    amp = max(float(np.max(np.abs(state.u.values))),
-              float(np.max(np.abs(state.v.values))))
+    amp = amplitude([state])
     q1, r1, q2, r2 = derive_QR(spec)
     s = max(spec.d1 + q1.eval(amp, amp) + r1.eval(amp, amp),
             spec.d2 + q2.eval(amp, amp) + r2.eval(amp, amp))
     return RK4_STABILITY_CONSTANT / (FOUR_PI_SQ * (g.N / 2) ** 2 * s)
 
 
-def _nonlinear_coeffs(kit: _SpectralKit, np1, np2, cu, cv):
+def _nonlinear_coeffs(plan, np1, np2, cu, cv):
     """Dealiased coefficients of p(u,v)*u and q(u,v)*v."""
     if not np1.terms and not np2.terms:
         zero = np.zeros_like(cu)
         return zero, zero
-    uf = kit.fine_values(cu)
-    vf = kit.fine_values(cv)
-    cw1 = kit.project_fine(np1.eval_arrays(uf, vf)) if np1.terms else np.zeros_like(cu)
-    cw2 = kit.project_fine(np2.eval_arrays(uf, vf)) if np2.terms else np.zeros_like(cv)
+    uf = plan.fine_values(cu)
+    vf = plan.fine_values(cv)
+    cw1 = plan.project_fine(np1.eval_arrays(uf, vf)) if np1.terms else np.zeros_like(cu)
+    cw2 = plan.project_fine(np2.eval_arrays(uf, vf)) if np2.terms else np.zeros_like(cv)
     return cw1, cw2
 
 
-def _imex_update(kit, spec, dt, cu, cv, cw1, cw2):
-    den1 = 1.0 + dt * kit.lam * spec.d1
-    den2 = 1.0 + dt * kit.lam * spec.d2
-    return ((cu - dt * kit.lam * cw1) / den1,
-            (cv - dt * kit.lam * cw2) / den2)
+def _imex_update(plan, spec, dt, cu, cv, cw1, cw2):
+    den1 = 1.0 + dt * plan.lam * spec.d1
+    den2 = 1.0 + dt * plan.lam * spec.d2
+    return ((cu - dt * plan.lam * cw1) / den1,
+            (cv - dt * plan.lam * cw2) / den2)
 
 
-def _rk4_update(kit, spec, dt, cu, cv, np1, np2):
+def _rk4_update(plan, spec, dt, cu, cv, np1, np2):
     def rhs(a, b):
-        cw1, cw2 = _nonlinear_coeffs(kit, np1, np2, a, b)
-        return (-kit.lam * (spec.d1 * a + cw1), -kit.lam * (spec.d2 * b + cw2))
+        cw1, cw2 = _nonlinear_coeffs(plan, np1, np2, a, b)
+        return (-plan.lam * (spec.d1 * a + cw1), -plan.lam * (spec.d2 * b + cw2))
 
     k1u, k1v = rhs(cu, cv)
     k2u, k2v = rhs(cu + 0.5 * dt * k1u, cv + 0.5 * dt * k1v)
@@ -193,16 +166,16 @@ def _rk4_update(kit, spec, dt, cu, cv, np1, np2):
             cv + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v))
 
 
-def _regularized_coeffs(kit, spec, cu, cv, u_vals, v_vals):
+def _regularized_coeffs(plan, spec, cu, cv, u_vals, v_vals):
     """Explicit-part coefficients for the truncated, mollified flux."""
     dlt = spec.trunc_delta
     pu = spec.p.eval_arrays(np.minimum(u_vals, dlt), np.minimum(v_vals, dlt))
     qv = spec.q.eval_arrays(np.minimum(u_vals, dlt), np.minimum(v_vals, dlt))
-    moll = np.exp(-spec.eta * kit.lam)
-    cw1 = kit.project_fine(kit.fine_values(kit.to_coeffs(pu) * moll)
-                           * kit.fine_values(cu))
-    cw2 = kit.project_fine(kit.fine_values(kit.to_coeffs(qv) * moll)
-                           * kit.fine_values(cv))
+    moll = np.exp(-spec.eta * plan.lam)
+    cw1 = plan.project_fine(plan.fine_values(plan.to_coeffs(pu) * moll)
+                           * plan.fine_values(cu))
+    cw2 = plan.project_fine(plan.fine_values(plan.to_coeffs(qv) * moll)
+                           * plan.fine_values(cv))
     return cw1, cw2
 
 
@@ -210,13 +183,13 @@ def step_imex(state: State, spec: ModelSpec, dt: float) -> State:
     """One first-order step: implicit d_i*Lap, explicit polynomial flux."""
     if dt <= 0:
         raise ConfigError(f"dt must be positive, got {dt}")
-    kit = _SpectralKit(state.grid, _flux_pad(spec))
+    plan = _flux_plan(spec, state.grid)
     np1, np2 = X * spec.p, Y * spec.q
-    cu, cv = kit.to_coeffs(state.u.values), kit.to_coeffs(state.v.values)
-    cw1, cw2 = _nonlinear_coeffs(kit, np1, np2, cu, cv)
-    cu, cv = _imex_update(kit, spec, dt, cu, cv, cw1, cw2)
-    return State(state.t + dt, Field(state.grid, kit.to_values(cu)),
-                 Field(state.grid, kit.to_values(cv)))
+    cu, cv = plan.to_coeffs(state.u.values), plan.to_coeffs(state.v.values)
+    cw1, cw2 = _nonlinear_coeffs(plan, np1, np2, cu, cv)
+    cu, cv = _imex_update(plan, spec, dt, cu, cv, cw1, cw2)
+    return State(state.t + dt, Field(state.grid, plan.to_values(cu)),
+                 Field(state.grid, plan.to_values(cv)))
 
 
 def step_rk4(state: State, spec: ModelSpec, dt: float) -> State:
@@ -225,12 +198,12 @@ def step_rk4(state: State, spec: ModelSpec, dt: float) -> State:
     if dt > bound:
         raise ConfigError(
             f"dt = {dt:.3e} exceeds the rk4 stability bound {bound:.3e}")
-    kit = _SpectralKit(state.grid, _flux_pad(spec))
+    plan = _flux_plan(spec, state.grid)
     np1, np2 = X * spec.p, Y * spec.q
-    cu, cv = kit.to_coeffs(state.u.values), kit.to_coeffs(state.v.values)
-    cu, cv = _rk4_update(kit, spec, dt, cu, cv, np1, np2)
-    return State(state.t + dt, Field(state.grid, kit.to_values(cu)),
-                 Field(state.grid, kit.to_values(cv)))
+    cu, cv = plan.to_coeffs(state.u.values), plan.to_coeffs(state.v.values)
+    cu, cv = _rk4_update(plan, spec, dt, cu, cv, np1, np2)
+    return State(state.t + dt, Field(state.grid, plan.to_values(cu)),
+                 Field(state.grid, plan.to_values(cv)))
 
 
 def _run(config: RunConfig) -> Trajectory:
@@ -238,8 +211,8 @@ def _run(config: RunConfig) -> Trajectory:
     grid = config.initial.grid
     dt = config.dt
     n_steps = config.n_steps
-    kit = _SpectralKit(grid, max(2, _flux_pad(spec))
-                       if config.variant == "regularized" else _flux_pad(spec))
+    # the regularized flux multiplies two fields, so it is at least quadratic
+    plan = _flux_plan(spec, grid, 2 if config.variant == "regularized" else 1)
     np1, np2 = X * spec.p, Y * spec.q
 
     if config.scheme == "rk4":
@@ -251,8 +224,8 @@ def _run(config: RunConfig) -> Trajectory:
                 f"dt = {dt:.3e} exceeds the rk4 stability bound {bound:.3e} "
                 "for this initial state")
 
-    cu = kit.to_coeffs(config.initial.u.values)
-    cv = kit.to_coeffs(config.initial.v.values)
+    cu = plan.to_coeffs(config.initial.u.values)
+    cv = plan.to_coeffs(config.initial.v.values)
     u_vals = config.initial.u.values
     v_vals = config.initial.v.values
 
@@ -285,15 +258,15 @@ def _run(config: RunConfig) -> Trajectory:
     record(0)
     for n in range(1, n_steps + 1):
         if config.scheme == "rk4":
-            cu, cv = _rk4_update(kit, spec, dt, cu, cv, np1, np2)
+            cu, cv = _rk4_update(plan, spec, dt, cu, cv, np1, np2)
         elif config.variant == "regularized":
-            cw1, cw2 = _regularized_coeffs(kit, spec, cu, cv, u_vals, v_vals)
-            cu, cv = _imex_update(kit, spec, dt, cu, cv, cw1, cw2)
+            cw1, cw2 = _regularized_coeffs(plan, spec, cu, cv, u_vals, v_vals)
+            cu, cv = _imex_update(plan, spec, dt, cu, cv, cw1, cw2)
         else:
-            cw1, cw2 = _nonlinear_coeffs(kit, np1, np2, cu, cv)
-            cu, cv = _imex_update(kit, spec, dt, cu, cv, cw1, cw2)
-        u_vals = kit.to_values(cu)
-        v_vals = kit.to_values(cv)
+            cw1, cw2 = _nonlinear_coeffs(plan, np1, np2, cu, cv)
+            cu, cv = _imex_update(plan, spec, dt, cu, cv, cw1, cw2)
+        u_vals = plan.to_values(cu)
+        v_vals = plan.to_values(cv)
         if not (np.all(np.isfinite(u_vals)) and np.all(np.isfinite(v_vals))):
             raise BlowupError(n, partial(n))
         diagnose(n)
@@ -345,27 +318,18 @@ def solve_kolmogorov(z_in: Field, mu: TimeSeriesField, f: TimeSeriesField,
     if float(mu_stack.min()) <= 0.0:
         raise DomainError("mu must be strictly positive")
 
-    def interp(stack, times, t):
-        if t <= times[0]:
-            return stack[0]
-        if t >= times[-1]:
-            return stack[-1]
-        i = int(np.searchsorted(times, t, side="right")) - 1
-        w = (t - times[i]) / (times[i + 1] - times[i])
-        return (1.0 - w) * stack[i] + w * stack[i + 1]
-
-    kit = _SpectralKit(grid, 1)
-    cz = kit.to_coeffs(z_in.values)
+    plan = spectral_plan(grid, grid.N)
+    cz = plan.to_coeffs(z_in.values)
     z_vals = z_in.values
     out_t, out_f = [0.0], [Field(grid, z_vals.copy())]
     for n in range(1, n_steps + 1):
         t = (n - 1) * dt
-        mu_n = interp(mu_stack, mu.times, t)
-        f_n = interp(f_stack, f.times, t)
+        mu_n = interp_linear(mu_stack, mu.times, t)
+        f_n = interp_linear(f_stack, f.times, t)
         mu_min = float(mu_n.min())
-        expl = kit.to_coeffs((mu_n - mu_min) * z_vals + f_n)
-        cz = (cz - dt * kit.lam * expl) / (1.0 + dt * kit.lam * mu_min)
-        z_vals = kit.to_values(cz)
+        expl = plan.to_coeffs((mu_n - mu_min) * z_vals + f_n)
+        cz = (cz - dt * plan.lam * expl) / (1.0 + dt * plan.lam * mu_min)
+        z_vals = plan.to_values(cz)
         if not np.all(np.isfinite(z_vals)):
             raise BlowupError(n, TimeSeriesField(np.asarray(out_t), out_f))
         if n % record_every == 0 or n == n_steps:

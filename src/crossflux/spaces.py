@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .report import Report
-from .spectral import FOUR_PI_SQ, Field, SpectralField, TorusGrid, heat_propagate, inverse, laplacian, transform
+from .spectral import (FOUR_PI_SQ, Field, SpectralField, TorusGrid, heat_propagate, inverse,
+                       laplacian, spectral_plan, transform)
 
 # Calibrated constants for the randomized inequality checks.  The rate
 # in the annulus decay check is exact (slowest mode of the annulus); the
@@ -82,10 +83,10 @@ def besov_Nk(field: Field, k: float, tol: float = 1e-8) -> float:
             f"N_k is defined for mean-zero fields; this one has mean {m:.3e}. "
             "Subtract the average first.")
     coeffs = transform(field).coeffs
+    plan = spectral_plan(g, g.N)
 
     def integrand(t: float) -> float:
-        damped = coeffs * np.exp(-FOUR_PI_SQ * g.xi_sq * t)
-        vals = np.fft.ifftn(damped * g._phase_inv).real * g.size
+        vals = plan.to_values(coeffs * np.exp(-FOUR_PI_SQ * g.xi_sq * t))
         return float(np.mean(np.abs(vals) ** k))
 
     def segment(a: float, b: float) -> float:
@@ -137,6 +138,17 @@ class TimeSeriesField:
 
     def __len__(self):
         return len(self.fields)
+
+
+def interp_linear(stack: np.ndarray, times: np.ndarray, t: float) -> np.ndarray:
+    """Stacked samples interpolated linearly in time, constant outside."""
+    if t <= times[0]:
+        return stack[0]
+    if t >= times[-1]:
+        return stack[-1]
+    i = int(np.searchsorted(times, t, side="right")) - 1
+    w = (t - times[i]) / (times[i + 1] - times[i])
+    return (1.0 - w) * stack[i] + w * stack[i + 1]
 
 
 def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
@@ -205,7 +217,7 @@ def random_band_field(grid: TorusGrid, lo: float, hi: float, rng) -> Field:
     """Gaussian field with spectrum supported on lo <= |xi| < hi."""
     noise = rng.standard_normal(grid.shape)
     mask = (grid.xi_sq >= lo * lo) & (grid.xi_sq < hi * hi)
-    coeffs = np.where(mask, np.fft.fftn(noise) / grid.size * grid._phase_fwd, 0.0)
+    coeffs = np.where(mask, spectral_plan(grid, grid.N).to_coeffs(noise), 0.0)
     return inverse(SpectralField(grid, coeffs))
 
 

@@ -13,6 +13,9 @@ interpolant: the half-cell sampling offset is absorbed into a phase
 factor during the transform.  For a real field every representable pair
 (xi, -xi) is conjugate-symmetric; the unpaired Nyquist slot -N/2 holds a
 purely imaginary coefficient encoding a sine-type mode.
+
+Every transform goes through a `SpectralPlan`, which alone knows this
+layout, the phase factors and the dealiasing rule (`dealias_size`).
 """
 
 from __future__ import annotations
@@ -56,11 +59,7 @@ class TorusGrid:
         self.N = N
         self.shape = (N,) * d
         self.size = N ** d
-        axes, xi_sq, phase_fwd, phase_inv = _fourier_data(d, N)
-        self.freq_axes = axes
-        self.xi_sq = xi_sq
-        self._phase_fwd = phase_fwd
-        self._phase_inv = phase_inv
+        self.freq_axes, self.xi_sq, _, _ = _fourier_data(d, N)
 
     def coords(self, axis: int = 0) -> np.ndarray:
         """Cell-center coordinates along one axis, broadcastable to shape."""
@@ -159,17 +158,100 @@ class SpectralField:
         return complex(self.coeffs[tuple(c % self.grid.N for c in idx)])
 
 
+def _axis_plane(ndim: int, axis: int, index: int):
+    sl = [slice(None)] * ndim
+    sl[axis] = index
+    return tuple(sl)
+
+
+def dealias_size(N: int, degree: int) -> int:
+    """Points per axis M at which a degree-D polynomial of N-point fields
+    is evaluated so that its projection back to N points is exact.
+
+    The smallest even M >= max(N, (D+1)N/2), the 3/2 rule for D = 2
+    (Orszag 1971).  For odd D >= 3, M lies strictly above (D+1)N/2: the
+    modes +-DN/2 of the split Nyquist parts alias onto +-N/2 and do not
+    cancel in the fold.
+    """
+    M = max(N, -(-(degree + 1) * N // 2))
+    if degree >= 3 and degree % 2:
+        M += 1
+    return M + M % 2
+
+
+class SpectralPlan:
+    """Transforms of one grid, and dealiased products through an M-grid.
+
+    `to_coeffs`/`to_values` map cell-center samples to coefficients and
+    back.  `fine_values` evaluates the interpolant at the cell centers of
+    the M-point grid (M >= N even), and `project_fine` is the L^2
+    projection of M-point samples onto the N-point band.  Padding splits
+    the unpaired -N/2 plane of each axis between -N/2 and +N/2 with
+    opposite signs (the sine-type mode it encodes); truncation folds +N/2
+    back into -N/2, so project_fine(fine_values(c)) == c.
+    """
+
+    def __init__(self, grid: TorusGrid, M: int):
+        if M < grid.N or M % 2:
+            raise ConfigError(f"resample target {M} must be an even integer >= N={grid.N}")
+        self.grid = grid
+        self.M = M
+        self.lam = FOUR_PI_SQ * grid.xi_sq
+        _, _, self._fwd, self._inv = _fourier_data(grid.d, grid.N)
+        if M != grid.N:
+            d, N = grid.d, grid.N
+            _, _, self._fine_fwd, self._fine_inv = _fourier_data(d, M)
+            k = np.arange(N)
+            self._slots = np.ix_(*[np.where(k < N // 2, k, k + M - N)] * d)
+            # slots of -N/2 and +N/2 along each axis of the M-grid
+            self._nyquist = [(_axis_plane(d, ax, M - N // 2), _axis_plane(d, ax, N // 2))
+                             for ax in range(d)]
+
+    def to_coeffs(self, vals: np.ndarray) -> np.ndarray:
+        return np.fft.fftn(vals) / self.grid.size * self._fwd
+
+    def _samples(self, coeffs: np.ndarray) -> np.ndarray:
+        return np.fft.ifftn(coeffs * self._inv) * self.grid.size
+
+    def to_values(self, coeffs: np.ndarray) -> np.ndarray:
+        return self._samples(coeffs).real
+
+    def fine_values(self, coeffs: np.ndarray) -> np.ndarray:
+        g = self.grid
+        if self.M == g.N:
+            return self.to_values(coeffs)
+        fine = np.zeros((self.M,) * g.d, dtype=np.complex128)
+        fine[self._slots] = coeffs
+        for lo, hi in self._nyquist:
+            fine[hi] = -0.5 * fine[lo]
+            fine[lo] = 0.5 * fine[lo]
+        return (np.fft.ifftn(fine * self._fine_inv) * self.M ** g.d).real
+
+    def project_fine(self, vals: np.ndarray) -> np.ndarray:
+        if self.M == self.grid.N:
+            return self.to_coeffs(vals)
+        fine = np.fft.fftn(vals) / vals.size * self._fine_fwd
+        for lo, hi in self._nyquist:
+            fine[lo] -= fine[hi]
+        return fine[self._slots]
+
+
+@lru_cache(maxsize=64)
+def spectral_plan(grid: TorusGrid, M: int) -> SpectralPlan:
+    """The shared plan of a grid and fine size M (M = grid.N: no padding)."""
+    return SpectralPlan(grid, M)
+
+
 def transform(field: Field) -> SpectralField:
     """Forward transform; coefficients satisfy Parseval with the grid mean."""
     g = field.grid
-    raw = np.fft.fftn(field.values) / g.size
-    return SpectralField(g, raw * g._phase_fwd)
+    return SpectralField(g, spectral_plan(g, g.N).to_coeffs(field.values))
 
 
 def inverse(sf: SpectralField) -> Field:
     """Inverse transform back to cell-center samples."""
     g = sf.grid
-    vals = np.fft.ifftn(sf.coeffs * g._phase_inv) * g.size
+    vals = spectral_plan(g, g.N)._samples(sf.coeffs)
     scale = 1.0 + float(np.max(np.abs(vals.real))) if vals.size else 1.0
     if float(np.max(np.abs(vals.imag))) > 1e-9 * scale:
         raise DomainError("coefficients are not Hermitian-symmetric; inverse is not real")
@@ -229,81 +311,23 @@ class Mollifier:
         return mollify(field, self.eta)
 
 
-def _axis_plane(arr: np.ndarray, axis: int, index: int):
-    sl = [slice(None)] * arr.ndim
-    sl[axis] = index
-    return tuple(sl)
-
-
-def _pad_centered(c: np.ndarray, N: int, M: int) -> np.ndarray:
-    """Embed centered-layout coefficients of an N-grid into an M-grid.
-
-    The unpaired Nyquist plane at -N/2 is split between -N/2 and +N/2 with
-    opposite signs, matching the sine-type mode it represents for real
-    cell-centered fields.
-    """
-    d = c.ndim
-    out = np.zeros((M,) * d, dtype=np.complex128)
-    off = M // 2 - N // 2
-    out[tuple(slice(off, off + N) for _ in range(d))] = c
-    for ax in range(d):
-        lo = _axis_plane(out, ax, off)
-        hi = _axis_plane(out, ax, off + N)
-        out[hi] = -0.5 * out[lo]
-        out[lo] = 0.5 * out[lo]
-    return out
-
-
-def _truncate_centered(C: np.ndarray, M: int, N: int) -> np.ndarray:
-    """Project centered-layout coefficients of an M-grid onto an N-grid.
-
-    Adjoint of _pad_centered on its range: the +N/2 plane folds into the
-    -N/2 slot with a sign flip, so truncate(pad(c)) == c.
-    """
-    d = C.ndim
-    off = M // 2 - N // 2
-    block = C[tuple(slice(off, off + N + 1) for _ in range(d))].copy()
-    for ax in range(d):
-        lo = _axis_plane(block, ax, 0)
-        hi = _axis_plane(block, ax, N)
-        block[lo] = block[lo] - block[hi]
-        block = block[_axis_plane(block, ax, slice(0, N))]
-    return block
-
-
 def resample(field: Field, M: int) -> np.ndarray:
     """Values of the trigonometric interpolant at the cell centers of an
     M-point-per-axis grid, M >= N even.  Returns a bare array."""
     g = field.grid
     if M == g.N:
         return field.values.copy()
-    if M < g.N or M % 2:
-        raise ConfigError(f"resample target {M} must be an even integer >= N={g.N}")
-    cc = np.fft.fftshift(transform(field).coeffs)
-    fine = np.fft.ifftshift(_pad_centered(cc, g.N, M))
-    _, _, _, phase_inv = _fourier_data(g.d, M)
-    vals = np.fft.ifftn(fine * phase_inv) * M ** g.d
-    return vals.real
-
-
-def _project_values(vals: np.ndarray, grid: TorusGrid) -> Field:
-    """L^2 projection of fine-grid samples onto the coarse spectral band."""
-    M = vals.shape[0]
-    if M == grid.N:
-        return Field(grid, vals)
-    _, _, phase_fwd, _ = _fourier_data(grid.d, M)
-    fine = np.fft.fftn(vals) / vals.size * phase_fwd
-    coarse = _truncate_centered(np.fft.fftshift(fine), M, grid.N)
-    return inverse(SpectralField(grid, np.fft.ifftshift(coarse)))
+    return spectral_plan(g, M).fine_values(transform(field).coeffs)
 
 
 def poly_field(p, u: Field, v: Field, pad=None) -> Field:
     """Dealiased evaluation of a bivariate polynomial p at fields (u, v).
 
-    The fields are resampled onto a grid refined by `pad` (default
-    ceil((D+1)/2) for total degree D), the polynomial is evaluated
-    pointwise there, and the product is projected back.  Exact up to
-    roundoff whenever the product bandwidth fits the padded grid.
+    The fields are resampled onto a grid of M points per axis, the
+    polynomial is evaluated pointwise there, and the product is projected
+    back.  By default M = dealias_size(N, D) for total degree D, which
+    makes the result exact up to roundoff; `pad` instead refines the
+    grid by that factor (M = ceil(pad * N), rounded up to even).
     """
     if u.grid != v.grid:
         raise ConfigError("fields live on different grids")
@@ -311,13 +335,14 @@ def poly_field(p, u: Field, v: Field, pad=None) -> Field:
     terms = getattr(p, "terms", None)
     if terms is not None and not terms:
         return Field(g, np.zeros(g.shape))
-    D = p.total_degree()
     if pad is None:
-        pad = (D + 2) // 2  # ceil((D+1)/2)
-    if pad < 1:
-        raise DomainError(f"padding factor must be >= 1, got {pad}")
-    M = int(math.ceil(pad * g.N))
-    M += M % 2
-    uf = resample(u, M)
-    vf = resample(v, M)
-    return _project_values(p.eval_arrays(uf, vf), g)
+        M = dealias_size(g.N, p.total_degree())
+    else:
+        if pad < 1:
+            raise DomainError(f"padding factor must be >= 1, got {pad}")
+        M = int(math.ceil(pad * g.N))
+        M += M % 2
+    vals = p.eval_arrays(resample(u, M), resample(v, M))
+    if M == g.N:
+        return Field(g, vals)
+    return inverse(SpectralField(g, spectral_plan(g, M).project_fine(vals)))

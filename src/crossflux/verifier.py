@@ -19,9 +19,9 @@ from .errors import ConfigError, DomainError
 from .model import (ModelSpec, find_delta_A, flux, smallness_functional,
                     stability_constants)
 from .report import Report
-from .solver import Trajectory
-from .spaces import TimeSeriesField, lp_norm, sobolev_norm
-from .spectral import FOUR_PI_SQ, Field, laplacian, transform
+from .solver import Trajectory, amplitude
+from .spaces import TimeSeriesField, interp_linear, lp_norm, sobolev_norm
+from .spectral import FOUR_PI_SQ, Field, laplacian, spectral_plan, transform
 
 INEQ_SLACK = 1e-3
 
@@ -48,16 +48,6 @@ def _cum_trapz(times: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return out
 
 
-def _interp(stack: np.ndarray, times: np.ndarray, t: float) -> np.ndarray:
-    if t <= times[0]:
-        return stack[0]
-    if t >= times[-1]:
-        return stack[-1]
-    i = int(np.searchsorted(times, t, side="right")) - 1
-    w = (t - times[i]) / (times[i + 1] - times[i])
-    return (1.0 - w) * stack[i] + w * stack[i + 1]
-
-
 def grad_norm_sq(field: Field) -> float:
     """Squared L2 norm of the gradient, evaluated spectrally."""
     c = transform(field).coeffs
@@ -72,15 +62,12 @@ def _grad_energy(field: Field, weight: np.ndarray) -> float:
     so the truncation is exact rather than an approximation.
     """
     g = field.grid
+    plan = spectral_plan(g, g.N)
     c = transform(field).coeffs
     total = np.zeros(g.shape)
-    for ax in range(g.d):
-        freq = g.freq_axes[ax]
+    for freq in g.freq_axes:
         mult = 2j * np.pi * np.where(freq == -g.N // 2, 0.0, freq)
-        shape = [1] * g.d
-        shape[ax] = g.N
-        dvals = (np.fft.ifftn(c * mult.reshape(shape) * g._phase_inv) * g.size).real
-        total += dvals ** 2
+        total += plan.to_values(c * mult) ** 2
     return float(np.mean(weight * total))
 
 
@@ -130,8 +117,8 @@ def check_duality(z: TimeSeriesField, mu: TimeSeriesField, f: TimeSeriesField,
 
     times = z.times
     n = len(times)
-    mu_t = [_interp(mu_stack, mu.times, t) for t in times]
-    f_t = [_interp(f_stack, f.times, t) for t in times]
+    mu_t = [interp_linear(mu_stack, mu.times, t) for t in times]
+    f_t = [interp_linear(f_stack, f.times, t) for t in times]
 
     hm1 = np.array([_hm1_sq(g) for g in z.fields])
     mass_mu_z2 = np.array([float(np.mean(mu_t[i] * z.fields[i].values ** 2))
@@ -185,8 +172,7 @@ def check_energy_decay(traj: Trajectory, spec: ModelSpec) -> Report:
     times = traj.times
     if len(states) < 3:
         raise ConfigError("need at least three recorded states")
-    amp = max(max(float(np.max(np.abs(s.u.values))),
-                  float(np.max(np.abs(s.v.values)))) for s in states)
+    amp = amplitude(states)
     delta_a = find_delta_A(spec)
     if amp > delta_a:
         warnings.warn(
@@ -277,10 +263,8 @@ def check_stability_pair(traj1: Trajectory, traj2: Trajectory, spec: ModelSpec,
         raise DomainError(
             "delta is not admissible: the cross-diffusion defect constant "
             f"C_delta = {c_delta:.6g} is not positive for this model")
-    amp1 = max(max(float(np.max(np.abs(s.u.values))),
-                   float(np.max(np.abs(s.v.values)))) for s in traj1.states)
-    amp2 = max(max(float(np.max(np.abs(s.u.values))),
-                   float(np.max(np.abs(s.v.values)))) for s in traj2.states)
+    amp1 = amplitude(traj1.states)
+    amp2 = amplitude(traj2.states)
     if amp2 > delta * (1.0 + 1e-12):
         raise DomainError(f"second trajectory amplitude {amp2:.6g} exceeds delta")
     if amp1 > R * (1.0 + 1e-12):

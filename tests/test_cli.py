@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from crossflux.cli import run_cli
+from crossflux.cli import _worker_count, run_cli
+from crossflux.errors import ConfigError
 from crossflux.io import read_field, write_field
 from crossflux.model import thresholds as model_thresholds
 from crossflux.model import ModelSpec, Poly2
@@ -288,6 +289,32 @@ def test_malformed_json_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert "line 1" in err
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"dt": math.nan},
+        {"t_end": math.inf},
+        {"record_every": "x"},
+        {"initial": dict(run_config()["initial"], mode="x")},
+    ],
+    ids=["nan-dt", "inf-t_end", "bad-record_every", "bad-mode"],
+)
+def test_malformed_run_parameters_exit_code(tmp_path, capsys, overrides):
+    cfg = write_json(tmp_path / "run.json", run_config(**overrides))
+    code = run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cap", ["abc", "0", "-1"])
+def test_worker_count_rejects_bad_values(cap):
+    with pytest.raises(ConfigError, match="CROSSFLUX_THREADS"):
+        _worker_count(cap)
+    assert _worker_count("3") == 3
 
 
 def test_unknown_subcommand():

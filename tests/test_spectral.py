@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from crossflux.errors import ConfigError, DomainError
-from crossflux.model import X
+from crossflux.model import X, Y
 from crossflux.spectral import (
     FOUR_PI_SQ,
     Field,
     Mollifier,
     SpectralField,
     TorusGrid,
+    dealias_size,
     heat_propagate,
     inverse,
     laplacian,
@@ -130,16 +131,27 @@ def test_pad_project_round_trip_with_nyquist(rng):
     # survive the padded round trip bit-for-bit up to roundoff
     for g in (TorusGrid(1, 16), TorusGrid(2, 8)):
         f = Field(g, rng.standard_normal(g.shape))
-        back = poly_field(X, f, f, pad=2)
-        np.testing.assert_allclose(back.values, f.values, atol=1e-12)
+        for pad in (2, 1.5):
+            back = poly_field(X, f, f, pad=pad)
+            np.testing.assert_allclose(back.values, f.values, atol=1e-12)
+
+
+def test_default_padding_dealiases_exactly(rng):
+    # random full-band data, Nyquist slot included: the default grid must
+    # reproduce the generously padded product, for even and odd degree
+    assert dealias_size(64, 2) == 96
+    for g in (TorusGrid(1, 16), TorusGrid(2, 8)):
+        u = Field(g, rng.standard_normal(g.shape))
+        v = Field(g, rng.standard_normal(g.shape))
+        for p in (X * Y, X * X * Y):
+            np.testing.assert_allclose(poly_field(p, u, v).values,
+                                       poly_field(p, u, v, pad=4).values, atol=1e-13)
 
 
 def test_poly_field_dealiased_product(grid64, cosine):
     # product of two resolved cosines: bandwidth 5 fits after padding
     u = cosine(grid64, mode=2)
     v = cosine(grid64, mode=3)
-    from crossflux.model import Y
-
     prod = poly_field(X * Y, u, v)
     np.testing.assert_allclose(prod.values, u.values * v.values, atol=1e-12)
 
