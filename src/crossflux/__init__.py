@@ -10,8 +10,7 @@ from .model import (ModelSpec, Poly1, Poly2, X, Y, bootstrap_delta,
                     smallness_functional, stability_constants, thresholds)
 from .report import Report
 from .solver import (RunConfig, State, Trajectory, rk4_max_dt, simulate,
-                     simulate_regularized, solve_kolmogorov, step_imex,
-                     step_rk4)
+                     solve_kolmogorov)
 from .spaces import (REGRESSION_CONSTANTS, TimeSeriesField, bernstein_check,
                      besov_Nk, block_sequence_check, block_sequence_norm,
                      dyadic_block, dyadic_blocks, heat_decay_check, lp_norm,

@@ -22,10 +22,9 @@ import numpy as np
 from . import io
 from .counterexample import build_pair, verify_counterexample
 from .errors import BlowupError, ConfigError, CrossfluxError
-from .model import (ModelSpec, parse_model_json, poly_eval, smallness_functional,
-                    thresholds)
+from .model import parse_model_json, smallness_functional, thresholds
 from .report import Report
-from .solver import RunConfig, State, Trajectory, simulate, simulate_regularized
+from .solver import RunConfig, State, Trajectory, simulate
 from .spaces import TimeSeriesField, besov_Nk, lp_norm, sobolev_norm
 from .spectral import Field, TorusGrid
 from .verifier import (check_duality, check_energy_decay, check_lyapunov_nonconvex,
@@ -36,17 +35,31 @@ KNOWN_CHECKS = ("mass", "energy", "duality", "stability", "lambda", "hk",
                 "lyapunov", "rate")
 
 
+def _number(obj: dict, key: str, default=None, integral: bool = False):
+    """obj[key], or the default, as a float (an int when integral).
+    Booleans, strings and fractional integers are errors, not coerced."""
+    value = obj.get(key, default)
+    if value is None:
+        raise ConfigError(f"missing {key!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ConfigError(f"{key} is out of range") from None
+    if integral and not value.is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value) if integral else value
+
+
 def _build_initial(grid: TorusGrid, obj) -> tuple[Field, Field]:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError("initial must be an object with a 'kind' key")
     kind = obj["kind"]
     if kind == "cosine":
-        try:
-            um, ua = float(obj["u_mean"]), float(obj["u_amp"])
-            vm, va = float(obj["v_mean"]), float(obj["v_amp"])
-            mode = int(obj.get("mode", 1))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad cosine initial data: {exc}") from exc
+        um, ua = _number(obj, "u_mean"), _number(obj, "u_amp")
+        vm, va = _number(obj, "v_mean"), _number(obj, "v_amp")
+        mode = _number(obj, "mode", 1, integral=True)
         wave = np.cos(2.0 * np.pi * mode * grid.coords(0))
         if grid.d == 2:
             wave = np.broadcast_to(wave[:, None], grid.shape).copy()
@@ -69,11 +82,8 @@ def _parse_run(obj, force_record_every: int | None = None):
             raise ConfigError(f"run config is missing {key!r}")
     grid, spec = parse_model_json(obj["model"])
     u0, v0 = _build_initial(grid, obj["initial"])
-    try:
-        record_every = int(obj.get("record_every", 1))
-        dt, t_end = float(obj["dt"]), float(obj["t_end"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad run parameters: {exc}") from exc
+    record_every = _number(obj, "record_every", 1, integral=True)
+    dt, t_end = _number(obj, "dt"), _number(obj, "t_end")
     if force_record_every is not None:
         record_every = force_record_every
     cfg = RunConfig(spec, State(0.0, u0, v0), dt=dt, t_end=t_end,
@@ -86,16 +96,10 @@ def _parse_run(obj, force_record_every: int | None = None):
     return grid, spec, cfg, checks
 
 
-def _run(cfg: RunConfig) -> Trajectory:
-    if cfg.variant == "regularized":
-        return simulate_regularized(cfg)
-    return simulate(cfg)
-
-
 def _mu_series(traj: Trajectory, d_coef: float, poly) -> TimeSeriesField:
-    fields = [Field(traj.grid, d_coef + poly_eval(poly, s.u, s.v).values)
-              for s in traj.states]
-    return TimeSeriesField(traj.times, fields)
+    grid = traj.grid
+    mu = d_coef + poly.eval_arrays(traj.u, traj.v)
+    return TimeSeriesField(traj.times, [Field(grid, m) for m in mu])
 
 
 def _zero_series(traj: Trajectory) -> TimeSeriesField:
@@ -107,7 +111,7 @@ def _zero_series(traj: Trajectory) -> TimeSeriesField:
 def _verify_reports(obj, requested) -> list[Report]:
     force = 1 if "lambda" in requested else None
     grid, spec, cfg, checks = _parse_run(obj, force_record_every=force)
-    traj = _run(cfg)
+    traj = simulate(cfg)
     reports: list[Report] = []
     for name in requested:
         if name == "mass":
@@ -117,10 +121,8 @@ def _verify_reports(obj, requested) -> list[Report]:
         elif name == "duality":
             zeros = _zero_series(traj)
             for label, series, d_coef, poly, z_in in (
-                    ("duality_u", traj.series_u(), spec.d1, spec.p,
-                     traj.states[0].u),
-                    ("duality_v", traj.series_v(), spec.d2, spec.q,
-                     traj.states[0].v)):
+                    ("duality_u", traj.series_u(), spec.d1, spec.p, cfg.initial.u),
+                    ("duality_v", traj.series_v(), spec.d2, spec.q, cfg.initial.v)):
                 rep = check_duality(series, _mu_series(traj, d_coef, poly),
                                     zeros, z_in)
                 reports.append(Report(label, rep.passed, rep.measured,
@@ -146,7 +148,7 @@ def _verify_reports(obj, requested) -> list[Report]:
                 u2, v2 = _build_initial(grid, init2)
             cfg2 = RunConfig(spec, State(0.0, u2, v2), cfg.dt, cfg.t_end,
                              cfg.record_every, cfg.scheme, cfg.variant)
-            reports.append(check_stability_pair(traj, _run(cfg2), spec,
+            reports.append(check_stability_pair(traj, simulate(cfg2), spec,
                                                 radius, delta))
         elif name == "lambda":
             if "k" not in checks:
@@ -170,7 +172,7 @@ def _cmd_simulate(args) -> int:
     obj = io.load_json(args.config)
     _, _, cfg, _ = _parse_run(obj)
     try:
-        traj = _run(cfg)
+        traj = simulate(cfg)
     except BlowupError as exc:
         if exc.trajectory is not None:
             io.write_trajectory(args.out, exc.trajectory)
@@ -257,7 +259,7 @@ def _sweep_axis(base: dict, axis: str, value: float) -> dict:
         if init.get("kind") != "cosine":
             raise ConfigError("the amplitude axis needs cosine initial data")
         for key in ("u_mean", "u_amp", "v_mean", "v_amp"):
-            init[key] = float(init[key]) * value
+            init[key] = _number(init, key) * value
         return obj
     node = obj
     parts = axis.split(".")
@@ -281,7 +283,7 @@ def _sweep_row(payload: str) -> str:
         _, spec, cfg, _ = _parse_run(run_obj)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            traj = _run(cfg)
+            traj = simulate(cfg)
             small = smallness_functional(cfg.initial.u, cfg.initial.v, spec, k)
             lam, lam_rep = track_lambda(traj, spec, k,
                                         delta=None if delta is None

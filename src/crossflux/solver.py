@@ -11,6 +11,7 @@ dealiased polynomial fluxes):
 
 States are advanced as coefficient arrays; the zero mode is never
 touched by either scheme, so masses are conserved to the last bit.
+Recorded states are stacked into arrays with time as the leading axis.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from .spaces import TimeSeriesField, interp_linear
 from .spectral import FOUR_PI_SQ, Field, TorusGrid, dealias_size, spectral_plan
 
 RK4_STABILITY_CONSTANT = 0.4
+# every step is diagnosed into preallocated arrays, so the count is capped
+MAX_STEPS = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,9 @@ class RunConfig:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.t_end < self.dt:
             raise ConfigError("t_end must be at least one step long")
+        if self.t_end > MAX_STEPS * self.dt:
+            raise ConfigError(f"t_end / dt = {self.t_end / self.dt:.3g} steps "
+                              f"exceeds the limit of {MAX_STEPS}")
         n = round(self.t_end / self.dt)
         if abs(n * self.dt - self.t_end) > 1e-8 * self.t_end:
             raise ConfigError("dt must divide t_end")
@@ -73,6 +79,8 @@ class RunConfig:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if self.variant not in ("plain", "regularized"):
             raise ConfigError(f"unknown variant {self.variant!r}")
+        if self.variant == "regularized" and self.scheme != "imex":
+            raise ConfigError("the regularized variant runs with the imex scheme")
         if self.variant == "regularized" and (self.spec.eta is None
                                               or self.spec.trunc_delta is None):
             raise ConfigError("regularized runs need eta and trunc_delta in the model")
@@ -87,14 +95,16 @@ class RunConfig:
 
 @dataclass
 class Trajectory:
-    """Recorded states plus cheap per-step diagnostics."""
+    """Recorded states, stacked as u and v arrays of shape (T, *grid.shape)
+    at `times`, plus cheap per-step diagnostics."""
 
     spec: ModelSpec
     scheme: str
     variant: str
     dt: float
     times: np.ndarray
-    states: list
+    u: np.ndarray
+    v: np.ndarray
     step_times: np.ndarray
     min_u: np.ndarray
     min_v: np.ndarray
@@ -103,13 +113,22 @@ class Trajectory:
 
     @property
     def grid(self) -> TorusGrid:
-        return self.states[0].grid
+        return TorusGrid(self.u.ndim - 1, self.u.shape[-1])
+
+    @property
+    def states(self) -> list:
+        """The recorded states; their fields are views into u and v."""
+        g = self.grid
+        return [State(float(t), Field(g, a), Field(g, b))
+                for t, a, b in zip(self.times, self.u, self.v)]
 
     def series_u(self) -> TimeSeriesField:
-        return TimeSeriesField(self.times, [s.u for s in self.states])
+        g = self.grid
+        return TimeSeriesField(self.times, [Field(g, a) for a in self.u])
 
     def series_v(self) -> TimeSeriesField:
-        return TimeSeriesField(self.times, [s.v for s in self.states])
+        g = self.grid
+        return TimeSeriesField(self.times, [Field(g, b) for b in self.v])
 
 
 def _flux_plan(spec: ModelSpec, grid: TorusGrid, min_degree: int = 1):
@@ -118,16 +137,15 @@ def _flux_plan(spec: ModelSpec, grid: TorusGrid, min_degree: int = 1):
     return spectral_plan(grid, dealias_size(grid.N, degree))
 
 
-def amplitude(states) -> float:
-    """Largest |u| or |v| over the given states."""
-    return max(max(float(np.max(np.abs(s.u.values))),
-                   float(np.max(np.abs(s.v.values)))) for s in states)
+def amplitude(u: np.ndarray, v: np.ndarray) -> float:
+    """Largest |u| or |v| over the given arrays (one state or a stack)."""
+    return max(float(np.max(np.abs(u))), float(np.max(np.abs(v))))
 
 
 def rk4_max_dt(spec: ModelSpec, state: State) -> float:
     """Explicit stability bound for the rk4 stepper at this state."""
     g = state.grid
-    amp = amplitude([state])
+    amp = amplitude(state.u.values, state.v.values)
     q1, r1, q2, r2 = derive_QR(spec)
     s = max(spec.d1 + q1.eval(amp, amp) + r1.eval(amp, amp),
             spec.d2 + q2.eval(amp, amp) + r2.eval(amp, amp))
@@ -179,45 +197,24 @@ def _regularized_coeffs(plan, spec, cu, cv, u_vals, v_vals):
     return cw1, cw2
 
 
-def step_imex(state: State, spec: ModelSpec, dt: float) -> State:
-    """One first-order step: implicit d_i*Lap, explicit polynomial flux."""
-    if dt <= 0:
-        raise ConfigError(f"dt must be positive, got {dt}")
-    plan = _flux_plan(spec, state.grid)
-    np1, np2 = X * spec.p, Y * spec.q
-    cu, cv = plan.to_coeffs(state.u.values), plan.to_coeffs(state.v.values)
-    cw1, cw2 = _nonlinear_coeffs(plan, np1, np2, cu, cv)
-    cu, cv = _imex_update(plan, spec, dt, cu, cv, cw1, cw2)
-    return State(state.t + dt, Field(state.grid, plan.to_values(cu)),
-                 Field(state.grid, plan.to_values(cv)))
+def simulate(config: RunConfig) -> Trajectory:
+    """Integrate the system as configured; never clips negative values.
 
-
-def step_rk4(state: State, spec: ModelSpec, dt: float) -> State:
-    """One classical Runge-Kutta step on the full explicit right-hand side."""
-    bound = rk4_max_dt(spec, state)
-    if dt > bound:
-        raise ConfigError(
-            f"dt = {dt:.3e} exceeds the rk4 stability bound {bound:.3e}")
-    plan = _flux_plan(spec, state.grid)
-    np1, np2 = X * spec.p, Y * spec.q
-    cu, cv = plan.to_coeffs(state.u.values), plan.to_coeffs(state.v.values)
-    cu, cv = _rk4_update(plan, spec, dt, cu, cv, np1, np2)
-    return State(state.t + dt, Field(state.grid, plan.to_values(cu)),
-                 Field(state.grid, plan.to_values(cv)))
-
-
-def _run(config: RunConfig) -> Trajectory:
+    The regularized variant evaluates the polynomial part of each flux at
+    densities capped at trunc_delta and smoothed by the heat kernel at
+    time eta before multiplying the density.
+    """
     spec = config.spec
     grid = config.initial.grid
     dt = config.dt
     n_steps = config.n_steps
+    every = min(config.record_every, n_steps)
+    regularized = config.variant == "regularized"
     # the regularized flux multiplies two fields, so it is at least quadratic
-    plan = _flux_plan(spec, grid, 2 if config.variant == "regularized" else 1)
+    plan = _flux_plan(spec, grid, 2 if regularized else 1)
     np1, np2 = X * spec.p, Y * spec.q
 
     if config.scheme == "rk4":
-        if config.variant == "regularized":
-            raise ConfigError("the regularized variant runs with the imex scheme")
         bound = rk4_max_dt(spec, config.initial)
         if dt > bound:
             raise ConfigError(
@@ -229,70 +226,52 @@ def _run(config: RunConfig) -> Trajectory:
     u_vals = config.initial.u.values
     v_vals = config.initial.v.values
 
-    rec_times, states = [], []
-    step_times = np.empty(n_steps + 1)
+    # states are recorded at every `every`-th step and at the last one
+    n_rec = -(-n_steps // every) + 1
+    step_times = np.arange(n_steps + 1) * dt
+    times = step_times[np.minimum(np.arange(n_rec) * every, n_steps)]
+    u_rec = np.empty((n_rec,) + grid.shape)
+    v_rec = np.empty((n_rec,) + grid.shape)
     min_u = np.empty(n_steps + 1)
     min_v = np.empty(n_steps + 1)
     mass_u = np.empty(n_steps + 1)
     mass_v = np.empty(n_steps + 1)
 
     def diagnose(n):
-        step_times[n] = n * dt
         min_u[n] = u_vals.min()
         min_v[n] = v_vals.min()
         mass_u[n] = u_vals.mean()
         mass_v[n] = v_vals.mean()
 
-    def record(n):
-        rec_times.append(n * dt)
-        states.append(State(n * dt, Field(grid, u_vals.copy()),
-                            Field(grid, v_vals.copy())))
-
-    def partial(n):
-        return Trajectory(spec, config.scheme, config.variant, dt,
-                          np.asarray(rec_times), states, step_times[:n].copy(),
-                          min_u[:n].copy(), min_v[:n].copy(),
-                          mass_u[:n].copy(), mass_v[:n].copy())
+    def trajectory(n, r):
+        return Trajectory(spec, config.scheme, config.variant, dt, times[:r],
+                          u_rec[:r], v_rec[:r], step_times[:n], min_u[:n],
+                          min_v[:n], mass_u[:n], mass_v[:n])
 
     diagnose(0)
-    record(0)
+    u_rec[0] = u_vals
+    v_rec[0] = v_vals
+    r = 1
     for n in range(1, n_steps + 1):
         if config.scheme == "rk4":
             cu, cv = _rk4_update(plan, spec, dt, cu, cv, np1, np2)
-        elif config.variant == "regularized":
-            cw1, cw2 = _regularized_coeffs(plan, spec, cu, cv, u_vals, v_vals)
-            cu, cv = _imex_update(plan, spec, dt, cu, cv, cw1, cw2)
         else:
-            cw1, cw2 = _nonlinear_coeffs(plan, np1, np2, cu, cv)
+            if regularized:
+                cw1, cw2 = _regularized_coeffs(plan, spec, cu, cv, u_vals, v_vals)
+            else:
+                cw1, cw2 = _nonlinear_coeffs(plan, np1, np2, cu, cv)
             cu, cv = _imex_update(plan, spec, dt, cu, cv, cw1, cw2)
         u_vals = plan.to_values(cu)
         v_vals = plan.to_values(cv)
         if not (np.all(np.isfinite(u_vals)) and np.all(np.isfinite(v_vals))):
-            raise BlowupError(n, partial(n))
+            raise BlowupError(n, trajectory(n, r))
         diagnose(n)
-        if n % config.record_every == 0 or n == n_steps:
-            record(n)
+        if n % every == 0 or n == n_steps:
+            u_rec[r] = u_vals
+            v_rec[r] = v_vals
+            r += 1
 
-    return Trajectory(spec, config.scheme, config.variant, dt,
-                      np.asarray(rec_times), states, step_times,
-                      min_u, min_v, mass_u, mass_v)
-
-
-def simulate(config: RunConfig) -> Trajectory:
-    """Integrate the system as configured; never clips negative values."""
-    if config.variant != "plain":
-        raise ConfigError("simulate runs the plain variant; "
-                          "use simulate_regularized for the truncated model")
-    return _run(config)
-
-
-def simulate_regularized(config: RunConfig) -> Trajectory:
-    """Integrate the truncated and mollified system: the polynomial part of
-    each flux is evaluated at densities capped at trunc_delta and smoothed
-    by the heat kernel at time eta before multiplying the density."""
-    if config.variant != "regularized":
-        raise ConfigError("simulate_regularized needs variant='regularized'")
-    return _run(config)
+    return trajectory(n_steps + 1, n_rec)
 
 
 def solve_kolmogorov(z_in: Field, mu: TimeSeriesField, f: TimeSeriesField,

@@ -151,12 +151,13 @@ def interp_linear(stack: np.ndarray, times: np.ndarray, t: float) -> np.ndarray:
     return (1.0 - w) * stack[i] + w * stack[i + 1]
 
 
-def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
-    w = np.zeros_like(times)
-    dt = np.diff(times)
-    w[:-1] += 0.5 * dt
-    w[1:] += 0.5 * dt
-    return w
+def cum_trapz(times: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Cumulative trapezoid integral of vals over times, 0 at times[0]."""
+    out = np.zeros_like(vals)
+    if len(times) > 1:
+        seg = 0.5 * (vals[1:] + vals[:-1]) * np.diff(times)
+        out[1:] = np.cumsum(seg)
+    return out
 
 
 def spacetime_lk(series: TimeSeriesField, k: float) -> float:
@@ -165,9 +166,8 @@ def spacetime_lk(series: TimeSeriesField, k: float) -> float:
         raise DomainError(f"exponent must lie in [1, inf), got {k}")
     if len(series) < 2:
         raise DomainError("space-time norms need at least two time samples")
-    w = _trapezoid_weights(series.times)
-    total = sum(wi * lp_norm(f, k) ** k for wi, f in zip(w, series.fields))
-    return float(total ** (1.0 / k))
+    vals = np.array([lp_norm(f, k) ** k for f in series.fields])
+    return float(cum_trapz(series.times, vals)[-1] ** (1.0 / k))
 
 
 @dataclass(frozen=True)

@@ -189,6 +189,10 @@ class SpectralPlan:
     the unpaired -N/2 plane of each axis between -N/2 and +N/2 with
     opposite signs (the sine-type mode it encodes); truncation folds +N/2
     back into -N/2, so project_fine(fine_values(c)) == c.
+
+    Every method acts on the trailing d axes and maps over any leading
+    axes, so a stack of fields of shape (T, *grid.shape) is transformed
+    in one call; a single field is a stack with no leading axes.
     """
 
     def __init__(self, grid: TorusGrid, M: int):
@@ -197,21 +201,37 @@ class SpectralPlan:
         self.grid = grid
         self.M = M
         self.lam = FOUR_PI_SQ * grid.xi_sq
-        _, _, self._fwd, self._inv = _fourier_data(grid.d, grid.N)
-        if M != grid.N:
-            d, N = grid.d, grid.N
+        d, N = grid.d, grid.N
+        # `s` passed with `axes` spares numpy's fftn a size lookup, ~5 us a call
+        self._axes = tuple(range(-d, 0))
+        self._fine_shape = (M,) * d
+        _, _, self._fwd, self._inv = _fourier_data(d, N)
+        if M != N:
             _, _, self._fine_fwd, self._fine_inv = _fourier_data(d, M)
+            self._pad_indices = {}
+
+    def _pad_index(self, ndim: int):
+        """Slot and Nyquist-plane indices of an ndim-dimensional input,
+        built once per ndim with plain leading slices: an Ellipsis costs
+        more per call and turns 1-d Nyquist stores into array stores."""
+        if ndim not in self._pad_indices:
+            d, N, M = self.grid.d, self.grid.N, self.M
+            lead = (slice(None),) * (ndim - d)
             k = np.arange(N)
-            self._slots = np.ix_(*[np.where(k < N // 2, k, k + M - N)] * d)
+            slots = lead + np.ix_(*[np.where(k < N // 2, k, k + M - N)] * d)
             # slots of -N/2 and +N/2 along each axis of the M-grid
-            self._nyquist = [(_axis_plane(d, ax, M - N // 2), _axis_plane(d, ax, N // 2))
-                             for ax in range(d)]
+            nyquist = [(_axis_plane(ndim, ax, M - N // 2), _axis_plane(ndim, ax, N // 2))
+                       for ax in range(ndim - d, ndim)]
+            self._pad_indices[ndim] = slots, nyquist
+        return self._pad_indices[ndim]
 
     def to_coeffs(self, vals: np.ndarray) -> np.ndarray:
-        return np.fft.fftn(vals) / self.grid.size * self._fwd
+        g = self.grid
+        return np.fft.fftn(vals, s=g.shape, axes=self._axes) / g.size * self._fwd
 
     def _samples(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(coeffs * self._inv) * self.grid.size
+        g = self.grid
+        return np.fft.ifftn(coeffs * self._inv, s=g.shape, axes=self._axes) * g.size
 
     def to_values(self, coeffs: np.ndarray) -> np.ndarray:
         return self._samples(coeffs).real
@@ -220,20 +240,24 @@ class SpectralPlan:
         g = self.grid
         if self.M == g.N:
             return self.to_values(coeffs)
-        fine = np.zeros((self.M,) * g.d, dtype=np.complex128)
-        fine[self._slots] = coeffs
-        for lo, hi in self._nyquist:
+        slots, nyquist = self._pad_index(coeffs.ndim)
+        fine = np.zeros(coeffs.shape[:-g.d] + self._fine_shape, dtype=np.complex128)
+        fine[slots] = coeffs
+        for lo, hi in nyquist:
             fine[hi] = -0.5 * fine[lo]
             fine[lo] = 0.5 * fine[lo]
-        return (np.fft.ifftn(fine * self._fine_inv) * self.M ** g.d).real
+        return (np.fft.ifftn(fine * self._fine_inv, s=self._fine_shape, axes=self._axes)
+                * self.M ** g.d).real
 
     def project_fine(self, vals: np.ndarray) -> np.ndarray:
         if self.M == self.grid.N:
             return self.to_coeffs(vals)
-        fine = np.fft.fftn(vals) / vals.size * self._fine_fwd
-        for lo, hi in self._nyquist:
+        slots, nyquist = self._pad_index(vals.ndim)
+        fine = (np.fft.fftn(vals, s=self._fine_shape, axes=self._axes)
+                / self.M ** self.grid.d * self._fine_fwd)
+        for lo, hi in nyquist:
             fine[lo] -= fine[hi]
-        return fine[self._slots]
+        return fine[slots]
 
 
 @lru_cache(maxsize=64)

@@ -16,67 +16,88 @@ import warnings
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .model import (ModelSpec, find_delta_A, flux, smallness_functional,
+from .model import (ModelSpec, find_delta_A, flux_polys, smallness_functional,
                     stability_constants)
 from .report import Report
 from .solver import Trajectory, amplitude
-from .spaces import TimeSeriesField, interp_linear, lp_norm, sobolev_norm
-from .spectral import FOUR_PI_SQ, Field, laplacian, spectral_plan, transform
+from .spaces import TimeSeriesField, cum_trapz, interp_linear
+from .spectral import FOUR_PI_SQ, Field, TorusGrid, dealias_size, spectral_plan
 
 INEQ_SLACK = 1e-3
+FINE_BATCH_POINTS = 1 << 18
 
 
-def _hm1_sq(field: Field) -> float:
-    """Squared dual norm: mean part plus homogeneous inverse-gradient part.
+def _flat(stack: np.ndarray) -> np.ndarray:
+    """A stack of states (T, *grid.shape) viewed as (T, grid.size), so
+    that per-state sums, means and extrema reduce along axis 1."""
+    return stack.reshape(len(stack), -1)
+
+
+def _hm1_sq(grid: TorusGrid, stack: np.ndarray) -> np.ndarray:
+    """Squared dual norm of each state: mean part plus homogeneous
+    inverse-gradient part.
 
     The duality and stability estimates close exactly for this norm
     (the mean squared plus sum of |coef|^2 / (4 pi^2 |xi|^2) over
     nonzero modes); the inhomogeneous Sobolev weight would make the
     forced estimate false already for stationary single-mode forcing.
     """
-    g = field.grid
-    c = transform(field).coeffs
-    w = np.where(g.xi_sq > 0.0, FOUR_PI_SQ * g.xi_sq, 1.0)
-    return float(np.sum(np.abs(c) ** 2 / w))
+    c = spectral_plan(grid, grid.N).to_coeffs(stack)
+    w = np.where(grid.xi_sq > 0.0, FOUR_PI_SQ * grid.xi_sq, 1.0)
+    return _flat(np.abs(c) ** 2 / w).sum(axis=1)
 
 
-def _cum_trapz(times: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(vals)
-    if len(times) > 1:
-        seg = 0.5 * (vals[1:] + vals[:-1]) * np.diff(times)
-        out[1:] = np.cumsum(seg)
-    return out
+def _grad_sq(grid: TorusGrid, stack: np.ndarray) -> np.ndarray:
+    """Squared L2 norm of the gradient of each state, evaluated spectrally."""
+    c = spectral_plan(grid, grid.N).to_coeffs(stack)
+    return FOUR_PI_SQ * _flat(grid.xi_sq * np.abs(c) ** 2).sum(axis=1)
 
 
 def grad_norm_sq(field: Field) -> float:
     """Squared L2 norm of the gradient, evaluated spectrally."""
-    c = transform(field).coeffs
-    return float(FOUR_PI_SQ * np.sum(field.grid.xi_sq * np.abs(c) ** 2))
+    return float(_grad_sq(field.grid, field.values[None])[0])
 
 
-def _grad_energy(field: Field, weight: np.ndarray) -> float:
-    """Integral of weight * |grad field|^2 over the torus.
+def _grad_energy(grid: TorusGrid, stack: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Integral of weight * |grad z|^2 over the torus, for each state z.
 
     Axis derivatives drop the unpaired half-sampled mode; on the
     cell-centered grid that mode's derivative vanishes at every node,
     so the truncation is exact rather than an approximation.
     """
-    g = field.grid
-    plan = spectral_plan(g, g.N)
-    c = transform(field).coeffs
-    total = np.zeros(g.shape)
-    for freq in g.freq_axes:
-        mult = 2j * np.pi * np.where(freq == -g.N // 2, 0.0, freq)
+    plan = spectral_plan(grid, grid.N)
+    c = plan.to_coeffs(stack)
+    total = np.zeros(stack.shape)
+    for freq in grid.freq_axes:
+        mult = 2j * np.pi * np.where(freq == -grid.N // 2, 0.0, freq)
         total += plan.to_values(c * mult) ** 2
-    return float(np.mean(weight * total))
+    return _flat(weight * total).mean(axis=1)
 
 
-def _nonuniform_fd(times: np.ndarray, vals: np.ndarray, i: int) -> float:
-    """Second-order derivative estimate at an interior node."""
-    hm = times[i] - times[i - 1]
-    hp = times[i + 1] - times[i]
-    return (hm * hm * vals[i + 1] + (hp * hp - hm * hm) * vals[i]
-            - hp * hp * vals[i - 1]) / (hm * hp * (hm + hp))
+def _flux_laplacians(spec: ModelSpec, grid: TorusGrid, u: np.ndarray, v: np.ndarray):
+    """Laplacians of the dealiased fluxes ((d1 + p)u, (d2 + q)v) at every
+    state of the stacks u and v, each flux dealiased for its own degree.
+    Batches of FINE_BATCH_POINTS fine-grid points bound the temporaries:
+    unbatched, a 401-state 2-d N=64 run took 370 MiB more, not 54 MiB."""
+    plan = spectral_plan(grid, grid.N)
+    polys = flux_polys(spec)
+    fines = [spectral_plan(grid, dealias_size(grid.N, f.total_degree())) for f in polys]
+    batch = max(1, FINE_BATCH_POINTS // max(fine.M for fine in fines) ** grid.d)
+    laps = np.empty((2,) + u.shape)
+    for i in range(0, len(u), batch):
+        cu, cv = plan.to_coeffs(u[i:i + batch]), plan.to_coeffs(v[i:i + batch])
+        for f, fine, lap in zip(polys, fines, laps):
+            c = fine.project_fine(f.eval_arrays(fine.fine_values(cu), fine.fine_values(cv)))
+            lap[i:i + batch] = plan.to_values(-plan.lam * c)
+    return laps
+
+
+def _nonuniform_fd(times: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Second-order derivative estimates at all interior nodes."""
+    hm = times[1:-1] - times[:-2]
+    hp = times[2:] - times[1:-1]
+    return (hm * hm * vals[2:] + (hp * hp - hm * hm) * vals[1:-1]
+            - hp * hp * vals[:-2]) / (hm * hp * (hm + hp))
 
 
 def check_mass(traj: Trajectory) -> Report:
@@ -116,21 +137,15 @@ def check_duality(z: TimeSeriesField, mu: TimeSeriesField, f: TimeSeriesField,
         raise DomainError("mu must be strictly positive")
 
     times = z.times
-    n = len(times)
-    mu_t = [interp_linear(mu_stack, mu.times, t) for t in times]
-    f_t = [interp_linear(f_stack, f.times, t) for t in times]
+    z_t = np.stack([g.values for g in z.fields])
+    mu_t = np.stack([interp_linear(mu_stack, mu.times, t) for t in times])
+    f_t = np.stack([interp_linear(f_stack, f.times, t) for t in times])
 
-    hm1 = np.array([_hm1_sq(g) for g in z.fields])
-    mass_mu_z2 = np.array([float(np.mean(mu_t[i] * z.fields[i].values ** 2))
-                           for i in range(n)])
-    mass_mu = np.array([float(np.mean(m)) for m in mu_t])
-    mass_f = np.array([float(np.mean(f_t[i] ** 2 / mu_t[i])) for i in range(n)])
-
-    lhs = hm1 + _cum_trapz(times, mass_mu_z2)
+    lhs = _hm1_sq(grid, z_t) + cum_trapz(times, _flat(mu_t * z_t ** 2).mean(axis=1))
     mean_z0 = float(np.mean(z_in.values))
-    rhs = (_hm1_sq(z_in)
-           + mean_z0 ** 2 * _cum_trapz(times, mass_mu)
-           + _cum_trapz(times, mass_f))
+    rhs = (_hm1_sq(grid, z_in.values[None])[0]
+           + mean_z0 ** 2 * cum_trapz(times, _flat(mu_t).mean(axis=1))
+           + cum_trapz(times, _flat(f_t ** 2 / mu_t).mean(axis=1)))
     scale = max(float(rhs.max()), 1e-30)
     max_ratio = float(np.max(lhs / np.maximum(rhs, 1e-30 * scale)))
     ok = bool(np.all(lhs <= rhs * (1.0 + tol) + 1e-30))
@@ -141,21 +156,21 @@ def check_duality(z: TimeSeriesField, mu: TimeSeriesField, f: TimeSeriesField,
 
     forced = bool(np.any(f_stack != 0.0))
     if not forced:
-        lap_sup = np.array([max(0.0, float(
-            laplacian(Field(grid, mu_t[i])).values.max())) for i in range(n)])
-        expo = np.exp(_cum_trapz(times, lap_sup))
-        l2 = np.array([lp_norm(g, 2) ** 2 for g in z.fields])
-        diss = np.array([_grad_energy(z.fields[i], mu_t[i]) for i in range(n)])
-        l2_lhs = l2 + _cum_trapz(times, diss)
-        l2_rhs = lp_norm(z_in, 2) ** 2 * expo
+        plan = spectral_plan(grid, grid.N)
+        lap_mu = plan.to_values(-plan.lam * plan.to_coeffs(mu_t))
+        lap_sup = np.maximum(0.0, _flat(lap_mu).max(axis=1))
+        expo = np.exp(cum_trapz(times, lap_sup))
+        l2_lhs = (_flat(z_t ** 2).mean(axis=1)
+                  + cum_trapz(times, _grad_energy(grid, z_t, mu_t)))
+        l2_rhs = float(np.mean(z_in.values ** 2)) * expo
         ok_l2 = bool(np.all(l2_lhs <= l2_rhs * (1.0 + tol) + 1e-30))
         measured["l2_max_ratio"] = float(np.max(
             l2_lhs / np.maximum(l2_rhs, 1e-30 * max(float(l2_rhs.max()), 1e-30))))
         ok = ok and ok_l2
         if float(z_in.values.min()) >= -1e-12:
             sup0 = float(np.max(np.abs(z_in.values)))
-            upper = np.array([float(z.fields[i].values.max()) for i in range(n)])
-            lower = np.array([float(z.fields[i].values.min()) for i in range(n)])
+            upper = _flat(z_t).max(axis=1)
+            lower = _flat(z_t).min(axis=1)
             ok_max = bool(np.all(upper <= sup0 * expo * (1.0 + tol))
                           and np.all(lower >= -tol * sup0))
             measured["max_principle_excess"] = float(
@@ -168,33 +183,28 @@ def check_duality(z: TimeSeriesField, mu: TimeSeriesField, f: TimeSeriesField,
 
 def check_energy_decay(traj: Trajectory, spec: ModelSpec) -> Report:
     """Halved-coefficient energy dissipation inequality at small amplitude."""
-    states = traj.states
     times = traj.times
-    if len(states) < 3:
+    if len(times) < 3:
         raise ConfigError("need at least three recorded states")
-    amp = amplitude(states)
+    u, v = traj.u, traj.v
+    amp = amplitude(u, v)
     delta_a = find_delta_A(spec)
     if amp > delta_a:
         warnings.warn(
             f"trajectory amplitude {amp:.3g} exceeds the entropy-dissipation "
             f"threshold {delta_a:.3g}; the inequality is not guaranteed",
             stacklevel=2)
-    energy = np.array([lp_norm(s.u, 2) ** 2 + lp_norm(s.v, 2) ** 2
-                       for s in states])
-    diss = np.array([0.5 * spec.d1 * grad_norm_sq(s.u)
-                     + 0.5 * spec.d2 * grad_norm_sq(s.v) for s in states])
-    viol = -np.inf
-    first_violation = -1.0
+    energy = _flat(u ** 2).mean(axis=1) + _flat(v ** 2).mean(axis=1)
+    diss = (0.5 * spec.d1 * _grad_sq(traj.grid, u)
+            + 0.5 * spec.d2 * _grad_sq(traj.grid, v))
     scale = 1.0 + float(diss.max())
     slack = 1e-6 * scale
-    for i in range(1, len(states) - 1):
-        lhs = 0.5 * _nonuniform_fd(times, energy, i) + diss[i]
-        if lhs > viol:
-            viol = lhs
-        if lhs > slack and first_violation < 0:
-            first_violation = float(times[i])
+    lhs = 0.5 * _nonuniform_fd(times, energy) + diss[1:-1]
+    viol = float(lhs.max())
+    over = np.nonzero(lhs > slack)[0]
+    first_violation = float(times[1 + over[0]]) if len(over) else -1.0
     return Report("energy", viol <= slack,
-                  {"max_defect": float(viol), "amplitude": amp,
+                  {"max_defect": viol, "amplitude": amp,
                    "first_violation_time": first_violation,
                    "threshold": delta_a},
                   slack, "energy dissipation inequality with halved diffusivities")
@@ -224,8 +234,8 @@ def fit_decay_rate(traj: Trajectory) -> Report:
     times = traj.times
     mu0 = float(traj.mass_u[0])
     mv0 = float(traj.mass_v[0])
-    theta = np.array([lp_norm(s.u - mu0, 2) ** 2 + lp_norm(s.v - mv0, 2) ** 2
-                      for s in traj.states])
+    theta = (_flat((traj.u - mu0) ** 2).mean(axis=1)
+             + _flat((traj.v - mv0) ** 2).mean(axis=1))
     t_half = times[-1] / 2.0
     keep = (times >= t_half) & (theta > 1e-28)
     if int(keep.sum()) < 3:
@@ -263,22 +273,21 @@ def check_stability_pair(traj1: Trajectory, traj2: Trajectory, spec: ModelSpec,
         raise DomainError(
             "delta is not admissible: the cross-diffusion defect constant "
             f"C_delta = {c_delta:.6g} is not positive for this model")
-    amp1 = amplitude(traj1.states)
-    amp2 = amplitude(traj2.states)
+    amp1 = amplitude(traj1.u, traj1.v)
+    amp2 = amplitude(traj2.u, traj2.v)
     if amp2 > delta * (1.0 + 1e-12):
         raise DomainError(f"second trajectory amplitude {amp2:.6g} exceeds delta")
     if amp1 > R * (1.0 + 1e-12):
         raise DomainError(f"first trajectory amplitude {amp1:.6g} exceeds R")
 
     times = traj1.times
-    zu = [s1.u - s2.u for s1, s2 in zip(traj1.states, traj2.states)]
-    zv = [s1.v - s2.v for s1, s2 in zip(traj1.states, traj2.states)]
-    hm1 = np.array([_hm1_sq(a) + _hm1_sq(b) for a, b in zip(zu, zv)])
-    l2 = np.array([lp_norm(a, 2) ** 2 + lp_norm(b, 2) ** 2
-                   for a, b in zip(zu, zv)])
-    lhs = hm1 + c_delta * _cum_trapz(times, l2)
-    slope = (float(np.mean(zu[0].values)) ** 2 * (spec.d1 + spec.p.eval(R, R))
-             + float(np.mean(zv[0].values)) ** 2 * (spec.d2 + spec.q.eval(R, R)))
+    zu = traj1.u - traj2.u
+    zv = traj1.v - traj2.v
+    hm1 = _hm1_sq(traj1.grid, zu) + _hm1_sq(traj1.grid, zv)
+    l2 = _flat(zu ** 2).mean(axis=1) + _flat(zv ** 2).mean(axis=1)
+    lhs = hm1 + c_delta * cum_trapz(times, l2)
+    slope = (float(np.mean(zu[0])) ** 2 * (spec.d1 + spec.p.eval(R, R))
+             + float(np.mean(zv[0])) ** 2 * (spec.d2 + spec.q.eval(R, R)))
     rhs = hm1[0] + slope * times
     floor = 1e-15 * (1.0 + amp1 + amp2)
     ok = bool(np.all(lhs <= np.maximum(rhs * (1.0 + tol), floor)))
@@ -302,22 +311,16 @@ def check_lyapunov_nonconvex(traj: Trajectory) -> Report:
         raise DomainError(
             "the Lyapunov identity holds only for unit diffusivities with "
             "p = Y^2 and q = X^2")
-    states = traj.states
     times = traj.times
-    if len(states) < 3:
+    if len(times) < 3:
         raise ConfigError("need at least three recorded states")
     grid = traj.grid
-    energy = np.empty(len(states))
-    diss = np.empty(len(states))
-    for i, s in enumerate(states):
-        u, v = s.u.values, s.v.values
-        energy[i] = 0.5 * float(np.mean((1.0 + u * u) * (1.0 + v * v)))
-        diss[i] = (grad_norm_sq(Field(grid, u * (1.0 + v * v)))
-                   + grad_norm_sq(Field(grid, v * (1.0 + u * u))))
+    u, v = traj.u, traj.v
+    energy = 0.5 * _flat((1.0 + u * u) * (1.0 + v * v)).mean(axis=1)
+    diss = (_grad_sq(grid, u * (1.0 + v * v))
+            + _grad_sq(grid, v * (1.0 + u * u)))[1:-1]
     tiny = 1e-14 * (1.0 + energy[0])
-    residuals = np.array([
-        abs(_nonuniform_fd(times, energy, i) + diss[i]) / max(diss[i], tiny)
-        for i in range(1, len(states) - 1)])
+    residuals = np.abs(_nonuniform_fd(times, energy) + diss) / np.maximum(diss, tiny)
     max_res = float(residuals.max())
     increase = float(np.max(np.diff(energy))) if len(energy) > 1 else 0.0
     return Report("lyapunov", max_res < 1e-3,
@@ -339,37 +342,27 @@ def track_lambda(traj: Trajectory, spec: ModelSpec, k: float,
     below delta over the recorded horizon) only when the smallness of
     the initial data is below delta/2; otherwise it passes vacuously.
     """
-    d = traj.grid.d
-    if k <= 1 + d / 2:
-        warnings.warn(f"k = {k} is not above 1 + d/2 = {1 + d / 2}",
+    grid = traj.grid
+    if k <= 1 + grid.d / 2:
+        warnings.warn(f"k = {k} is not above 1 + d/2 = {1 + grid.d / 2}",
                       stacklevel=2)
     times = traj.times
-    n = len(times)
-    g1 = np.empty(n)
-    g2 = np.empty(n)
-    sup_u = np.empty(n)
-    sup_v = np.empty(n)
-    run_u = run_v = 0.0
-    states = traj.states
-    for i, s in enumerate(states):
-        f1, f2 = flux(spec, s.u, s.v)
-        lap1 = laplacian(f1).values
-        lap2 = laplacian(f2).values
-        g1[i] = float(np.mean(np.abs(lap1) ** k))
-        g2[i] = float(np.mean(np.abs(lap2) ** k))
-        run_u = max(run_u, float(np.max(np.abs(s.u.values))))
-        run_v = max(run_v, float(np.max(np.abs(s.v.values))))
-        sup_u[i] = run_u
-        sup_v[i] = run_v
-    lam = (_cum_trapz(times, g1) ** (1.0 / k)
-           + _cum_trapz(times, g2) ** (1.0 / k) + sup_u + sup_v)
+    u, v = traj.u, traj.v
+    lap1, lap2 = _flux_laplacians(spec, grid, u, v)
+    g1 = _flat(np.abs(lap1) ** k).mean(axis=1)
+    g2 = _flat(np.abs(lap2) ** k).mean(axis=1)
+    sup_u = np.maximum.accumulate(_flat(np.abs(u)).max(axis=1))
+    sup_v = np.maximum.accumulate(_flat(np.abs(v)).max(axis=1))
+    lam = (cum_trapz(times, g1) ** (1.0 / k)
+           + cum_trapz(times, g2) ** (1.0 / k) + sup_u + sup_v)
 
     measured = {"lambda_final": float(lam[-1]), "horizon": float(times[-1])}
     passed = True
     if delta is not None:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            small = smallness_functional(states[0].u, states[0].v, spec, k)
+            small = smallness_functional(Field(grid, u[0]), Field(grid, v[0]),
+                                         spec, k)
         premise = small <= delta / 2.0
         measured.update({"smallness": small, "delta": float(delta),
                          "premise_holds": float(premise)})
@@ -388,20 +381,21 @@ def track_hk(traj: Trajectory, k_sob: int, small: float | None = None):
     threshold is supplied and the initial norm exceeds it, the report
     passes vacuously with the premise recorded.
     """
-    d = traj.grid.d
-    if k_sob <= d / 2:
-        warnings.warn(f"k_sob = {k_sob} is not above d/2 = {d / 2}",
+    grid = traj.grid
+    if k_sob <= grid.d / 2:
+        warnings.warn(f"k_sob = {k_sob} is not above d/2 = {grid.d / 2}",
                       stacklevel=2)
     times = traj.times
-    n = len(times)
-    hk2 = np.empty(n)
-    hk12 = np.empty(n)
-    for i, s in enumerate(traj.states):
-        ub = s.u - float(np.mean(s.u.values))
-        vb = s.v - float(np.mean(s.v.values))
-        hk2[i] = sobolev_norm(ub, k_sob) ** 2 + sobolev_norm(vb, k_sob) ** 2
-        hk12[i] = sobolev_norm(ub, k_sob + 1) ** 2 + sobolev_norm(vb, k_sob + 1) ** 2
-    a_series = hk2 + _cum_trapz(times, hk12)
+    plan = spectral_plan(grid, grid.N)
+    weight = 1.0 + plan.lam
+    hk2 = hk12 = 0.0
+    for stack in (traj.u, traj.v):
+        flat = _flat(stack)
+        mean_free = (flat - flat.mean(axis=1, keepdims=True)).reshape(stack.shape)
+        power = np.abs(plan.to_coeffs(mean_free)) ** 2
+        hk2 = hk2 + _flat(weight ** k_sob * power).sum(axis=1)
+        hk12 = hk12 + _flat(weight ** (k_sob + 1) * power).sum(axis=1)
+    a_series = hk2 + cum_trapz(times, hk12)
     init = float(np.sqrt(hk2[0]))
     sup = float(np.sqrt(hk2.max()))
     measured = {"sup_hk": sup, "initial_hk": init,

@@ -281,6 +281,14 @@ def test_sweep_rejects_empty_values(tmp_path, capsys):
     assert "nonempty" in capsys.readouterr().err
 
 
+def test_sweep_rejects_string_numbers(tmp_path, capsys):
+    base = run_config(initial=dict(run_config()["initial"], u_mean="0.5"))
+    cfg = write_json(tmp_path / "sweep.json",
+                     {"base": base, "axis": "amplitude", "values": [1.0]})
+    assert run_cli(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+    assert "u_mean must be a number" in capsys.readouterr().err
+
+
 def test_malformed_json_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"model\": }")
@@ -298,8 +306,16 @@ def test_malformed_json_exit_code(tmp_path, capsys):
         {"t_end": math.inf},
         {"record_every": "x"},
         {"initial": dict(run_config()["initial"], mode="x")},
+        {"initial": dict(run_config()["initial"], mode=2.5)},
+        {"initial": dict(run_config()["initial"], mode=True)},
+        {"record_every": 1.5},
+        {"record_every": True},
+        {"dt": "1e-3"},
+        {"dt": 1e-16, "t_end": 1},
     ],
-    ids=["nan-dt", "inf-t_end", "bad-record_every", "bad-mode"],
+    ids=["nan-dt", "inf-t_end", "bad-record_every", "bad-mode", "fractional-mode",
+         "bool-mode", "fractional-record_every", "bool-record_every", "string-dt",
+         "too-many-steps"],
 )
 def test_malformed_run_parameters_exit_code(tmp_path, capsys, overrides):
     cfg = write_json(tmp_path / "run.json", run_config(**overrides))

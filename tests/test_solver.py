@@ -14,10 +14,7 @@ from crossflux.solver import (
     Trajectory,
     rk4_max_dt,
     simulate,
-    simulate_regularized,
     solve_kolmogorov,
-    step_imex,
-    step_rk4,
 )
 from crossflux.spaces import TimeSeriesField
 from crossflux.spectral import FOUR_PI_SQ, Field, TorusGrid
@@ -25,6 +22,10 @@ from crossflux.spectral import FOUR_PI_SQ, Field, TorusGrid
 
 HEAT = ModelSpec(0.3, 0.3, Poly2({}), Poly2({}))
 SKT = ModelSpec(1.0, 1.0, X + Y, X + Y)
+
+
+def one_step(state, spec, dt, scheme):
+    return simulate(RunConfig(spec, state, dt=dt, t_end=dt, scheme=scheme)).states[-1]
 
 
 def constant_series(grid, value, t_end):
@@ -52,6 +53,8 @@ def test_run_config_validation(grid32, cosine):
         RunConfig(SKT, st, dt=1e-4, t_end=1e-3, scheme="euler")
     with pytest.raises(ConfigError, match="regularized"):
         RunConfig(SKT, st, dt=1e-4, t_end=1e-3, variant="regularized")
+    with pytest.raises(ConfigError, match="imex"):
+        RunConfig(SKT, st, dt=1e-4, t_end=1e-3, scheme="rk4", variant="regularized")
     bad = State(0.0, cosine(grid32), u)
     with pytest.raises(DomainError, match="nonnegative"):
         RunConfig(SKT, bad, dt=1e-4, t_end=1e-3)
@@ -62,8 +65,8 @@ def test_run_config_validation(grid32, cosine):
 def test_constant_state_is_fixed_point(grid32):
     c = Field(grid32, np.full(32, 0.7))
     st = State(0.0, c, c)
-    for step in (step_imex, step_rk4):
-        out = step(st, SKT, 1e-6)
+    for scheme in ("imex", "rk4"):
+        out = one_step(st, SKT, 1e-6, scheme)
         np.testing.assert_array_equal(out.u.values, c.values)
         np.testing.assert_array_equal(out.v.values, c.values)
 
@@ -94,8 +97,8 @@ def test_schemes_agree_for_one_tiny_step(grid32, cosine):
     u0 = cosine(grid32, mean=0.5, amp=0.1)
     v0 = cosine(grid32, mean=0.7, amp=0.1)
     st = State(0.0, u0, v0)
-    a = step_imex(st, SKT, 1e-7)
-    b = step_rk4(st, SKT, 1e-7)
+    a = one_step(st, SKT, 1e-7, "imex")
+    b = one_step(st, SKT, 1e-7, "rk4")
     assert np.max(np.abs(a.u.values - b.u.values)) < 1e-10
 
 
@@ -106,7 +109,7 @@ def test_rk4_stability_bound(grid64):
     expected = RK4_STABILITY_CONSTANT / (FOUR_PI_SQ * 32**2 * 9.0)
     assert rk4_max_dt(SKT, st) == pytest.approx(expected, rel=1e-12)
     with pytest.raises(ConfigError, match="stability bound"):
-        step_rk4(st, SKT, 10.0 * expected)
+        one_step(st, SKT, 10.0 * expected, "rk4")
 
 
 def test_recording_grid(grid32, cosine):
@@ -118,6 +121,8 @@ def test_recording_grid(grid32, cosine):
     assert isinstance(su, TimeSeriesField)
     assert len(su) == 4
     assert traj.step_times.shape == (11,)
+    assert traj.u.shape == (4, 32)
+    np.testing.assert_array_equal(traj.u[-1], traj.states[-1].u.values)
 
 
 def test_blowup_raises_with_partial_history(grid32, cosine):
@@ -138,7 +143,7 @@ def test_regularized_variants(grid32, cosine):
     cfg = RunConfig(
         spec_loose, State(0.0, u0, u0), dt=1e-4, t_end=0.01, variant="regularized"
     )
-    reg = simulate_regularized(cfg)
+    reg = simulate(cfg)
     plain = simulate(RunConfig(SKT, State(0.0, u0, u0), dt=1e-4, t_end=0.01))
     drift = np.max(np.abs(reg.states[-1].u.values - plain.states[-1].u.values))
     # inactive truncation and a tiny mollifier stay close to the plain flux
@@ -147,10 +152,8 @@ def test_regularized_variants(grid32, cosine):
     cfg2 = RunConfig(
         spec_tight, State(0.0, u0, u0), dt=1e-4, t_end=0.01, variant="regularized"
     )
-    clipped = simulate_regularized(cfg2)
+    clipped = simulate(cfg2)
     assert np.max(np.abs(clipped.states[-1].u.values - plain.states[-1].u.values)) > 1e-8
-    with pytest.raises(ConfigError, match="plain"):
-        simulate(cfg2)
 
 
 def test_kolmogorov_heat_oracle(grid32, cosine):

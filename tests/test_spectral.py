@@ -20,6 +20,7 @@ from crossflux.spectral import (
     mollify,
     poly_field,
     resample,
+    spectral_plan,
     transform,
 )
 
@@ -146,6 +147,21 @@ def test_default_padding_dealiases_exactly(rng):
         for p in (X * Y, X * X * Y):
             np.testing.assert_allclose(poly_field(p, u, v).values,
                                        poly_field(p, u, v, pad=4).values, atol=1e-13)
+
+
+@pytest.mark.parametrize("d, N, M", [(1, 16, 16), (1, 16, 24), (2, 8, 16)])
+def test_plan_maps_over_leading_axes(rng, d, N, M):
+    # a stack goes through every plan method in one call, bit-equal to
+    # the fields one at a time
+    plan = spectral_plan(TorusGrid(d, N), M)
+    vals = rng.standard_normal((3,) + (N,) * d)
+    fine = rng.standard_normal((3,) + (M,) * d)
+    coeffs = plan.to_coeffs(vals)
+    for method, stack in ((plan.to_coeffs, vals), (plan.to_values, coeffs),
+                          (plan.fine_values, coeffs), (plan.project_fine, fine)):
+        out = method(stack)
+        for i in range(3):
+            assert np.array_equal(out[i], method(stack[i]))
 
 
 def test_poly_field_dealiased_product(grid64, cosine):

@@ -42,23 +42,21 @@ def const_series(grid, value, t_end):
 
 
 def manual_trajectory(grid, times, u_fields, v_fields, spec=SKT):
-    states = tuple(
-        State(float(t), u, v) for t, u, v in zip(times, u_fields, v_fields)
-    )
-    mass_u = np.array([np.mean(s.u.values) for s in states])
-    mass_v = np.array([np.mean(s.v.values) for s in states])
+    u = np.stack([f.values for f in u_fields])
+    v = np.stack([f.values for f in v_fields])
     return Trajectory(
         spec=spec,
         scheme="imex",
         variant="plain",
         dt=float(times[1] - times[0]),
         times=np.asarray(times, dtype=float),
-        states=states,
+        u=u,
+        v=v,
         step_times=np.asarray(times, dtype=float),
-        min_u=np.array([s.u.values.min() for s in states]),
-        min_v=np.array([s.v.values.min() for s in states]),
-        mass_u=mass_u,
-        mass_v=mass_v,
+        min_u=u.min(axis=1),
+        min_v=v.min(axis=1),
+        mass_u=u.mean(axis=1),
+        mass_v=v.mean(axis=1),
     )
 
 
