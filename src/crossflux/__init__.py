@@ -16,9 +16,8 @@ from .spaces import (REGRESSION_CONSTANTS, TimeSeriesField, bernstein_check,
                      dyadic_block, dyadic_blocks, heat_decay_check, lp_norm,
                      maxreg_ratio, mean, random_band_field, sobolev_norm,
                      spacetime_lk)
-from .spectral import (FOUR_PI_SQ, Field, Mollifier, SpectralField, TorusGrid,
-                       heat_propagate, inverse, laplacian, mollify, poly_field,
-                       resample, transform)
+from .spectral import (FOUR_PI_SQ, Field, SpectralField, TorusGrid, heat_propagate,
+                       inverse, laplacian, mollify, poly_field, transform)
 from .verifier import (check_duality, check_energy_decay,
                        check_lyapunov_nonconvex, check_mass,
                        check_stability_pair, fit_decay_rate,

@@ -96,28 +96,44 @@ def _parse_run(obj, force_record_every: int | None = None):
     return grid, spec, cfg, checks
 
 
+def _optional_number(obj: dict, key: str):
+    """obj[key] checked as by `_number`, or None when absent or null."""
+    return None if obj.get(key) is None else _number(obj, key)
+
+
 def _mu_series(traj: Trajectory, d_coef: float, poly) -> TimeSeriesField:
-    grid = traj.grid
-    mu = d_coef + poly.eval_arrays(traj.u, traj.v)
-    return TimeSeriesField(traj.times, [Field(grid, m) for m in mu])
+    return TimeSeriesField(traj.times, d_coef + poly.eval_arrays(traj.u, traj.v))
 
 
 def _zero_series(traj: Trajectory) -> TimeSeriesField:
-    zero = Field(traj.grid, np.zeros(traj.grid.shape))
     return TimeSeriesField(np.array([traj.times[0], traj.times[-1]]),
-                           [zero, zero])
+                           np.zeros((2,) + traj.grid.shape))
 
 
 def _verify_reports(obj, requested) -> list[Report]:
+    """The requested reports in order.  When a run blows up, the reports
+    finished so far are followed by a failed `blowup` report."""
+    reports: list[Report] = []
+    try:
+        for rep in _check_reports(obj, requested):
+            reports.append(rep)
+    except BlowupError as exc:
+        print(f"run blew up at step {exc.step}", file=sys.stderr)
+        reports.append(Report("blowup", False, {"step": exc.step}, 0.0,
+                              "the run stays finite up to t_end"))
+    return reports
+
+
+def _check_reports(obj, requested):
+    """Yield the report of each requested check in order."""
     force = 1 if "lambda" in requested else None
     grid, spec, cfg, checks = _parse_run(obj, force_record_every=force)
     traj = simulate(cfg)
-    reports: list[Report] = []
     for name in requested:
         if name == "mass":
-            reports.append(check_mass(traj))
+            yield check_mass(traj)
         elif name == "energy":
-            reports.append(check_energy_decay(traj, spec))
+            yield check_energy_decay(traj, spec)
         elif name == "duality":
             zeros = _zero_series(traj)
             for label, series, d_coef, poly, z_in in (
@@ -125,47 +141,43 @@ def _verify_reports(obj, requested) -> list[Report]:
                     ("duality_v", traj.series_v(), spec.d2, spec.q, cfg.initial.v)):
                 rep = check_duality(series, _mu_series(traj, d_coef, poly),
                                     zeros, z_in)
-                reports.append(Report(label, rep.passed, rep.measured,
-                                      rep.tolerance, rep.anchor))
+                yield Report(label, rep.passed, rep.measured, rep.tolerance, rep.anchor)
         elif name == "rate":
-            reports.append(fit_decay_rate(traj))
+            yield fit_decay_rate(traj)
         elif name == "stability":
             if "delta" not in checks:
                 raise ConfigError("stability check needs checks.delta")
-            delta = float(checks["delta"])
-            radius = float(checks.get("R", 1.0))
+            delta = _number(checks, "delta")
+            radius = _number(checks, "R", 1.0)
             if checks.get("initial2") is not None:
                 u2, v2 = _build_initial(grid, checks["initial2"])
             else:
-                scale = float(checks.get("stability_scale", 0.5))
+                scale = _number(checks, "stability_scale", 0.5)
                 init2 = copy.deepcopy(obj["initial"])
                 if init2.get("kind") != "cosine":
                     raise ConfigError(
                         "stability_scale needs cosine initial data; "
                         "supply checks.initial2 otherwise")
-                init2["u_amp"] = float(init2["u_amp"]) * scale
-                init2["v_amp"] = float(init2["v_amp"]) * scale
+                init2["u_amp"] = _number(init2, "u_amp") * scale
+                init2["v_amp"] = _number(init2, "v_amp") * scale
                 u2, v2 = _build_initial(grid, init2)
             cfg2 = RunConfig(spec, State(0.0, u2, v2), cfg.dt, cfg.t_end,
                              cfg.record_every, cfg.scheme, cfg.variant)
-            reports.append(check_stability_pair(traj, simulate(cfg2), spec,
-                                                radius, delta))
+            yield check_stability_pair(traj, simulate(cfg2), spec, radius, delta)
         elif name == "lambda":
             if "k" not in checks:
                 raise ConfigError("lambda check needs checks.k")
-            _, rep = track_lambda(traj, spec, float(checks["k"]),
-                                  delta=checks.get("delta"))
-            reports.append(rep)
+            _, rep = track_lambda(traj, spec, _number(checks, "k"),
+                                  delta=_optional_number(checks, "delta"))
+            yield rep
         elif name == "hk":
             if "k_sob" not in checks:
                 raise ConfigError("hk check needs checks.k_sob")
-            small = checks.get("hk_small")
-            _, rep = track_hk(traj, int(checks["k_sob"]),
-                              small=None if small is None else float(small))
-            reports.append(rep)
+            _, rep = track_hk(traj, _number(checks, "k_sob", integral=True),
+                              small=_optional_number(checks, "hk_small"))
+            yield rep
         elif name == "lyapunov":
-            reports.append(check_lyapunov_nonconvex(traj))
-    return reports
+            yield check_lyapunov_nonconvex(traj)
 
 
 def _cmd_simulate(args) -> int:
@@ -193,11 +205,7 @@ def _cmd_verify(args) -> int:
         if name not in KNOWN_CHECKS:
             raise ConfigError(
                 f"unknown check {name!r}; known: {', '.join(KNOWN_CHECKS)}")
-    try:
-        reports = _verify_reports(obj, requested)
-    except BlowupError as exc:
-        print(f"run blew up at step {exc.step}", file=sys.stderr)
-        return 1
+    reports = _verify_reports(obj, requested)
     io.write_reports(args.report, reports)
     failed = [r.name for r in reports if not r.passed]
     for rep in reports:
@@ -246,7 +254,7 @@ def _cmd_thresholds(args) -> int:
     if "model" not in obj:
         raise ConfigError("config is missing 'model'")
     _, spec = parse_model_json(obj["model"])
-    radius = float(obj.get("checks", {}).get("R", 1.0))
+    radius = _number(obj.get("checks", {}), "R", 1.0)
     for key, value in thresholds(spec, radius).items():
         print(f"{key} = {value:.12g}")
     return 0
@@ -277,17 +285,15 @@ def _sweep_row(payload: str) -> str:
     run_obj = json.loads(payload)
     value = run_obj.pop("_sweep_value")
     checks = run_obj.get("checks", {})
-    k = float(checks.get("k", 3.0))
-    delta = checks.get("delta")
+    k = _number(checks, "k", 3.0)
+    delta = _optional_number(checks, "delta")
     try:
         _, spec, cfg, _ = _parse_run(run_obj)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             traj = simulate(cfg)
             small = smallness_functional(cfg.initial.u, cfg.initial.v, spec, k)
-            lam, lam_rep = track_lambda(traj, spec, k,
-                                        delta=None if delta is None
-                                        else float(delta))
+            lam, lam_rep = track_lambda(traj, spec, k, delta=delta)
             rate_rep = fit_decay_rate(traj)
         row = (repr(float(value)), repr(small), repr(float(lam[-1])),
                repr(rate_rep.measured["rate"]),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .spectral import Field, TorusGrid, laplacian, poly_field
+from .spectral import Field, TorusGrid, laplacian, poly_plan
 
 CAP = 1e3  # returned when a threshold is unbounded for the given model
 
@@ -199,9 +199,14 @@ def poly_eval(p: Poly2Signed, u: Field, v: Field) -> Field:
 
 
 def flux(spec: ModelSpec, u: Field, v: Field):
-    """Dealiased flux fields ((d1 + p(u,v))u, (d2 + q(u,v))v)."""
-    f1, f2 = flux_polys(spec)
-    return poly_field(f1, u, v), poly_field(f2, u, v)
+    """Dealiased flux fields ((d1 + p(u,v))u, (d2 + q(u,v))v), both
+    evaluated on one fine grid."""
+    if u.grid != v.grid:
+        raise ConfigError("fields live on different grids")
+    polys = flux_polys(spec)
+    plan = poly_plan(u.grid, polys)
+    coeffs = plan.poly_coeffs(polys, plan.to_coeffs(u.values), plan.to_coeffs(v.values))
+    return tuple(Field(u.grid, plan.to_values(c)) for c in coeffs)
 
 
 def derive_QR(spec: ModelSpec):

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import BlowupError, ConfigError, DomainError
 from .model import ModelSpec, X, Y, derive_QR
 from .spaces import TimeSeriesField, interp_linear
-from .spectral import FOUR_PI_SQ, Field, TorusGrid, dealias_size, spectral_plan
+from .spectral import FOUR_PI_SQ, Field, TorusGrid, poly_plan, spectral_plan
 
 RK4_STABILITY_CONSTANT = 0.4
 # every step is diagnosed into preallocated arrays, so the count is capped
@@ -123,18 +123,10 @@ class Trajectory:
                 for t, a, b in zip(self.times, self.u, self.v)]
 
     def series_u(self) -> TimeSeriesField:
-        g = self.grid
-        return TimeSeriesField(self.times, [Field(g, a) for a in self.u])
+        return TimeSeriesField(self.times, self.u)
 
     def series_v(self) -> TimeSeriesField:
-        g = self.grid
-        return TimeSeriesField(self.times, [Field(g, b) for b in self.v])
-
-
-def _flux_plan(spec: ModelSpec, grid: TorusGrid, min_degree: int = 1):
-    """Plan that dealiases the fluxes X*p and Y*q, of degree >= min_degree."""
-    degree = max(spec.p.total_degree() + 1, spec.q.total_degree() + 1, min_degree)
-    return spectral_plan(grid, dealias_size(grid.N, degree))
+        return TimeSeriesField(self.times, self.v)
 
 
 def amplitude(u: np.ndarray, v: np.ndarray) -> float:
@@ -152,18 +144,6 @@ def rk4_max_dt(spec: ModelSpec, state: State) -> float:
     return RK4_STABILITY_CONSTANT / (FOUR_PI_SQ * (g.N / 2) ** 2 * s)
 
 
-def _nonlinear_coeffs(plan, np1, np2, cu, cv):
-    """Dealiased coefficients of p(u,v)*u and q(u,v)*v."""
-    if not np1.terms and not np2.terms:
-        zero = np.zeros_like(cu)
-        return zero, zero
-    uf = plan.fine_values(cu)
-    vf = plan.fine_values(cv)
-    cw1 = plan.project_fine(np1.eval_arrays(uf, vf)) if np1.terms else np.zeros_like(cu)
-    cw2 = plan.project_fine(np2.eval_arrays(uf, vf)) if np2.terms else np.zeros_like(cv)
-    return cw1, cw2
-
-
 def _imex_update(plan, spec, dt, cu, cv, cw1, cw2):
     den1 = 1.0 + dt * plan.lam * spec.d1
     den2 = 1.0 + dt * plan.lam * spec.d2
@@ -171,9 +151,9 @@ def _imex_update(plan, spec, dt, cu, cv, cw1, cw2):
             (cv - dt * plan.lam * cw2) / den2)
 
 
-def _rk4_update(plan, spec, dt, cu, cv, np1, np2):
+def _rk4_update(plan, spec, dt, cu, cv, fluxes):
     def rhs(a, b):
-        cw1, cw2 = _nonlinear_coeffs(plan, np1, np2, a, b)
+        cw1, cw2 = plan.poly_coeffs(fluxes, a, b)
         return (-plan.lam * (spec.d1 * a + cw1), -plan.lam * (spec.d2 * b + cw2))
 
     k1u, k1v = rhs(cu, cv)
@@ -210,9 +190,10 @@ def simulate(config: RunConfig) -> Trajectory:
     n_steps = config.n_steps
     every = min(config.record_every, n_steps)
     regularized = config.variant == "regularized"
-    # the regularized flux multiplies two fields, so it is at least quadratic
-    plan = _flux_plan(spec, grid, 2 if regularized else 1)
-    np1, np2 = X * spec.p, Y * spec.q
+    # p(u,v)*u and q(u,v)*v; the regularized flux multiplies two fields,
+    # so its plan dealiases at least the quadratic X*Y
+    fluxes = (X * spec.p, Y * spec.q)
+    plan = poly_plan(grid, fluxes + (X * Y,) if regularized else fluxes)
 
     if config.scheme == "rk4":
         bound = rk4_max_dt(spec, config.initial)
@@ -254,12 +235,12 @@ def simulate(config: RunConfig) -> Trajectory:
     r = 1
     for n in range(1, n_steps + 1):
         if config.scheme == "rk4":
-            cu, cv = _rk4_update(plan, spec, dt, cu, cv, np1, np2)
+            cu, cv = _rk4_update(plan, spec, dt, cu, cv, fluxes)
         else:
             if regularized:
                 cw1, cw2 = _regularized_coeffs(plan, spec, cu, cv, u_vals, v_vals)
             else:
-                cw1, cw2 = _nonlinear_coeffs(plan, np1, np2, cu, cv)
+                cw1, cw2 = plan.poly_coeffs(fluxes, cu, cv)
             cu, cv = _imex_update(plan, spec, dt, cu, cv, cw1, cw2)
         u_vals = plan.to_values(cu)
         v_vals = plan.to_values(cv)
@@ -287,31 +268,40 @@ def solve_kolmogorov(z_in: Field, mu: TimeSeriesField, f: TimeSeriesField,
     grid = z_in.grid
     if mu.grid != grid or f.grid != grid:
         raise ConfigError("z_in, mu, and f must share one grid")
-    if dt <= 0:
+    if not dt > 0:
         raise ConfigError(f"dt must be positive, got {dt}")
+    if not t_end <= MAX_STEPS * dt:
+        raise ConfigError(f"t_end / dt = {t_end / dt:.3g} steps exceeds the limit of {MAX_STEPS}")
+    if (isinstance(record_every, bool) or not isinstance(record_every, (int, np.integer))
+            or record_every < 1):
+        raise ConfigError(f"record_every must be a positive integer, got {record_every!r}")
     n_steps = round(t_end / dt)
     if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-8 * t_end:
         raise ConfigError("dt must divide t_end")
-    mu_stack = np.stack([g.values for g in mu.fields])
-    f_stack = np.stack([g.values for g in f.fields])
-    if float(mu_stack.min()) <= 0.0:
+    if float(mu.values.min()) <= 0.0:
         raise DomainError("mu must be strictly positive")
 
     plan = spectral_plan(grid, grid.N)
     cz = plan.to_coeffs(z_in.values)
     z_vals = z_in.values
-    out_t, out_f = [0.0], [Field(grid, z_vals.copy())]
+    # states are recorded as in `simulate`: every `every`-th step and the last
+    every = min(record_every, n_steps)
+    n_rec = -(-n_steps // every) + 1
+    times = np.minimum(np.arange(n_rec) * every, n_steps) * dt
+    z_rec = np.empty((n_rec,) + grid.shape)
+    z_rec[0] = z_vals
+    r = 1
     for n in range(1, n_steps + 1):
         t = (n - 1) * dt
-        mu_n = interp_linear(mu_stack, mu.times, t)
-        f_n = interp_linear(f_stack, f.times, t)
+        mu_n = interp_linear(mu.values, mu.times, t)
+        f_n = interp_linear(f.values, f.times, t)
         mu_min = float(mu_n.min())
         expl = plan.to_coeffs((mu_n - mu_min) * z_vals + f_n)
         cz = (cz - dt * plan.lam * expl) / (1.0 + dt * plan.lam * mu_min)
         z_vals = plan.to_values(cz)
         if not np.all(np.isfinite(z_vals)):
-            raise BlowupError(n, TimeSeriesField(np.asarray(out_t), out_f))
-        if n % record_every == 0 or n == n_steps:
-            out_t.append(n * dt)
-            out_f.append(Field(grid, z_vals.copy()))
-    return TimeSeriesField(np.asarray(out_t), out_f)
+            raise BlowupError(n, TimeSeriesField(times[:r], z_rec[:r]))
+        if n % every == 0 or n == n_steps:
+            z_rec[r] = z_vals
+            r += 1
+    return TimeSeriesField(times, z_rec)

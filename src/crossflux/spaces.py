@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .report import Report
 from .spectral import (FOUR_PI_SQ, Field, SpectralField, TorusGrid, heat_propagate, inverse,
-                       laplacian, spectral_plan, transform)
+                       spectral_plan, transform)
 
 # Calibrated constants for the randomized inequality checks.  The rate
 # in the annulus decay check is exact (slowest mode of the annulus); the
@@ -113,31 +113,41 @@ def besov_Nk(field: Field, k: float, tol: float = 1e-8) -> float:
 
 @dataclass(frozen=True)
 class TimeSeriesField:
-    """A field-valued function of time sampled on an increasing grid."""
+    """A field-valued function of time sampled on an increasing grid:
+    `values[i]` holds the samples at `times[i]`, stacked with shape
+    (T, *grid.shape).  A sequence of Fields is stacked on construction."""
 
     times: np.ndarray
-    fields: list
+    values: np.ndarray
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=np.float64)
-        object.__setattr__(self, "times", t)
-        if t.ndim != 1 or len(t) != len(self.fields):
+        vals = self.values
+        if not isinstance(vals, np.ndarray):
+            fields = list(vals)
+            if len({f.grid for f in fields}) > 1:
+                raise ConfigError("all fields of a series must share one grid")
+            vals = np.array([f.values for f in fields])
+        vals = np.asarray(vals, dtype=np.float64)
+        if t.ndim != 1 or len(t) != len(vals):
             raise ConfigError("times and fields must have matching lengths")
         if len(t) == 0:
             raise ConfigError("time series must contain at least one sample")
         if np.any(np.diff(t) <= 0):
             raise ConfigError("sample times must be strictly increasing")
-        g = self.fields[0].grid
-        for f in self.fields:
-            if f.grid != g:
-                raise ConfigError("all fields of a series must share one grid")
+        if vals.ndim < 2 or vals.shape[1:] != TorusGrid(vals.ndim - 1, vals.shape[-1]).shape:
+            raise ConfigError(f"series shape {vals.shape} is not (T, *grid.shape)")
+        if not np.all(np.isfinite(vals)):
+            raise DomainError("series values must be finite")
+        object.__setattr__(self, "times", t)
+        object.__setattr__(self, "values", vals)
 
     @property
     def grid(self) -> TorusGrid:
-        return self.fields[0].grid
+        return TorusGrid(self.values.ndim - 1, self.values.shape[-1])
 
     def __len__(self):
-        return len(self.fields)
+        return len(self.times)
 
 
 def interp_linear(stack: np.ndarray, times: np.ndarray, t: float) -> np.ndarray:
@@ -166,8 +176,9 @@ def spacetime_lk(series: TimeSeriesField, k: float) -> float:
         raise DomainError(f"exponent must lie in [1, inf), got {k}")
     if len(series) < 2:
         raise DomainError("space-time norms need at least two time samples")
-    vals = np.array([lp_norm(f, k) ** k for f in series.fields])
-    return float(cum_trapz(series.times, vals)[-1] ** (1.0 / k))
+    vals = series.values
+    power = np.mean(np.abs(vals.reshape(len(vals), -1)) ** k, axis=1)
+    return float(cum_trapz(series.times, power)[-1] ** (1.0 / k))
 
 
 @dataclass(frozen=True)
@@ -329,21 +340,14 @@ def maxreg_ratio(phi: TimeSeriesField, m: float, k: float) -> float:
     h = float(dts[0])
     if np.max(np.abs(dts - h)) > 1e-9 * h:
         raise DomainError("maximal-regularity ratio requires a uniform time grid")
-    scale = max(lp_norm(f, math.inf) for f in phi.fields)
-    if lp_norm(phi.fields[0], math.inf) > 1e-10 * (1.0 + scale):
+    vals = phi.values
+    scale = float(np.max(np.abs(vals)))
+    if float(np.max(np.abs(vals[0]))) > 1e-10 * (1.0 + scale):
         raise DomainError("phi must vanish at the initial time")
 
-    laps = [laplacian(f) for f in phi.fields]
-    n = len(phi)
-    resid = []
-    for i in range(n):
-        if i == 0:
-            dphi = (-3.0 * phi.fields[0] + 4.0 * phi.fields[1] - phi.fields[2]) * (0.5 / h)
-        elif i == n - 1:
-            dphi = (3.0 * phi.fields[-1] - 4.0 * phi.fields[-2] + phi.fields[-3]) * (0.5 / h)
-        else:
-            dphi = (phi.fields[i + 1] - phi.fields[i - 1]) * (0.5 / h)
-        resid.append(dphi - m * laps[i])
+    plan = spectral_plan(phi.grid, phi.grid.N)
+    laps = plan.to_values(-plan.lam * plan.to_coeffs(vals))
+    resid = np.gradient(vals, h, axis=0, edge_order=2) - m * laps
     num = m * spacetime_lk(TimeSeriesField(phi.times, laps), k)
     den = spacetime_lk(TimeSeriesField(phi.times, resid), k)
     if den <= 1e-14 * (1.0 + scale):

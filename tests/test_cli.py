@@ -326,6 +326,57 @@ def test_malformed_run_parameters_exit_code(tmp_path, capsys, overrides):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "check, params",
+    [
+        ("hk", {"k_sob": 1.5}),
+        ("hk", {"k_sob": True}),
+        ("hk", {"k_sob": "1"}),
+        ("hk", {"k_sob": 2, "hk_small": "0.1"}),
+        ("stability", {"delta": "0.3"}),
+        ("stability", {"delta": 0.3, "R": True}),
+        ("stability", {"delta": 0.3, "stability_scale": "0.5"}),
+        ("lambda", {"k": "3"}),
+        ("lambda", {"k": 3.0, "delta": "0.3"}),
+    ],
+    ids=["fractional-k_sob", "bool-k_sob", "string-k_sob", "string-hk_small",
+         "string-delta", "bool-R", "string-stability_scale", "string-k",
+         "lambda-string-delta"],
+)
+def test_malformed_check_parameters_exit_code(tmp_path, capsys, check, params):
+    cfg = write_json(tmp_path / "run.json", run_config(checks=params))
+    code = run_cli(["verify", "--config", cfg, "--checks", check,
+                    "--report", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("checks, finished", [("mass,energy", []),
+                                              ("mass,stability", ["mass"])])
+def test_verify_blowup_writes_partial_reports(tmp_path, capsys, checks, finished):
+    # amplitude 2.9 makes the explicit flux unstable at dt = 1e-3; the
+    # second case blows up only in the stability check's second run
+    big = dict(run_config()["initial"], u_mean=2.9, u_amp=2.9, v_mean=2.9, v_amp=2.9)
+    if finished:
+        cfg = run_config(dt=1e-3, checks={"delta": 0.3, "initial2": big})
+    else:
+        cfg = run_config(dt=1e-3, initial=big)
+    report = tmp_path / "report.json"
+    code = run_cli(["verify", "--config", write_json(tmp_path / "run.json", cfg),
+                    "--checks", checks, "--report", str(report)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "blew up at step" in err
+    reports = json.loads(report.read_text())
+    assert [r["check"] for r in reports] == finished + ["blowup"]
+    blowup = reports[-1]
+    assert blowup["pass"] is False
+    assert f"blew up at step {int(blowup['measured']['step'])}" in err
+
+
 @pytest.mark.parametrize("cap", ["abc", "0", "-1"])
 def test_worker_count_rejects_bad_values(cap):
     with pytest.raises(ConfigError, match="CROSSFLUX_THREADS"):

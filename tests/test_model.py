@@ -28,7 +28,7 @@ from crossflux.model import (
     stability_constants,
     thresholds,
 )
-from crossflux.spectral import Field, TorusGrid
+from crossflux.spectral import Field, TorusGrid, poly_field
 
 
 def skt(a=1.0, d1=1.0, d2=1.0):
@@ -153,6 +153,18 @@ def test_poly_eval_and_flux(grid32, cosine):
     np.testing.assert_allclose(
         f2.values, v.values * (1.0 + u.values + v.values), atol=1e-12
     )
+
+
+def test_flux_of_unequal_degrees_matches_poly_field(rng):
+    # p = Y^2 and q = X give fluxes of degree 3 and 2; flux evaluates both
+    # on the cubic's fine grid, poly_field each on its own
+    spec = ModelSpec(1.0, 0.5, Y * Y, X)
+    for g in (TorusGrid(1, 16), TorusGrid(2, 8)):
+        u = Field(g, rng.standard_normal(g.shape))
+        v = Field(g, rng.standard_normal(g.shape))
+        for got, poly in zip(flux(spec, u, v), flux_polys(spec)):
+            np.testing.assert_allclose(got.values, poly_field(poly, u, v).values,
+                                       rtol=0, atol=1e-14)
 
 
 def test_smallness_closed_form(grid64, cosine):

@@ -162,7 +162,7 @@ def test_kolmogorov_heat_oracle(grid32, cosine):
     f = constant_series(grid32, 0.0, 0.005)
     z = solve_kolmogorov(z0, mu, f, dt=2e-7, t_end=0.005, record_every=25000)
     exact = math.exp(-FOUR_PI_SQ * 0.005) * np.cos(2 * np.pi * grid32.coords(0))
-    assert np.max(np.abs(z.fields[-1].values - exact)) < 1e-6
+    assert np.max(np.abs(z.values[-1] - exact)) < 1e-6
 
 
 def test_kolmogorov_mean_and_convergence(grid32, cosine, rng):
@@ -174,19 +174,19 @@ def test_kolmogorov_mean_and_convergence(grid32, cosine, rng):
     f = constant_series(grid32, 0.0, 0.01)
     fine = solve_kolmogorov(z0, mu, f, dt=2.5e-6, t_end=0.01)
     for z in (solve_kolmogorov(z0, mu, f, dt=1e-5, t_end=0.01), fine):
-        assert np.mean(z.fields[-1].values) == pytest.approx(
+        assert np.mean(z.values[-1]) == pytest.approx(
             np.mean(z0.values), abs=1e-14
         )
     ea = np.max(
         np.abs(
-            solve_kolmogorov(z0, mu, f, dt=1e-5, t_end=0.01).fields[-1].values
-            - fine.fields[-1].values
+            solve_kolmogorov(z0, mu, f, dt=1e-5, t_end=0.01).values[-1]
+            - fine.values[-1]
         )
     )
     eb = np.max(
         np.abs(
-            solve_kolmogorov(z0, mu, f, dt=5e-6, t_end=0.01).fields[-1].values
-            - fine.fields[-1].values
+            solve_kolmogorov(z0, mu, f, dt=5e-6, t_end=0.01).values[-1]
+            - fine.values[-1]
         )
     )
     # first order against a dt/4 reference: (1 - 1/4) / (1/2 - 1/4) = 3
@@ -199,3 +199,30 @@ def test_kolmogorov_rejects_nonpositive_mu(grid32, cosine):
     f = constant_series(grid32, 0.0, 0.01)
     with pytest.raises(DomainError, match="positive"):
         solve_kolmogorov(z0, mu, f, dt=1e-4, t_end=0.01)
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"record_every": 0}, "record_every"),
+        ({"record_every": 2.5}, "record_every"),
+        ({"record_every": True}, "record_every"),
+        ({"dt": 1e-12}, "exceeds the limit"),
+    ],
+    ids=["zero-record_every", "fractional-record_every", "bool-record_every",
+         "too-many-steps"],
+)
+def test_kolmogorov_rejects_bad_run_parameters(grid32, cosine, kwargs, match):
+    mu = constant_series(grid32, 1.0, 0.01)
+    f = constant_series(grid32, 0.0, 0.01)
+    with pytest.raises(ConfigError, match=match):
+        solve_kolmogorov(cosine(grid32), mu, f, **{"dt": 1e-4, "t_end": 0.01, **kwargs})
+
+
+def test_kolmogorov_recording_grid(grid32, cosine):
+    mu = constant_series(grid32, 1.0, 2e-3)
+    f = constant_series(grid32, 0.0, 2e-3)
+    z = solve_kolmogorov(cosine(grid32), mu, f, dt=1e-4, t_end=2e-3, record_every=7)
+    np.testing.assert_allclose(z.times, [0.0, 7e-4, 1.4e-3, 2e-3], atol=1e-15)
+    assert z.values.shape == (4, 32)
+    np.testing.assert_array_equal(z.values[0], cosine(grid32).values)

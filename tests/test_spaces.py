@@ -22,7 +22,7 @@ from crossflux.spaces import (
     sobolev_norm,
     spacetime_lk,
 )
-from crossflux.spectral import FOUR_PI_SQ, Field, TorusGrid, transform
+from crossflux.spectral import FOUR_PI_SQ, Field, TorusGrid, laplacian, transform
 
 
 def test_lebesgue_oracles(grid64, cosine):
@@ -95,6 +95,34 @@ def test_time_series_validation(grid32):
         TimeSeriesField(np.array([0.0]), [f, f])
 
 
+def test_time_series_from_stack_or_fields(rng):
+    # a stack and the list of its fields give one series; the grid comes
+    # from the stack's shape
+    for g in (TorusGrid(1, 16), TorusGrid(2, 8)):
+        stack = rng.standard_normal((3,) + g.shape)
+        times = np.array([0.0, 0.5, 1.0])
+        a = TimeSeriesField(times, stack)
+        b = TimeSeriesField(times, [Field(g, x) for x in stack])
+        assert a.grid == b.grid == g
+        assert len(a) == len(b) == 3
+        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a.times, b.times)
+
+
+def test_time_series_rejects_bad_stacks(grid32):
+    times = np.array([0.0, 1.0])
+    with pytest.raises(ConfigError, match="one grid"):
+        TimeSeriesField(times, [Field(grid32, np.zeros(32)),
+                                Field(TorusGrid(1, 16), np.zeros(16))])
+    bad = np.zeros((2, 32))
+    bad[1, 3] = np.nan
+    with pytest.raises(DomainError, match="finite"):
+        TimeSeriesField(times, bad)
+    for shape in ((2,), (2, 32, 16), (2, 12), (2, 2, 2, 2)):
+        with pytest.raises(ConfigError):
+            TimeSeriesField(times, np.zeros(shape))
+
+
 def test_dyadic_reconstruction(rng, grid64):
     f = Field(grid64, rng.standard_normal(64))
     total = np.full(64, np.mean(f.values))
@@ -155,6 +183,34 @@ def test_block_sequence_check(grid64):
     rep3 = block_sequence_check(grid64, k=3, trials=50)
     assert rep3.passed
     assert rep3.measured["max_ratio"] <= REGRESSION_CONSTANTS["block_sequence"]
+
+
+def test_stacked_norms_match_field_loop(rng):
+    # the stack reductions against per-field loops: the Laplacian and the
+    # one-sided and central time differences of each sample, and the
+    # trapezoid rule over per-sample norms
+    times = np.linspace(0.0, 0.3, 31)
+    h = times[1]
+    for g in (TorusGrid(1, 32), TorusGrid(2, 16)):
+        base = random_band_field(g, 1, 6, rng)
+        fields = [Field(g, t * (1.0 + t) * base.values) for t in times]
+        laps = [laplacian(f) for f in fields]
+        dphi = ([(-3.0 * fields[0] + 4.0 * fields[1] - fields[2]) * (0.5 / h)]
+                + [(fields[i + 1] - fields[i - 1]) * (0.5 / h)
+                   for i in range(1, len(fields) - 1)]
+                + [(3.0 * fields[-1] - 4.0 * fields[-2] + fields[-3]) * (0.5 / h)])
+        resid = [d - 1.5 * lap for d, lap in zip(dphi, laps)]
+
+        def loop_lk(series, k):
+            vals = np.array([lp_norm(f, k) ** k for f in series])
+            w = np.diff(times)
+            return float(np.sum(0.5 * (vals[1:] + vals[:-1]) * w) ** (1.0 / k))
+
+        for k in (1.0, 2.0, 3.5):
+            assert spacetime_lk(TimeSeriesField(times, fields), k) == pytest.approx(
+                loop_lk(fields, k), rel=1e-14)
+            assert maxreg_ratio(TimeSeriesField(times, fields), 1.5, k) == pytest.approx(
+                1.5 * loop_lk(laps, k) / loop_lk(resid, k), rel=1e-14)
 
 
 def test_maxreg_ratio_closed_form(grid64, cosine):

@@ -10,7 +10,6 @@ from crossflux.model import X, Y
 from crossflux.spectral import (
     FOUR_PI_SQ,
     Field,
-    Mollifier,
     SpectralField,
     TorusGrid,
     dealias_size,
@@ -19,10 +18,17 @@ from crossflux.spectral import (
     laplacian,
     mollify,
     poly_field,
-    resample,
+    poly_plan,
     spectral_plan,
     transform,
 )
+
+
+def padded_poly(p, u, v, M):
+    """p(u, v) evaluated on the M-point grid and projected back."""
+    plan = spectral_plan(u.grid, M)
+    (c,) = plan.poly_coeffs((p,), plan.to_coeffs(u.values), plan.to_coeffs(v.values))
+    return inverse(SpectralField(u.grid, c))
 
 
 def test_grid_validation():
@@ -112,18 +118,18 @@ def test_heat_propagate_closed_form(grid64, cosine):
 
 def test_resample_evaluates_interpolant(grid32):
     f = Field(grid32, np.cos(2 * np.pi * grid32.coords(0)))
-    fine = resample(f, 128)
+    fine = spectral_plan(grid32, 128).fine_values(transform(f).coeffs)
     x_fine = (np.arange(128) + 0.5) / 128
     np.testing.assert_allclose(fine, np.cos(2 * np.pi * x_fine), atol=1e-13)
     with pytest.raises(ConfigError, match="even integer"):
-        resample(f, 31)
+        spectral_plan(grid32, 31)
     with pytest.raises(ConfigError, match="even integer"):
-        resample(f, 16)
+        spectral_plan(grid32, 16)
 
 
 def test_resample_preserves_mean(rng, grid32):
     f = Field(grid32, rng.standard_normal(32))
-    fine = resample(f, 96)
+    fine = spectral_plan(grid32, 96).fine_values(transform(f).coeffs)
     assert np.mean(fine) == pytest.approx(np.mean(f.values), abs=1e-13)
 
 
@@ -132,8 +138,8 @@ def test_pad_project_round_trip_with_nyquist(rng):
     # survive the padded round trip bit-for-bit up to roundoff
     for g in (TorusGrid(1, 16), TorusGrid(2, 8)):
         f = Field(g, rng.standard_normal(g.shape))
-        for pad in (2, 1.5):
-            back = poly_field(X, f, f, pad=pad)
+        for M in (2 * g.N, 3 * g.N // 2):
+            back = padded_poly(X, f, f, M)
             np.testing.assert_allclose(back.values, f.values, atol=1e-12)
 
 
@@ -146,7 +152,7 @@ def test_default_padding_dealiases_exactly(rng):
         v = Field(g, rng.standard_normal(g.shape))
         for p in (X * Y, X * X * Y):
             np.testing.assert_allclose(poly_field(p, u, v).values,
-                                       poly_field(p, u, v, pad=4).values, atol=1e-13)
+                                       padded_poly(p, u, v, 4 * g.N).values, atol=1e-13)
 
 
 @pytest.mark.parametrize("d, N, M", [(1, 16, 16), (1, 16, 24), (2, 8, 16)])
@@ -164,6 +170,13 @@ def test_plan_maps_over_leading_axes(rng, d, N, M):
             assert np.array_equal(out[i], method(stack[i]))
 
 
+@pytest.mark.parametrize("polys", [(X * Y,), (X, X * X * Y), (Y * Y * Y, X)])
+def test_poly_plan_takes_the_largest_degree(polys):
+    for g in (TorusGrid(1, 16), TorusGrid(2, 8)):
+        degree = max(p.total_degree() for p in polys)
+        assert poly_plan(g, polys).M == dealias_size(g.N, degree)
+
+
 def test_poly_field_dealiased_product(grid64, cosine):
     # product of two resolved cosines: bandwidth 5 fits after padding
     u = cosine(grid64, mode=2)
@@ -177,9 +190,6 @@ def test_mollify_mean_and_consistency(rng, grid32):
     for eta in (1e-3, 1e-5):
         mf = mollify(f, eta)
         assert np.mean(mf.values) == pytest.approx(np.mean(f.values), abs=1e-13)
-        np.testing.assert_allclose(
-            Mollifier(eta).apply(f).values, mf.values, atol=1e-14
-        )
     with pytest.raises(DomainError, match="positive"):
         mollify(f, 0.0)
 
