@@ -22,7 +22,7 @@ import numpy as np
 from . import io
 from .counterexample import build_pair, verify_counterexample
 from .errors import BlowupError, ConfigError, CrossfluxError
-from .model import parse_model_json, smallness_functional, thresholds
+from .model import config_number, parse_model_json, smallness_functional, thresholds
 from .report import Report
 from .solver import RunConfig, State, Trajectory, simulate
 from .spaces import TimeSeriesField, besov_Nk, lp_norm, sobolev_norm
@@ -35,31 +35,14 @@ KNOWN_CHECKS = ("mass", "energy", "duality", "stability", "lambda", "hk",
                 "lyapunov", "rate")
 
 
-def _number(obj: dict, key: str, default=None, integral: bool = False):
-    """obj[key], or the default, as a float (an int when integral).
-    Booleans, strings and fractional integers are errors, not coerced."""
-    value = obj.get(key, default)
-    if value is None:
-        raise ConfigError(f"missing {key!r}")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:
-        raise ConfigError(f"{key} is out of range") from None
-    if integral and not value.is_integer():
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value) if integral else value
-
-
 def _build_initial(grid: TorusGrid, obj) -> tuple[Field, Field]:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError("initial must be an object with a 'kind' key")
     kind = obj["kind"]
     if kind == "cosine":
-        um, ua = _number(obj, "u_mean"), _number(obj, "u_amp")
-        vm, va = _number(obj, "v_mean"), _number(obj, "v_amp")
-        mode = _number(obj, "mode", 1, integral=True)
+        um, ua = config_number(obj, "u_mean"), config_number(obj, "u_amp")
+        vm, va = config_number(obj, "v_mean"), config_number(obj, "v_amp")
+        mode = config_number(obj, "mode", 1, integral=True)
         wave = np.cos(2.0 * np.pi * mode * grid.coords(0))
         if grid.d == 2:
             wave = np.broadcast_to(wave[:, None], grid.shape).copy()
@@ -82,8 +65,8 @@ def _parse_run(obj, force_record_every: int | None = None):
             raise ConfigError(f"run config is missing {key!r}")
     grid, spec = parse_model_json(obj["model"])
     u0, v0 = _build_initial(grid, obj["initial"])
-    record_every = _number(obj, "record_every", 1, integral=True)
-    dt, t_end = _number(obj, "dt"), _number(obj, "t_end")
+    record_every = config_number(obj, "record_every", 1, integral=True)
+    dt, t_end = config_number(obj, "dt"), config_number(obj, "t_end")
     if force_record_every is not None:
         record_every = force_record_every
     cfg = RunConfig(spec, State(0.0, u0, v0), dt=dt, t_end=t_end,
@@ -97,8 +80,8 @@ def _parse_run(obj, force_record_every: int | None = None):
 
 
 def _optional_number(obj: dict, key: str):
-    """obj[key] checked as by `_number`, or None when absent or null."""
-    return None if obj.get(key) is None else _number(obj, key)
+    """obj[key] checked as by `config_number`, or None when absent or null."""
+    return None if obj.get(key) is None else config_number(obj, key)
 
 
 def _mu_series(traj: Trajectory, d_coef: float, poly) -> TimeSeriesField:
@@ -147,19 +130,19 @@ def _check_reports(obj, requested):
         elif name == "stability":
             if "delta" not in checks:
                 raise ConfigError("stability check needs checks.delta")
-            delta = _number(checks, "delta")
-            radius = _number(checks, "R", 1.0)
+            delta = config_number(checks, "delta")
+            radius = config_number(checks, "R", 1.0)
             if checks.get("initial2") is not None:
                 u2, v2 = _build_initial(grid, checks["initial2"])
             else:
-                scale = _number(checks, "stability_scale", 0.5)
+                scale = config_number(checks, "stability_scale", 0.5)
                 init2 = copy.deepcopy(obj["initial"])
                 if init2.get("kind") != "cosine":
                     raise ConfigError(
                         "stability_scale needs cosine initial data; "
                         "supply checks.initial2 otherwise")
-                init2["u_amp"] = _number(init2, "u_amp") * scale
-                init2["v_amp"] = _number(init2, "v_amp") * scale
+                init2["u_amp"] = config_number(init2, "u_amp") * scale
+                init2["v_amp"] = config_number(init2, "v_amp") * scale
                 u2, v2 = _build_initial(grid, init2)
             cfg2 = RunConfig(spec, State(0.0, u2, v2), cfg.dt, cfg.t_end,
                              cfg.record_every, cfg.scheme, cfg.variant)
@@ -167,13 +150,13 @@ def _check_reports(obj, requested):
         elif name == "lambda":
             if "k" not in checks:
                 raise ConfigError("lambda check needs checks.k")
-            _, rep = track_lambda(traj, spec, _number(checks, "k"),
+            _, rep = track_lambda(traj, spec, config_number(checks, "k"),
                                   delta=_optional_number(checks, "delta"))
             yield rep
         elif name == "hk":
             if "k_sob" not in checks:
                 raise ConfigError("hk check needs checks.k_sob")
-            _, rep = track_hk(traj, _number(checks, "k_sob", integral=True),
+            _, rep = track_hk(traj, config_number(checks, "k_sob", integral=True),
                               small=_optional_number(checks, "hk_small"))
             yield rep
         elif name == "lyapunov":
@@ -216,21 +199,29 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+def _flag_number(args, flag: str, allow_inf: bool = False) -> float:
+    """The number a norms flag gives; NaN, and infinity unless allowed,
+    are errors."""
+    text = getattr(args, flag)
+    if text is None:
+        raise ConfigError(f"--norm {args.norm} needs --{flag}")
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"--{flag} must be a number, got {text!r}") from None
+    if math.isnan(value) or (math.isinf(value) and not allow_inf):
+        raise ConfigError(f"--{flag} must be finite, got {text!r}")
+    return value
+
+
 def _cmd_norms(args) -> int:
     field = io.read_field(args.input)
     if args.norm == "lp":
-        if args.p is None:
-            raise ConfigError("--norm lp needs --p")
-        p = math.inf if args.p.lower() in ("inf", "infinity") else float(args.p)
-        value = lp_norm(field, p)
+        value = lp_norm(field, _flag_number(args, "p", allow_inf=True))
     elif args.norm == "hs":
-        if args.s is None:
-            raise ConfigError("--norm hs needs --s")
-        value = sobolev_norm(field, float(args.s))
+        value = sobolev_norm(field, _flag_number(args, "s"))
     else:
-        if args.k is None:
-            raise ConfigError("--norm nk needs --k")
-        value = besov_Nk(field, float(args.k), tol=args.tol)
+        value = besov_Nk(field, _flag_number(args, "k"), tol=_flag_number(args, "tol"))
     print(f"{value:.12g}")
     return 0
 
@@ -254,7 +245,7 @@ def _cmd_thresholds(args) -> int:
     if "model" not in obj:
         raise ConfigError("config is missing 'model'")
     _, spec = parse_model_json(obj["model"])
-    radius = _number(obj.get("checks", {}), "R", 1.0)
+    radius = config_number(obj.get("checks", {}), "R", 1.0)
     for key, value in thresholds(spec, radius).items():
         print(f"{key} = {value:.12g}")
     return 0
@@ -267,7 +258,7 @@ def _sweep_axis(base: dict, axis: str, value: float) -> dict:
         if init.get("kind") != "cosine":
             raise ConfigError("the amplitude axis needs cosine initial data")
         for key in ("u_mean", "u_amp", "v_mean", "v_amp"):
-            init[key] = _number(init, key) * value
+            init[key] = config_number(init, key) * value
         return obj
     node = obj
     parts = axis.split(".")
@@ -285,7 +276,7 @@ def _sweep_row(payload: str) -> str:
     run_obj = json.loads(payload)
     value = run_obj.pop("_sweep_value")
     checks = run_obj.get("checks", {})
-    k = _number(checks, "k", 3.0)
+    k = config_number(checks, "k", 3.0)
     delta = _optional_number(checks, "delta")
     try:
         _, spec, cfg, _ = _parse_run(run_obj)
@@ -370,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", default=None)
     p.add_argument("--s", default=None)
     p.add_argument("--k", default=None)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", default="1e-8")
     p.set_defaults(func=_cmd_norms)
 
     p = sub.add_parser("counterexample",

@@ -55,9 +55,17 @@ class Poly2Signed:
         return sum(c * x ** i * y ** j for (i, j), c in self.terms.items())
 
     def eval_arrays(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Sum of c * X**i * Y**j, multiplied in that order; an exponent
+        of 0 or 1 takes no power (c * 1 and x**1 are exact, so skipping
+        them changes no bit)."""
         out = np.zeros(np.broadcast(X, Y).shape)
         for (i, j), c in self.terms.items():
-            out += float(c) * X ** i * Y ** j
+            term = float(c)
+            if i:
+                term = term * (X if i == 1 else X ** i)
+            if j:
+                term = term * (Y if j == 1 else Y ** j)
+            out += term
         return out
 
     def partial(self, var: int) -> "Poly2Signed":
@@ -69,9 +77,6 @@ class Poly2Signed:
             elif var == 1 and j > 0:
                 out[(i, j - 1)] = out.get((i, j - 1), 0) + j * c
         return Poly2Signed(out)
-
-    def abs_poly(self) -> "Poly2Signed":
-        return _wrap({k: abs(c) for k, c in self.terms.items()})
 
     def _combine(self, other, sign):
         if not isinstance(other, Poly2Signed):
@@ -174,16 +179,17 @@ class ModelSpec:
     trunc_delta: float | None = None
 
     def __post_init__(self):
-        if self.d1 <= 0 or self.d2 <= 0:
-            raise DomainError(f"diffusivities must be positive, got {self.d1}, {self.d2}")
+        if not all(math.isfinite(d) and d > 0 for d in (self.d1, self.d2)):
+            raise DomainError(
+                f"diffusivities must be positive and finite, got {self.d1}, {self.d2}")
         for name, poly in (("p", self.p), ("q", self.q)):
             if not isinstance(poly, Poly2):
                 raise ConfigError(f"{name} must be a Poly2 with nonnegative coefficients")
             if (0, 0) in poly.terms:
                 raise DomainError(f"{name} must vanish at the origin")
         for name, val in (("eta", self.eta), ("trunc_delta", self.trunc_delta)):
-            if val is not None and val <= 0:
-                raise DomainError(f"{name} must be positive when set, got {val}")
+            if val is not None and not (math.isfinite(val) and val > 0):
+                raise DomainError(f"{name} must be positive and finite when set, got {val}")
 
 
 def flux_polys(spec: ModelSpec):
@@ -205,8 +211,9 @@ def flux(spec: ModelSpec, u: Field, v: Field):
         raise ConfigError("fields live on different grids")
     polys = flux_polys(spec)
     plan = poly_plan(u.grid, polys)
-    coeffs = plan.poly_coeffs(polys, plan.to_coeffs(u.values), plan.to_coeffs(v.values))
-    return tuple(Field(u.grid, plan.to_values(c)) for c in coeffs)
+    c = plan.to_coeffs(np.stack([u.values, v.values]))
+    w1, w2 = plan.to_values(plan.poly_coeffs(polys, c))
+    return Field(u.grid, w1), Field(u.grid, w2)
 
 
 def derive_QR(spec: ModelSpec):
@@ -355,27 +362,50 @@ def thresholds(spec: ModelSpec, R: float = 1.0) -> dict:
     }
 
 
+def config_number(obj: dict, key: str, default=None, integral: bool = False):
+    """obj[key], or the default, as a float (an int when integral).
+    Booleans, strings and fractional integers are errors, not coerced."""
+    value = obj.get(key, default)
+    if value is None:
+        raise ConfigError(f"missing {key!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ConfigError(f"{key} is out of range") from None
+    if integral and not value.is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value) if integral else value
+
+
 def parse_model_json(obj: dict):
     """Build (TorusGrid, ModelSpec) from the interchange dictionary
     {"d", "N", "d1", "d2", "p", "q", "eta", "trunc_delta"} where p and q
-    are lists of [i, j, c] triples."""
+    are lists of [i, j, c] triples; every number is checked by
+    `config_number`."""
     if not isinstance(obj, dict):
         raise ConfigError("model description must be a JSON object")
     try:
-        grid = TorusGrid(int(obj["d"]), int(obj["N"]))
+        grid = TorusGrid(config_number(obj, "d", integral=True),
+                         config_number(obj, "N", integral=True))
         polys = {}
         for name in ("p", "q"):
             terms = {}
             for triple in obj[name]:
                 i, j, c = triple
-                terms[(int(i), int(j))] = terms.get((int(i), int(j)), 0) + c
+                term = {f"{name} exponent of X": i, f"{name} exponent of Y": j,
+                        f"{name} coefficient": c}
+                key = (config_number(term, f"{name} exponent of X", integral=True),
+                       config_number(term, f"{name} exponent of Y", integral=True))
+                terms[key] = terms.get(key, 0) + config_number(term, f"{name} coefficient")
             polys[name] = Poly2(terms)
         spec = ModelSpec(
-            d1=float(obj["d1"]), d2=float(obj["d2"]),
+            d1=config_number(obj, "d1"), d2=config_number(obj, "d2"),
             p=polys["p"], q=polys["q"],
-            eta=None if obj.get("eta") is None else float(obj["eta"]),
+            eta=None if obj.get("eta") is None else config_number(obj, "eta"),
             trunc_delta=(None if obj.get("trunc_delta") is None
-                         else float(obj["trunc_delta"])),
+                         else config_number(obj, "trunc_delta")),
         )
     except KeyError as exc:
         raise ConfigError(f"model description is missing key {exc}") from None

@@ -144,45 +144,33 @@ def rk4_max_dt(spec: ModelSpec, state: State) -> float:
     return RK4_STABILITY_CONSTANT / (FOUR_PI_SQ * (g.N / 2) ** 2 * s)
 
 
-def _imex_update(plan, spec, dt, cu, cv, cw1, cw2):
-    den1 = 1.0 + dt * plan.lam * spec.d1
-    den2 = 1.0 + dt * plan.lam * spec.d2
-    return ((cu - dt * plan.lam * cw1) / den1,
-            (cv - dt * plan.lam * cw2) / den2)
+def _rk4_update(plan, dt, c, d, fluxes):
+    def rhs(a):
+        return -plan.lam * (d * a + plan.poly_coeffs(fluxes, a))
+
+    k1 = rhs(c)
+    k2 = rhs(c + 0.5 * dt * k1)
+    k3 = rhs(c + 0.5 * dt * k2)
+    k4 = rhs(c + dt * k3)
+    return c + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _rk4_update(plan, spec, dt, cu, cv, fluxes):
-    def rhs(a, b):
-        cw1, cw2 = plan.poly_coeffs(fluxes, a, b)
-        return (-plan.lam * (spec.d1 * a + cw1), -plan.lam * (spec.d2 * b + cw2))
-
-    k1u, k1v = rhs(cu, cv)
-    k2u, k2v = rhs(cu + 0.5 * dt * k1u, cv + 0.5 * dt * k1v)
-    k3u, k3v = rhs(cu + 0.5 * dt * k2u, cv + 0.5 * dt * k2v)
-    k4u, k4v = rhs(cu + dt * k3u, cv + dt * k3v)
-    return (cu + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u),
-            cv + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v))
-
-
-def _regularized_coeffs(plan, spec, cu, cv, u_vals, v_vals):
+def _regularized_coeffs(plan, spec, c, vals, moll):
     """Explicit-part coefficients for the truncated, mollified flux."""
-    dlt = spec.trunc_delta
-    pu = spec.p.eval_arrays(np.minimum(u_vals, dlt), np.minimum(v_vals, dlt))
-    qv = spec.q.eval_arrays(np.minimum(u_vals, dlt), np.minimum(v_vals, dlt))
-    moll = np.exp(-spec.eta * plan.lam)
-    cw1 = plan.project_fine(plan.fine_values(plan.to_coeffs(pu) * moll)
-                           * plan.fine_values(cu))
-    cw2 = plan.project_fine(plan.fine_values(plan.to_coeffs(qv) * moll)
-                           * plan.fine_values(cv))
-    return cw1, cw2
+    capped = np.minimum(vals, spec.trunc_delta)
+    pq = np.stack([spec.p.eval_arrays(*capped), spec.q.eval_arrays(*capped)])
+    return plan.project_fine(plan.fine_values(plan.to_coeffs(pq) * moll)
+                             * plan.fine_values(c))
 
 
 def simulate(config: RunConfig) -> Trajectory:
     """Integrate the system as configured; never clips negative values.
 
-    The regularized variant evaluates the polynomial part of each flux at
-    densities capped at trunc_delta and smoothed by the heat kernel at
-    time eta before multiplying the density.
+    u and v advance as one coefficient stack of shape (2, ...), so each
+    step makes one stacked transform of each kind.  The regularized
+    variant evaluates the polynomial part of each flux at densities
+    capped at trunc_delta and smoothed by the heat kernel at time eta
+    before multiplying the density.
     """
     spec = config.spec
     grid = config.initial.grid
@@ -202,54 +190,52 @@ def simulate(config: RunConfig) -> Trajectory:
                 f"dt = {dt:.3e} exceeds the rk4 stability bound {bound:.3e} "
                 "for this initial state")
 
-    cu = plan.to_coeffs(config.initial.u.values)
-    cv = plan.to_coeffs(config.initial.v.values)
-    u_vals = config.initial.u.values
-    v_vals = config.initial.v.values
+    vals = np.stack([config.initial.u.values, config.initial.v.values])
+    c = plan.to_coeffs(vals)
+    # the diffusivities, and dt * lam and the implicit denominators of
+    # both species, broadcast against the stack
+    d = np.reshape([spec.d1, spec.d2], (2,) + (1,) * grid.d)
+    dt_lam = dt * plan.lam
+    den = 1.0 + dt_lam * d
+    if regularized:
+        moll = np.exp(-spec.eta * plan.lam)
 
     # states are recorded at every `every`-th step and at the last one
     n_rec = -(-n_steps // every) + 1
     step_times = np.arange(n_steps + 1) * dt
     times = step_times[np.minimum(np.arange(n_rec) * every, n_steps)]
-    u_rec = np.empty((n_rec,) + grid.shape)
-    v_rec = np.empty((n_rec,) + grid.shape)
-    min_u = np.empty(n_steps + 1)
-    min_v = np.empty(n_steps + 1)
-    mass_u = np.empty(n_steps + 1)
-    mass_v = np.empty(n_steps + 1)
+    rec = np.empty((2, n_rec) + grid.shape)
+    mins = np.empty((2, n_steps + 1))
+    masses = np.empty((2, n_steps + 1))
 
     def diagnose(n):
-        min_u[n] = u_vals.min()
-        min_v[n] = v_vals.min()
-        mass_u[n] = u_vals.mean()
-        mass_v[n] = v_vals.mean()
+        flat = vals.reshape(2, -1)
+        mins[:, n] = flat.min(axis=1)
+        masses[:, n] = flat.mean(axis=1)
 
     def trajectory(n, r):
         return Trajectory(spec, config.scheme, config.variant, dt, times[:r],
-                          u_rec[:r], v_rec[:r], step_times[:n], min_u[:n],
-                          min_v[:n], mass_u[:n], mass_v[:n])
+                          rec[0, :r], rec[1, :r], step_times[:n], mins[0, :n],
+                          mins[1, :n], masses[0, :n], masses[1, :n])
 
     diagnose(0)
-    u_rec[0] = u_vals
-    v_rec[0] = v_vals
+    rec[:, 0] = vals
     r = 1
     for n in range(1, n_steps + 1):
         if config.scheme == "rk4":
-            cu, cv = _rk4_update(plan, spec, dt, cu, cv, fluxes)
+            c = _rk4_update(plan, dt, c, d, fluxes)
         else:
             if regularized:
-                cw1, cw2 = _regularized_coeffs(plan, spec, cu, cv, u_vals, v_vals)
+                cw = _regularized_coeffs(plan, spec, c, vals, moll)
             else:
-                cw1, cw2 = plan.poly_coeffs(fluxes, cu, cv)
-            cu, cv = _imex_update(plan, spec, dt, cu, cv, cw1, cw2)
-        u_vals = plan.to_values(cu)
-        v_vals = plan.to_values(cv)
-        if not (np.all(np.isfinite(u_vals)) and np.all(np.isfinite(v_vals))):
+                cw = plan.poly_coeffs(fluxes, c)
+            c = (c - dt_lam * cw) / den
+        vals = plan.to_values(c)
+        if not np.all(np.isfinite(vals)):
             raise BlowupError(n, trajectory(n, r))
         diagnose(n)
         if n % every == 0 or n == n_steps:
-            u_rec[r] = u_vals
-            v_rec[r] = v_vals
+            rec[:, r] = vals
             r += 1
 
     return trajectory(n_steps + 1, n_rec)
@@ -282,6 +268,7 @@ def solve_kolmogorov(z_in: Field, mu: TimeSeriesField, f: TimeSeriesField,
         raise DomainError("mu must be strictly positive")
 
     plan = spectral_plan(grid, grid.N)
+    dt_lam = dt * plan.lam
     cz = plan.to_coeffs(z_in.values)
     z_vals = z_in.values
     # states are recorded as in `simulate`: every `every`-th step and the last
@@ -297,7 +284,7 @@ def solve_kolmogorov(z_in: Field, mu: TimeSeriesField, f: TimeSeriesField,
         f_n = interp_linear(f.values, f.times, t)
         mu_min = float(mu_n.min())
         expl = plan.to_coeffs((mu_n - mu_min) * z_vals + f_n)
-        cz = (cz - dt * plan.lam * expl) / (1.0 + dt * plan.lam * mu_min)
+        cz = (cz - dt_lam * expl) / (1.0 + dt_lam * mu_min)
         z_vals = plan.to_values(cz)
         if not np.all(np.isfinite(z_vals)):
             raise BlowupError(n, TimeSeriesField(times[:r], z_rec[:r]))

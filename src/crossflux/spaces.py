@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .report import Report
-from .spectral import (FOUR_PI_SQ, Field, SpectralField, TorusGrid, heat_propagate, inverse,
-                       spectral_plan, transform)
+from .spectral import FOUR_PI_SQ, Field, TorusGrid, heat_propagate, spectral_plan
 
 # Calibrated constants for the randomized inequality checks.  The rate
 # in the annulus decay check is exact (slowest mode of the annulus); the
@@ -50,10 +49,9 @@ def lp_norm(field: Field, p: float) -> float:
 
 def sobolev_norm(field: Field, s: float) -> float:
     """H^s norm with weight (1 + 4*pi^2*|xi|^2)^s, zero mode included."""
-    g = field.grid
-    c = transform(field).coeffs
-    w = (1.0 + FOUR_PI_SQ * g.xi_sq) ** s
-    return float(np.sqrt(np.sum(w * np.abs(c) ** 2)))
+    plan = spectral_plan(field.grid, field.grid.N)
+    power = plan.weight * np.abs(plan.to_coeffs(field.values)) ** 2
+    return float(np.sqrt(np.sum((1.0 + plan.lam) ** s * power)))
 
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
@@ -82,11 +80,11 @@ def besov_Nk(field: Field, k: float, tol: float = 1e-8) -> float:
         raise DomainError(
             f"N_k is defined for mean-zero fields; this one has mean {m:.3e}. "
             "Subtract the average first.")
-    coeffs = transform(field).coeffs
     plan = spectral_plan(g, g.N)
+    coeffs = plan.to_coeffs(field.values)
 
     def integrand(t: float) -> float:
-        vals = plan.to_values(coeffs * np.exp(-FOUR_PI_SQ * g.xi_sq * t))
+        vals = plan.to_values(coeffs * np.exp(-plan.lam * t))
         return float(np.mean(np.abs(vals) ** k))
 
     def segment(a: float, b: float) -> float:
@@ -195,12 +193,13 @@ def dyadic_block(field: Field, j: int) -> DyadicBlock:
     if j < 0 or j != int(j):
         raise DomainError(f"block index must be a nonnegative integer, got {j}")
     g = field.grid
+    plan = spectral_plan(g, g.N)
     lo, hi = 4.0 ** j, 4.0 ** (j + 1)
-    mask = (g.xi_sq >= lo) & (g.xi_sq < hi)
-    coeffs = np.where(mask, transform(field).coeffs, 0.0)
+    mask = (plan.xi_sq >= lo) & (plan.xi_sq < hi)
+    coeffs = np.where(mask, plan.to_coeffs(field.values), 0.0)
     clipped = 2 ** (j + 1) > g.N // 2
     empty = not bool(mask.any())
-    return DyadicBlock(j, inverse(SpectralField(g, coeffs)), clipped, empty)
+    return DyadicBlock(j, Field(g, plan.to_values(coeffs)), clipped, empty)
 
 
 def dyadic_blocks(field: Field) -> list:
@@ -226,10 +225,10 @@ def block_sequence_norm(field: Field, k: float) -> float:
 
 def random_band_field(grid: TorusGrid, lo: float, hi: float, rng) -> Field:
     """Gaussian field with spectrum supported on lo <= |xi| < hi."""
+    plan = spectral_plan(grid, grid.N)
     noise = rng.standard_normal(grid.shape)
-    mask = (grid.xi_sq >= lo * lo) & (grid.xi_sq < hi * hi)
-    coeffs = np.where(mask, spectral_plan(grid, grid.N).to_coeffs(noise), 0.0)
-    return inverse(SpectralField(grid, coeffs))
+    mask = (plan.xi_sq >= lo * lo) & (plan.xi_sq < hi * hi)
+    return Field(grid, plan.to_values(np.where(mask, plan.to_coeffs(noise), 0.0)))
 
 
 def bernstein_check(grid: TorusGrid, m: int, k: float, trials: int = 200,

@@ -7,16 +7,18 @@ integer frequency vectors xi, so the Laplacian acts as multiplication by
 -4*pi^2*|xi|^2.  Fields are sampled at the N^d cell centers
 x_i = (i + 1/2)/N, which keeps dyadic step functions exactly resolvable.
 
-Coefficients are stored in FFT layout (frequencies 0..N/2-1, -N/2..-1
-per axis) but are *true* Fourier coefficients of the trigonometric
+Coefficients are *true* Fourier coefficients of the trigonometric
 interpolant: the half-cell sampling offset is absorbed into a phase
 factor during the transform.  For a real field every representable pair
 (xi, -xi) is conjugate-symmetric; the unpaired Nyquist slot -N/2 holds a
-purely imaginary coefficient encoding a sine-type mode.
+coefficient encoding a sine-type mode.  A `SpectralField` stores them in
+the full FFT layout (frequencies 0..N/2-1, -N/2..-1 per axis); a
+`SpectralPlan` works in the real-FFT half layout, which drops the
+conjugate half of the last axis.  `full_coeffs`/`half_coeffs` convert.
 
-Every transform goes through a `SpectralPlan`, which alone knows this
-layout and the phase factors; `poly_plan` alone applies the dealiasing
-rule (`dealias_size`) to the polynomials a caller evaluates.
+Every transform goes through a `SpectralPlan`, which alone knows the
+phase factors; `poly_plan` alone applies the dealiasing rule
+(`dealias_size`) to the polynomials a caller evaluates.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ class TorusGrid:
         self.N = N
         self.shape = (N,) * d
         self.size = N ** d
-        self.freq_axes, self.xi_sq, _, _ = _fourier_data(d, N)
+        _, self.xi_sq, _, _ = _fourier_data(d, N)
 
     def coords(self, axis: int = 0) -> np.ndarray:
         """Cell-center coordinates along one axis, broadcastable to shape."""
@@ -159,12 +161,6 @@ class SpectralField:
         return complex(self.coeffs[tuple(c % self.grid.N for c in idx)])
 
 
-def _axis_plane(ndim: int, axis: int, index: int):
-    sl = [slice(None)] * ndim
-    sl[axis] = index
-    return tuple(sl)
-
-
 def dealias_size(N: int, degree: int) -> int:
     """Points per axis M at which a degree-D polynomial of N-point fields
     is evaluated so that its projection back to N points is exact.
@@ -180,16 +176,58 @@ def dealias_size(N: int, degree: int) -> int:
     return M + M % 2
 
 
+def _mirror(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
+    """The coefficient a real field has at each xi, read off at -xi: the
+    conjugate of c(-xi), sign-flipped once per axis where xi sits in the
+    unpaired -N/2 slot (its own mirror; the half-cell phase flips there)."""
+    N = grid.N
+    rev = -np.arange(N) % N
+    sign = np.where(rev == N // 2, -1.0, 1.0)
+    out = coeffs[..., rev] * sign
+    if grid.d == 2:
+        out = out[..., rev, :] * sign[:, None]
+    return np.conj(out)
+
+
+def full_coeffs(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
+    """Full FFT layout of half-layout coefficients (see `SpectralPlan`)."""
+    h = grid.N // 2 + 1
+    full = np.zeros(half.shape[:-1] + (grid.N,), dtype=np.complex128)
+    full[..., :h] = half
+    full[..., h:] = _mirror(grid, full)[..., h:]
+    return full
+
+
+def half_coeffs(grid: TorusGrid, full: np.ndarray) -> np.ndarray:
+    """Half layout of full-layout coefficients, which must be those of a
+    real field: Hermitian-symmetric up to 1e-9 of the largest one."""
+    scale = 1.0 + float(np.max(np.abs(full)))
+    if float(np.max(np.abs(full - _mirror(grid, full)))) > 1e-9 * scale:
+        raise DomainError("coefficients are not Hermitian-symmetric; inverse is not real")
+    return full[..., :grid.N // 2 + 1]
+
+
 class SpectralPlan:
-    """Transforms of one grid, and dealiased products through an M-grid.
+    """Transforms of one grid, and dealiased products through an M-grid,
+    in the real-FFT half layout.
+
+    Coefficients keep the frequencies 0..N/2 of the last axis (all N of
+    the first axis in 2-d); the rest follow from c(-xi) = conj(c(xi)).
+    The N/2 column holds the -N/2 coefficient of the full layout, whose
+    unpaired slot encodes a sine-type mode.  `lam`, `xi_sq`, `freq_axes`
+    and `weight` are laid out alike; a sum of w(xi)|c(xi)|^2 over all
+    frequencies, for w even in xi, is the half-layout sum of
+    weight * w * |c|^2 (weight 1 on columns 0 and N/2, 2 elsewhere).
 
     `to_coeffs`/`to_values` map cell-center samples to coefficients and
     back.  `fine_values` evaluates the interpolant at the cell centers of
     the M-point grid (M >= N even), and `project_fine` is the L^2
     projection of M-point samples onto the N-point band.  Padding splits
-    the unpaired -N/2 plane of each axis between -N/2 and +N/2 with
-    opposite signs (the sine-type mode it encodes); truncation folds +N/2
-    back into -N/2, so project_fine(fine_values(c)) == c.
+    each unpaired -N/2 slot between -N/2 and +N/2 with opposite signs;
+    along the half axis only +N/2 is stored, as -c/2, its mirror holding
+    +c/2.  Truncation folds +N/2 back into -N/2: along the half axis
+    c(xi0, -N/2) = conj(F(-xi0, N/2)) - F(xi0, N/2), then the first axis
+    is folded row by row.  So project_fine(fine_values(c)) == c.
 
     Every method acts on the trailing d axes and maps over any leading
     axes, so a stack of fields of shape (T, *grid.shape) is transformed
@@ -198,82 +236,97 @@ class SpectralPlan:
 
     def __init__(self, grid: TorusGrid, M: int):
         if M < grid.N or M % 2:
-            raise ConfigError(f"fine size {M} must be an even integer >= N={grid.N}")
+            raise ConfigError(f"fine size M must be an even integer >= N={grid.N}, got {M}")
         self.grid = grid
         self.M = M
-        self.lam = FOUR_PI_SQ * grid.xi_sq
         d, N = grid.d, grid.N
-        # `s` passed with `axes` spares numpy's fftn a size lookup, ~5 us a call
+        h = N // 2 + 1
+        axes, xi_sq, fwd, inv = _fourier_data(d, N)
+        self.freq_axes = tuple(a[..., :h] for a in axes)
+        self.xi_sq = xi_sq[..., :h]
+        self.lam = FOUR_PI_SQ * self.xi_sq
+        self.weight = np.where((np.arange(h) == 0) | (np.arange(h) == N // 2), 1.0, 2.0)
+        # `s` passed with `axes` spares numpy a size lookup, ~5 us a call
         self._axes = tuple(range(-d, 0))
         self._fine_shape = (M,) * d
-        _, _, self._fwd, self._inv = _fourier_data(d, N)
-        if M != N:
-            _, _, self._fine_fwd, self._fine_inv = _fourier_data(d, M)
-            self._pad_indices = {}
-
-    def _pad_index(self, ndim: int):
-        """Slot and Nyquist-plane indices of an ndim-dimensional input,
-        built once per ndim with plain leading slices: an Ellipsis costs
-        more per call and turns 1-d Nyquist stores into array stores."""
-        if ndim not in self._pad_indices:
-            d, N, M = self.grid.d, self.grid.N, self.M
-            lead = (slice(None),) * (ndim - d)
-            k = np.arange(N)
-            slots = lead + np.ix_(*[np.where(k < N // 2, k, k + M - N)] * d)
-            # slots of -N/2 and +N/2 along each axis of the M-grid
-            nyquist = [(_axis_plane(ndim, ax, M - N // 2), _axis_plane(ndim, ax, N // 2))
-                       for ax in range(ndim - d, ndim)]
-            self._pad_indices[ndim] = slots, nyquist
-        return self._pad_indices[ndim]
+        self._fwd, self._inv = fwd[..., :h], inv[..., :h]
+        if M == N:
+            return
+        _, _, fine_fwd, fine_inv = _fourier_data(d, M)
+        # rows of the M-grid that hold the N rows of the first axis (2-d)
+        k = np.arange(N)
+        self._rows = np.where(k < N // 2, k, k + M - N)
+        # padding multiplies by the phase of the slot it fills; the -N/2
+        # column is stored at +N/2 as -1/2 c, the -N/2 row (2-d) is split
+        # as +1/2 c there and -1/2 c at the +N/2 row
+        pad = fine_inv[..., :h].copy()
+        pad[..., N // 2] *= -0.5
+        if d == 2:
+            self._pad_split = -0.5 * pad[N // 2]
+            pad = pad[self._rows]
+            pad[N // 2] *= 0.5
+            self._rev = -np.arange(M) % M
+            self._proj_col = fine_fwd[:, N // 2]
+            self._proj_split = fine_fwd[N // 2, :h]
+            self._proj = fine_fwd[self._rows, :h]
+        else:
+            self._proj = fine_fwd[:h]
+        self._pad = pad
 
     def to_coeffs(self, vals: np.ndarray) -> np.ndarray:
-        g = self.grid
-        return np.fft.fftn(vals, s=g.shape, axes=self._axes) / g.size * self._fwd
-
-    def _samples(self, coeffs: np.ndarray) -> np.ndarray:
-        g = self.grid
-        return np.fft.ifftn(coeffs * self._inv, s=g.shape, axes=self._axes) * g.size
+        return np.fft.rfftn(vals, s=self.grid.shape, axes=self._axes,
+                            norm="forward") * self._fwd
 
     def to_values(self, coeffs: np.ndarray) -> np.ndarray:
-        return self._samples(coeffs).real
+        return np.fft.irfftn(coeffs * self._inv, s=self.grid.shape, axes=self._axes,
+                             norm="forward")
 
     def fine_values(self, coeffs: np.ndarray) -> np.ndarray:
         g = self.grid
-        if self.M == g.N:
+        N, M, h = g.N, self.M, g.N // 2 + 1
+        if M == N:
             return self.to_values(coeffs)
-        slots, nyquist = self._pad_index(coeffs.ndim)
-        fine = np.zeros(coeffs.shape[:-g.d] + self._fine_shape, dtype=np.complex128)
-        fine[slots] = coeffs
-        for lo, hi in nyquist:
-            fine[hi] = -0.5 * fine[lo]
-            fine[lo] = 0.5 * fine[lo]
-        return (np.fft.ifftn(fine * self._fine_inv, s=self._fine_shape, axes=self._axes)
-                * self.M ** g.d).real
+        fine = np.zeros(coeffs.shape[:-g.d] + self._fine_shape[:-1] + (M // 2 + 1,),
+                        dtype=np.complex128)
+        c = coeffs * self._pad
+        if g.d == 1:
+            fine[..., :h] = c
+        else:
+            fine[..., :N // 2, :h] = c[..., :N // 2, :]
+            fine[..., M - N // 2:, :h] = c[..., N // 2:, :]
+            fine[..., N // 2, :h] = coeffs[..., N // 2, :] * self._pad_split
+        return np.fft.irfftn(fine, s=self._fine_shape, axes=self._axes, norm="forward")
 
     def project_fine(self, vals: np.ndarray) -> np.ndarray:
-        if self.M == self.grid.N:
+        g = self.grid
+        N, h = g.N, g.N // 2 + 1
+        if self.M == N:
             return self.to_coeffs(vals)
-        slots, nyquist = self._pad_index(vals.ndim)
-        fine = (np.fft.fftn(vals, s=self._fine_shape, axes=self._axes)
-                / self.M ** self.grid.d * self._fine_fwd)
-        for lo, hi in nyquist:
-            fine[lo] -= fine[hi]
-        return fine[slots]
-
-    def poly_coeffs(self, polys, cu: np.ndarray, cv: np.ndarray) -> list:
-        """Coefficients of each polynomial of (u, v), given those of u and
-        v, each evaluated at one fine-grid sampling of u and v.  It runs
-        in every step, so it is a plain loop: a generator, a star call or
-        a comprehension cost sim-1d jobs 1-2% against inlined code."""
-        out, uf = [], None
-        for p in polys:
-            if not p.terms:
-                out.append(np.zeros_like(cu))
-                continue
-            if uf is None:
-                uf, vf = self.fine_values(cu), self.fine_values(cv)
-            out.append(self.project_fine(p.eval_arrays(uf, vf)))
+        fine = np.fft.rfftn(vals, s=self._fine_shape, axes=self._axes, norm="forward")
+        if g.d == 1:
+            out = fine[..., :h] * self._proj
+            col = out[..., N // 2]
+            out[..., N // 2] = np.conj(col) - col
+            return out
+        col = fine[..., N // 2] * self._proj_col
+        col = np.conj(col[..., self._rev]) - col
+        out = fine[..., self._rows, :h] * self._proj
+        out[..., N // 2] = col[..., self._rows]
+        split = fine[..., N // 2, :h] * self._proj_split
+        split[..., N // 2] = col[..., N // 2]
+        out[..., N // 2, :] -= split
         return out
+
+    def poly_coeffs(self, polys, c: np.ndarray) -> np.ndarray:
+        """Coefficients of each polynomial of (u, v), stacked along a new
+        first axis, given the stack c = (coefficients of u, of v).  u and
+        v are sampled on the fine grid in one call, and the polynomials
+        are projected back in one call."""
+        uf, vf = self.fine_values(c)
+        fine = np.empty((len(polys),) + uf.shape)
+        for i, p in enumerate(polys):
+            fine[i] = p.eval_arrays(uf, vf)
+        return self.project_fine(fine)
 
 
 @lru_cache(maxsize=64)
@@ -285,24 +338,19 @@ def spectral_plan(grid: TorusGrid, M: int) -> SpectralPlan:
 def transform(field: Field) -> SpectralField:
     """Forward transform; coefficients satisfy Parseval with the grid mean."""
     g = field.grid
-    return SpectralField(g, spectral_plan(g, g.N).to_coeffs(field.values))
+    return SpectralField(g, full_coeffs(g, spectral_plan(g, g.N).to_coeffs(field.values)))
 
 
 def inverse(sf: SpectralField) -> Field:
     """Inverse transform back to cell-center samples."""
     g = sf.grid
-    vals = spectral_plan(g, g.N)._samples(sf.coeffs)
-    scale = 1.0 + float(np.max(np.abs(vals.real))) if vals.size else 1.0
-    if float(np.max(np.abs(vals.imag))) > 1e-9 * scale:
-        raise DomainError("coefficients are not Hermitian-symmetric; inverse is not real")
-    return Field(g, vals.real)
+    return Field(g, spectral_plan(g, g.N).to_values(half_coeffs(g, sf.coeffs)))
 
 
 def laplacian(field: Field) -> Field:
     """Apply the Laplacian through its Fourier multiplier -4*pi^2*|xi|^2."""
-    g = field.grid
-    sf = transform(field)
-    return inverse(SpectralField(g, sf.coeffs * (-FOUR_PI_SQ * g.xi_sq)))
+    plan = spectral_plan(field.grid, field.grid.N)
+    return Field(field.grid, plan.to_values(-plan.lam * plan.to_coeffs(field.values)))
 
 
 def heat_propagate(field: Field, t: float, m: float = 1.0) -> Field:
@@ -315,10 +363,9 @@ def heat_propagate(field: Field, t: float, m: float = 1.0) -> Field:
         raise DomainError(f"heat time must be nonnegative, got {t}")
     if m <= 0:
         raise DomainError(f"diffusivity must be positive, got {m}")
-    g = field.grid
-    sf = transform(field)
-    mult = np.exp(-m * FOUR_PI_SQ * g.xi_sq * t)
-    return inverse(SpectralField(g, sf.coeffs * mult))
+    plan = spectral_plan(field.grid, field.grid.N)
+    return Field(field.grid, plan.to_values(plan.to_coeffs(field.values)
+                                            * np.exp(-m * t * plan.lam)))
 
 
 def mollify(field: Field, eta: float) -> Field:
@@ -346,5 +393,5 @@ def poly_field(p, u: Field, v: Field) -> Field:
     if u.grid != v.grid:
         raise ConfigError("fields live on different grids")
     plan = poly_plan(u.grid, (p,))
-    (c,) = plan.poly_coeffs((p,), plan.to_coeffs(u.values), plan.to_coeffs(v.values))
-    return inverse(SpectralField(u.grid, c))
+    (c,) = plan.poly_coeffs((p,), plan.to_coeffs(np.stack([u.values, v.values])))
+    return Field(u.grid, plan.to_values(c))

@@ -21,7 +21,7 @@ from .model import (ModelSpec, find_delta_A, flux_polys, smallness_functional,
 from .report import Report
 from .solver import Trajectory, amplitude
 from .spaces import TimeSeriesField, cum_trapz, interp_linear
-from .spectral import FOUR_PI_SQ, Field, TorusGrid, poly_plan, spectral_plan
+from .spectral import Field, TorusGrid, poly_plan, spectral_plan
 
 INEQ_SLACK = 1e-3
 FINE_BATCH_POINTS = 1 << 18
@@ -42,15 +42,15 @@ def _hm1_sq(grid: TorusGrid, stack: np.ndarray) -> np.ndarray:
     nonzero modes); the inhomogeneous Sobolev weight would make the
     forced estimate false already for stationary single-mode forcing.
     """
-    c = spectral_plan(grid, grid.N).to_coeffs(stack)
-    w = np.where(grid.xi_sq > 0.0, FOUR_PI_SQ * grid.xi_sq, 1.0)
-    return _flat(np.abs(c) ** 2 / w).sum(axis=1)
+    plan = spectral_plan(grid, grid.N)
+    w = np.where(plan.lam > 0.0, plan.lam, 1.0)
+    return _flat(plan.weight * np.abs(plan.to_coeffs(stack)) ** 2 / w).sum(axis=1)
 
 
 def _grad_sq(grid: TorusGrid, stack: np.ndarray) -> np.ndarray:
     """Squared L2 norm of the gradient of each state, evaluated spectrally."""
-    c = spectral_plan(grid, grid.N).to_coeffs(stack)
-    return FOUR_PI_SQ * _flat(grid.xi_sq * np.abs(c) ** 2).sum(axis=1)
+    plan = spectral_plan(grid, grid.N)
+    return _flat(plan.weight * plan.lam * np.abs(plan.to_coeffs(stack)) ** 2).sum(axis=1)
 
 
 def grad_norm_sq(field: Field) -> float:
@@ -68,7 +68,7 @@ def _grad_energy(grid: TorusGrid, stack: np.ndarray, weight: np.ndarray) -> np.n
     plan = spectral_plan(grid, grid.N)
     c = plan.to_coeffs(stack)
     total = np.zeros(stack.shape)
-    for freq in grid.freq_axes:
+    for freq in plan.freq_axes:
         mult = 2j * np.pi * np.where(freq == -grid.N // 2, 0.0, freq)
         total += plan.to_values(c * mult) ** 2
     return _flat(weight * total).mean(axis=1)
@@ -84,9 +84,8 @@ def _flux_laplacians(spec: ModelSpec, grid: TorusGrid, u: np.ndarray, v: np.ndar
     batch = max(1, FINE_BATCH_POINTS // plan.M ** grid.d)
     laps = np.empty((2,) + u.shape)
     for i in range(0, len(u), batch):
-        cu, cv = plan.to_coeffs(u[i:i + batch]), plan.to_coeffs(v[i:i + batch])
-        for c, lap in zip(plan.poly_coeffs(polys, cu, cv), laps):
-            lap[i:i + batch] = plan.to_values(-plan.lam * c)
+        c = plan.to_coeffs(np.stack([u[i:i + batch], v[i:i + batch]]))
+        laps[:, i:i + batch] = plan.to_values(-plan.lam * plan.poly_coeffs(polys, c))
     return laps
 
 
@@ -388,7 +387,7 @@ def track_hk(traj: Trajectory, k_sob: int, small: float | None = None):
     for stack in (traj.u, traj.v):
         flat = _flat(stack)
         mean_free = (flat - flat.mean(axis=1, keepdims=True)).reshape(stack.shape)
-        power = np.abs(plan.to_coeffs(mean_free)) ** 2
+        power = plan.weight * np.abs(plan.to_coeffs(mean_free)) ** 2
         hk2 = hk2 + _flat(weight ** k_sob * power).sum(axis=1)
         hk12 = hk12 + _flat(weight ** (k_sob + 1) * power).sum(axis=1)
     a_series = hk2 + cum_trapz(times, hk12)

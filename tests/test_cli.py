@@ -210,6 +210,24 @@ def test_norms_match_library(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--norm", "lp", "--p", "abc"], ["--norm", "lp", "--p", "nan"],
+     ["--norm", "hs", "--s", "abc"], ["--norm", "hs", "--s", "inf"],
+     ["--norm", "nk", "--k", "abc"], ["--norm", "nk", "--k", "2", "--tol", "nan"]],
+    ids=["string-p", "nan-p", "string-s", "inf-s", "string-k", "nan-tol"],
+)
+def test_malformed_norm_flags_exit_code(tmp_path, capsys, flags):
+    grid = TorusGrid(1, 32)
+    path = tmp_path / "cos.csv"
+    write_field(path, Field(grid, np.cos(2 * np.pi * grid.coords(0))))
+    assert run_cli(["norms", "--input", str(path)] + flags) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_counterexample_command(tmp_path):
     report = tmp_path / "ce.json"
     code = run_cli(
@@ -312,10 +330,18 @@ def test_malformed_json_exit_code(tmp_path, capsys):
         {"record_every": True},
         {"dt": "1e-3"},
         {"dt": 1e-16, "t_end": 1},
+        {"model": dict(MODEL, N=32.7)},
+        {"model": dict(MODEL, d=1.5)},
+        {"model": dict(MODEL, d1=True)},
+        {"model": dict(MODEL, d1="1.0")},
+        {"model": dict(MODEL, d1=math.nan)},
+        {"model": dict(MODEL, p=[[1.5, 0, 1.0]])},
+        {"model": dict(MODEL, q=[[1, 0, "1.0"]])},
     ],
     ids=["nan-dt", "inf-t_end", "bad-record_every", "bad-mode", "fractional-mode",
          "bool-mode", "fractional-record_every", "bool-record_every", "string-dt",
-         "too-many-steps"],
+         "too-many-steps", "fractional-N", "fractional-d", "bool-d1", "string-d1",
+         "nan-d1", "fractional-exponent", "string-coefficient"],
 )
 def test_malformed_run_parameters_exit_code(tmp_path, capsys, overrides):
     cfg = write_json(tmp_path / "run.json", run_config(**overrides))

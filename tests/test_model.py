@@ -63,6 +63,18 @@ def test_poly_eval_arrays_matches_scalar(rng):
         assert v == pytest.approx(p.eval(row[0], row[1]), rel=1e-13)
 
 
+def test_poly_eval_arrays_is_the_power_form_bitwise(rng):
+    # zero and unit exponents take no power, yet every bit is that of
+    # sum(c * X**i * Y**j) over the terms
+    x, y = rng.uniform(0.0, 2.0, size=(2, 64))
+    p = Poly2Signed({(0, 0): 0.3, (1, 0): 1.7, (0, 1): -0.2, (2, 1): 1.1,
+                     (1, 3): 0.7, (0, 2): 2.3})
+    power_form = np.zeros(64)
+    for (i, j), c in p.terms.items():
+        power_form += float(c) * x ** i * y ** j
+    assert np.array_equal(p.eval_arrays(x, y), power_form)
+
+
 def test_poly2_rejects_negative():
     with pytest.raises(DomainError, match="negative"):
         Poly2({(1, 0): -1.0})
@@ -79,6 +91,11 @@ def test_model_spec_validation():
         ModelSpec(0.0, 1.0, Poly2({}), Poly2({}))
     with pytest.raises(DomainError, match="positive"):
         ModelSpec(1.0, 1.0, Poly2({}), Poly2({}), eta=-1e-6)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            ModelSpec(bad, 1.0, Poly2({}), Poly2({}))
+        with pytest.raises(DomainError, match="finite"):
+            ModelSpec(1.0, 1.0, Poly2({}), Poly2({}), trunc_delta=bad)
     with pytest.raises(ConfigError, match="Poly2"):
         ModelSpec(1.0, 1.0, Poly2Signed({(1, 0): -1.0}), Poly2({}))
 

@@ -1,9 +1,12 @@
 """Stepper exactness, conservation, blowup handling, and the scalar solver."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossflux.errors import BlowupError, ConfigError, DomainError
 from crossflux.model import ModelSpec, Poly2, X, Y
@@ -11,17 +14,17 @@ from crossflux.solver import (
     RK4_STABILITY_CONSTANT,
     RunConfig,
     State,
-    Trajectory,
     rk4_max_dt,
     simulate,
     solve_kolmogorov,
 )
 from crossflux.spaces import TimeSeriesField
-from crossflux.spectral import FOUR_PI_SQ, Field, TorusGrid
+from crossflux.spectral import FOUR_PI_SQ, Field, SpectralPlan, TorusGrid, spectral_plan
 
 
 HEAT = ModelSpec(0.3, 0.3, Poly2({}), Poly2({}))
 SKT = ModelSpec(1.0, 1.0, X + Y, X + Y)
+CUBIC = ModelSpec(1.0, 1.5, Poly2({(0, 2): 1.0}), Poly2({(2, 0): 1.0}))
 
 
 def one_step(state, spec, dt, scheme):
@@ -226,3 +229,110 @@ def test_kolmogorov_recording_grid(grid32, cosine):
     np.testing.assert_allclose(z.times, [0.0, 7e-4, 1.4e-3, 2e-3], atol=1e-15)
     assert z.values.shape == (4, 32)
     np.testing.assert_array_equal(z.values[0], cosine(grid32).values)
+
+
+def _full_pad(c, N, M):
+    """Full-layout coefficients zero-padded from N to M points per axis;
+    the unpaired -N/2 slot is split as c/2 at -N/2 and -c/2 at +N/2."""
+    for ax in range(c.ndim):
+        c = np.moveaxis(c, ax, 0)
+        out = np.zeros((M,) + c.shape[1:], dtype=complex)
+        out[:N // 2] = c[:N // 2]
+        out[M - N // 2 + 1:] = c[N // 2 + 1:]
+        out[M - N // 2] = 0.5 * c[N // 2]
+        out[N // 2] = -0.5 * c[N // 2]
+        c = np.moveaxis(out, 0, ax)
+    return c
+
+
+def _full_truncate(F, N, M):
+    """M-point full-layout coefficients cut back to N points per axis,
+    with +N/2 folded into -N/2 as F(-N/2) - F(+N/2)."""
+    for ax in range(F.ndim):
+        F = np.moveaxis(F, ax, 0)
+        out = np.empty((N,) + F.shape[1:], dtype=complex)
+        out[:N // 2] = F[:N // 2]
+        out[N // 2 + 1:] = F[M - N // 2 + 1:]
+        out[N // 2] = F[M - N // 2] - F[N // 2]
+        F = np.moveaxis(out, 0, ax)
+    return F
+
+
+def _phase(d, n):
+    """exp(-i pi sum(xi) / n): the half-cell offset of the n^d cell centers."""
+    xi = np.fft.fftfreq(n) * n
+    return np.exp(-1j * np.pi * sum(np.meshgrid(*[xi] * d, indexing="ij")) / n)
+
+
+def reference_imex(spec, u0, v0, dt, n_steps):
+    """Dealiased IMEX in the full complex layout with np.fft.fftn, padded to
+    M = 3N (exact for fluxes up to cubic), independent of SpectralPlan."""
+    d, N = u0.ndim, u0.shape[0]
+    M = 3 * N
+    ph, ph_fine = _phase(d, N), _phase(d, M)
+    xi = np.fft.fftfreq(N) * N
+    lam = FOUR_PI_SQ * sum(a ** 2 for a in np.meshgrid(*[xi] * d, indexing="ij"))
+
+    def coeffs(vals):
+        return np.fft.fftn(vals) / N ** d * ph
+
+    def fine(c):
+        return (np.fft.ifftn(_full_pad(c, N, M) / ph_fine) * M ** d).real
+
+    def project(vals):
+        return _full_truncate(np.fft.fftn(vals) / M ** d * ph_fine, N, M)
+
+    cu, cv = coeffs(u0), coeffs(v0)
+    for _ in range(n_steps):
+        uf, vf = fine(cu), fine(cv)
+        cw1 = project(uf * spec.p.eval_arrays(uf, vf))
+        cw2 = project(vf * spec.q.eval_arrays(uf, vf))
+        cu = (cu - dt * lam * cw1) / (1.0 + dt * lam * spec.d1)
+        cv = (cv - dt * lam * cw2) / (1.0 + dt * lam * spec.d2)
+    return [(np.fft.ifftn(c / ph) * N ** d).real for c in (cu, cv)]
+
+
+@pytest.mark.parametrize("spec", [SKT, CUBIC], ids=["skt", "cubic"])
+@pytest.mark.parametrize("d, N", [(1, 32), (2, 16)])
+def test_simulate_matches_full_layout_reference(rng, spec, d, N):
+    # white data fills every slot, the unpaired -N/2 ones included
+    grid = TorusGrid(d, N)
+    u0 = 0.5 + 0.1 * rng.uniform(-1.0, 1.0, grid.shape)
+    v0 = 0.6 + 0.1 * rng.uniform(-1.0, 1.0, grid.shape)
+    dt, n_steps = 1e-5, 20
+    traj = simulate(RunConfig(spec, State(0.0, Field(grid, u0), Field(grid, v0)),
+                              dt=dt, t_end=n_steps * dt, record_every=n_steps))
+    ref_u, ref_v = reference_imex(spec, u0, v0, dt, n_steps)
+    assert np.max(np.abs(traj.u[-1] - ref_u)) < 1e-13
+    assert np.max(np.abs(traj.v[-1] - ref_v)) < 1e-13
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=st.sampled_from([1, 2]), seed=st.integers(0, 2 ** 32 - 1),
+       scheme=st.sampled_from(["imex", "rk4", "regularized"]))
+def test_simulate_keeps_zero_coefficients_bitwise(d, seed, scheme):
+    # every coefficient stack the loop turns into samples carries the
+    # initial zero coefficients of u and v unchanged: exact mass conservation
+    grid = TorusGrid(d, 16 if d == 1 else 8)
+    data = np.random.default_rng(seed)
+    u0, v0 = (m + 0.2 * data.uniform(0.0, 1.0, grid.shape) for m in (0.3, 0.4))
+    spec = ModelSpec(1.0, 1.5, X + Y, X + Y, eta=1e-4, trunc_delta=0.45)
+    dt = 0.5 * rk4_max_dt(spec, State(0.0, Field(grid, u0), Field(grid, v0)))
+    cfg = RunConfig(spec, State(0.0, Field(grid, u0), Field(grid, v0)), dt=dt,
+                    t_end=5 * dt, scheme="imex" if scheme == "regularized" else scheme,
+                    variant="regularized" if scheme == "regularized" else "plain")
+    zero = (slice(None),) + (0,) * d
+    seen = []
+    original = SpectralPlan.to_values
+
+    def spy(plan, coeffs):
+        if coeffs.shape[:1] == (2,) and coeffs.ndim == d + 1:
+            seen.append(coeffs[zero].copy())
+        return original(plan, coeffs)
+
+    with mock.patch.object(SpectralPlan, "to_values", spy):
+        simulate(cfg)
+    initial = spectral_plan(grid, grid.N).to_coeffs(np.stack([u0, v0]))[zero]
+    assert len(seen) >= 5
+    for c0 in seen:
+        assert np.array_equal(c0, initial)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossflux.errors import ConfigError, DomainError
 from crossflux.model import X, Y
@@ -13,6 +15,7 @@ from crossflux.spectral import (
     SpectralField,
     TorusGrid,
     dealias_size,
+    half_coeffs,
     heat_propagate,
     inverse,
     laplacian,
@@ -27,8 +30,8 @@ from crossflux.spectral import (
 def padded_poly(p, u, v, M):
     """p(u, v) evaluated on the M-point grid and projected back."""
     plan = spectral_plan(u.grid, M)
-    (c,) = plan.poly_coeffs((p,), plan.to_coeffs(u.values), plan.to_coeffs(v.values))
-    return inverse(SpectralField(u.grid, c))
+    (c,) = plan.poly_coeffs((p,), plan.to_coeffs(np.stack([u.values, v.values])))
+    return Field(u.grid, plan.to_values(c))
 
 
 def test_grid_validation():
@@ -118,7 +121,8 @@ def test_heat_propagate_closed_form(grid64, cosine):
 
 def test_resample_evaluates_interpolant(grid32):
     f = Field(grid32, np.cos(2 * np.pi * grid32.coords(0)))
-    fine = spectral_plan(grid32, 128).fine_values(transform(f).coeffs)
+    plan = spectral_plan(grid32, 128)
+    fine = plan.fine_values(plan.to_coeffs(f.values))
     x_fine = (np.arange(128) + 0.5) / 128
     np.testing.assert_allclose(fine, np.cos(2 * np.pi * x_fine), atol=1e-13)
     with pytest.raises(ConfigError, match="even integer"):
@@ -129,7 +133,8 @@ def test_resample_evaluates_interpolant(grid32):
 
 def test_resample_preserves_mean(rng, grid32):
     f = Field(grid32, rng.standard_normal(32))
-    fine = spectral_plan(grid32, 96).fine_values(transform(f).coeffs)
+    plan = spectral_plan(grid32, 96)
+    fine = plan.fine_values(plan.to_coeffs(f.values))
     assert np.mean(fine) == pytest.approx(np.mean(f.values), abs=1e-13)
 
 
@@ -168,6 +173,35 @@ def test_plan_maps_over_leading_axes(rng, d, N, M):
         out = method(stack)
         for i in range(3):
             assert np.array_equal(out[i], method(stack[i]))
+
+
+grids = st.sampled_from([(1, 8), (1, 16), (1, 32), (2, 8), (2, 16)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=grids, extra=st.integers(1, 20), seed=st.integers(0, 2 ** 32 - 1))
+def test_half_layout_pad_project_round_trip(grid, extra, seed):
+    # white data fills the unpaired -N/2 slots; any even M > N works
+    g = TorusGrid(*grid)
+    plan = spectral_plan(g, g.N + 2 * extra)
+    c = plan.to_coeffs(np.random.default_rng(seed).standard_normal((2,) + g.shape))
+    assert np.max(np.abs(plan.project_fine(plan.fine_values(c)) - c)) < 1e-15
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=grids, seed=st.integers(0, 2 ** 32 - 1))
+def test_half_layout_is_the_left_half_of_the_full_one(grid, seed):
+    g = TorusGrid(*grid)
+    f = Field(g, np.random.default_rng(seed).standard_normal(g.shape))
+    half = spectral_plan(g, g.N).to_coeffs(f.values)
+    full = transform(f).coeffs
+    assert np.array_equal(half, full[..., :g.N // 2 + 1])
+    assert np.array_equal(half_coeffs(g, full), half)
+    # against the full complex transform, phases applied per axis
+    xi = np.rint(np.fft.fftfreq(g.N) * g.N)
+    phase = np.exp(-1j * np.pi * sum(np.meshgrid(*[xi] * g.d, indexing="ij")) / g.N)
+    direct = np.fft.fftn(f.values) / g.size * phase
+    assert np.max(np.abs(full - direct)) < 1e-15
 
 
 @pytest.mark.parametrize("polys", [(X * Y,), (X, X * X * Y), (Y * Y * Y, X)])

@@ -10,7 +10,7 @@ from crossflux.errors import ConfigError, DomainError
 from crossflux.model import ModelSpec, Poly2, X, Y
 from crossflux.solver import RunConfig, State, Trajectory, simulate, solve_kolmogorov
 from crossflux.spaces import TimeSeriesField
-from crossflux.spectral import FOUR_PI_SQ, Field, TorusGrid
+from crossflux.spectral import FOUR_PI_SQ, Field
 from crossflux.verifier import (
     check_duality,
     check_energy_decay,
