@@ -283,8 +283,12 @@ def _sweep_row(payload: str) -> str:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             traj = simulate(cfg)
-            small = smallness_functional(cfg.initial.u, cfg.initial.v, spec, k)
             lam, lam_rep = track_lambda(traj, spec, k, delta=delta)
+            # track_lambda measures the smallness of the recorded initial
+            # state, a copy of cfg.initial, when checks.delta is set
+            small = lam_rep.measured.get("smallness")
+            if small is None:
+                small = smallness_functional(cfg.initial.u, cfg.initial.v, spec, k)
             rate_rep = fit_decay_rate(traj)
         row = (repr(float(value)), repr(small), repr(float(lam[-1])),
                repr(rate_rep.measured["rate"]),

@@ -16,7 +16,6 @@ import tempfile
 import numpy as np
 
 from .errors import ConfigError
-from .spaces import lp_norm
 from .spectral import Field, TorusGrid
 
 _FIELD_HEADER = re.compile(r"#\s*d=(\d+)\s+N=(\d+)\s*$")
@@ -36,12 +35,15 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def _field_text(grid: TorusGrid, values: np.ndarray) -> str:
+    lines = [f"# d={grid.d} N={grid.N}"]
+    lines.extend(map(repr, values.ravel(order="C").tolist()))
+    return "\n".join(lines) + "\n"
+
+
 def write_field(path: str, field: Field) -> None:
     """One value per line in row-major order, after a shape header."""
-    g = field.grid
-    lines = [f"# d={g.d} N={g.N}"]
-    lines.extend(repr(float(v)) for v in field.values.ravel(order="C"))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, _field_text(field.grid, field.values))
 
 
 def read_field(path: str) -> Field:
@@ -70,14 +72,17 @@ def read_field(path: str) -> Field:
 
 
 def trajectory_csv(traj) -> str:
-    """Summary rows at recorded times: masses, minima, L2 norms."""
+    """Summary rows at recorded times: masses, minima, L2 norms.  Each
+    column is one reduction over the state stacks; the L2 root is taken
+    per state, as `lp_norm` takes it."""
+    n = len(traj.times)
+    u, v = traj.u.reshape(n, -1), traj.v.reshape(n, -1)
+    l2_u, l2_v = ([float(m ** 0.5) for m in np.mean(np.abs(s) ** 2, axis=1)]
+                  for s in (u, v))
+    cols = (traj.times.tolist(), u.mean(axis=1).tolist(), v.mean(axis=1).tolist(),
+            u.min(axis=1).tolist(), v.min(axis=1).tolist(), l2_u, l2_v)
     lines = ["t,mass_u,mass_v,min_u,min_v,l2_u,l2_v"]
-    for t, state in zip(traj.times, traj.states):
-        u, v = state.u, state.v
-        row = (float(t), float(u.values.mean()), float(v.values.mean()),
-               float(u.values.min()), float(v.values.min()),
-               lp_norm(u, 2), lp_norm(v, 2))
-        lines.append(",".join(repr(x) for x in row))
+    lines.extend(",".join(map(repr, row)) for row in zip(*cols))
     return "\n".join(lines) + "\n"
 
 
@@ -87,9 +92,10 @@ def write_trajectory(path: str, traj) -> None:
 
 def dump_fields(directory: str, traj) -> None:
     """One field CSV per species per recorded time."""
-    for idx, state in enumerate(traj.states):
-        write_field(os.path.join(directory, f"u_{idx:06d}.csv"), state.u)
-        write_field(os.path.join(directory, f"v_{idx:06d}.csv"), state.v)
+    g = traj.grid
+    for idx, (u, v) in enumerate(zip(traj.u, traj.v)):
+        atomic_write_text(os.path.join(directory, f"u_{idx:06d}.csv"), _field_text(g, u))
+        atomic_write_text(os.path.join(directory, f"v_{idx:06d}.csv"), _field_text(g, v))
 
 
 def write_reports(path: str, reports) -> None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -268,13 +269,16 @@ def _entropy_matrix_pd(spec: ModelSpec, delta: float, n: int = 64) -> bool:
     return bool(np.all(m11 > 0) and np.all(m22 > 0) and np.all(m11 * m22 - off ** 2 > 0))
 
 
+@lru_cache(maxsize=64)
 def find_delta_A(spec: ModelSpec, cap: float = CAP) -> float:
     """Largest certified box [0, delta]^2 on which the symmetrized duality
     matrix stays positive definite, shrunk by a 1% safety factor.
 
     The box is sampled on a 64 x 64 grid including the corner; the matrix
     entries are monotone in (a, b) for nonnegative coefficients, so the
-    sampling is a faithful certificate at this resolution.
+    sampling is a faithful certificate at this resolution.  The result
+    depends on the spec alone (frozen, and hashed by value, as its
+    polynomials are never changed after construction), so it is cached.
     """
     if _entropy_matrix_pd(spec, cap):
         return cap

@@ -60,6 +60,13 @@ _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
 _NK_T_MIN = 1e-6
 _NK_RATIO = 1.15
 _NK_MAX_SEGMENTS = 2000
+# segments per block of the N_k quadrature.  A typical call needs 60-100;
+# at 1-d N=32 on a 2-core Xeon, blocks of 32 took 0.7 ms a call, blocks
+# of 16 0.9 ms and blocks of 128 1.2 ms
+_NK_BLOCK_SEGMENTS = 32
+
+# grid points of stacked temporaries per batch, here and in the checkers
+FINE_BATCH_POINTS = 1 << 18
 
 
 def besov_Nk(field: Field, k: float, tol: float = 1e-8) -> float:
@@ -69,6 +76,14 @@ def besov_Nk(field: Field, k: float, tol: float = 1e-8) -> float:
     geometric grid t_min * ratio^j; integration stops once the analytic
     single-mode tail bound I(T)/(4*pi^2*k) contributes less than `tol`
     relatively, and that tail is added to the result.
+
+    The integrand is evaluated a block of consecutive segments at a
+    time: the Gauss nodes and right ends of up to _NK_BLOCK_SEGMENTS
+    segments go through one stacked inverse transform, and a block holds
+    at most FINE_BATCH_POINTS grid points (a single segment when one
+    exceeds that).  The sums are accumulated segment by segment in the
+    order of a node-by-node evaluation, so the value is the same to the
+    bit; values computed past the stopping segment are discarded.
     """
     if not (1.0 < k < math.inf):
         raise DomainError(f"exponent must lie in (1, inf), got {k}")
@@ -82,24 +97,43 @@ def besov_Nk(field: Field, k: float, tol: float = 1e-8) -> float:
             "Subtract the average first.")
     plan = spectral_plan(g, g.N)
     coeffs = plan.to_coeffs(field.values)
+    rows = len(_GAUSS_X) + 1
+    block = max(1, min(_NK_BLOCK_SEGMENTS, FINE_BATCH_POINTS // (rows * g.size)))
 
-    def integrand(t: float) -> float:
-        vals = plan.to_values(coeffs * np.exp(-plan.lam * t))
-        return float(np.mean(np.abs(vals) ** k))
+    def integrands(t: np.ndarray) -> np.ndarray:
+        """The integrand at each time of t, of any shape."""
+        decay = np.exp(-plan.lam * t.reshape(t.shape + (1,) * g.d))
+        vals = plan.to_values(coeffs * decay)
+        return np.mean(np.abs(vals.reshape(t.shape + (-1,))) ** k, axis=-1)
 
-    def segment(a: float, b: float) -> float:
+    def nodes(a, b) -> np.ndarray:
+        """Gauss nodes of the segments [a, b], one row per segment."""
         half = 0.5 * (b - a)
         mid = 0.5 * (a + b)
-        return half * sum(w * integrand(mid + half * x)
-                          for x, w in zip(_GAUSS_X, _GAUSS_W))
+        return np.multiply.outer(half, _GAUSS_X) + np.asarray(mid)[..., None]
 
-    acc = segment(0.0, _NK_T_MIN)
-    t = _NK_T_MIN
+    def segment(a, b, f):
+        """Gauss sum over [a, b], or over each of the segments [a[i], b[i]]
+        when f holds one row of node values per node."""
+        return 0.5 * (b - a) * sum(w * fx for w, fx in zip(_GAUSS_W, f))
+
+    def segments():
+        """(integral over the segment, integrand at its right end) for
+        each segment of the geometric grid, one block at a time."""
+        t = _NK_T_MIN
+        for start in range(0, _NK_MAX_SEGMENTS, block):
+            ends = [t]
+            for _ in range(min(block, _NK_MAX_SEGMENTS - start)):
+                ends.append(ends[-1] * _NK_RATIO)
+            a, b = np.array(ends[:-1]), np.array(ends[1:])
+            f = integrands(np.column_stack([nodes(a, b), b]))
+            yield from zip(segment(a, b, f[:, :-1].T).tolist(), f[:, -1].tolist())
+            t = ends[-1]
+
+    acc = segment(0.0, _NK_T_MIN, integrands(nodes(0.0, _NK_T_MIN)))
     tail = 0.0
-    for _ in range(_NK_MAX_SEGMENTS):
-        acc += segment(t, t * _NK_RATIO)
-        t *= _NK_RATIO
-        right = integrand(t)
+    for part, right in segments():
+        acc += part
         tail = right / (FOUR_PI_SQ * k)
         if right == 0.0:
             tail = 0.0

@@ -20,11 +20,10 @@ from .model import (ModelSpec, find_delta_A, flux_polys, smallness_functional,
                     stability_constants)
 from .report import Report
 from .solver import Trajectory, amplitude
-from .spaces import TimeSeriesField, cum_trapz, interp_linear
+from .spaces import FINE_BATCH_POINTS, TimeSeriesField, cum_trapz, interp_linear
 from .spectral import Field, TorusGrid, poly_plan, spectral_plan
 
 INEQ_SLACK = 1e-3
-FINE_BATCH_POINTS = 1 << 18
 
 
 def _flat(stack: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from crossflux.cli import _worker_count, run_cli
 from crossflux.errors import ConfigError
 from crossflux.io import read_field, write_field
 from crossflux.model import thresholds as model_thresholds
-from crossflux.model import ModelSpec, Poly2
+from crossflux.model import ModelSpec, Poly2, parse_model_json, smallness_functional
 from crossflux.spaces import besov_Nk, sobolev_norm
 from crossflux.spectral import Field, TorusGrid
 
@@ -288,6 +288,23 @@ def test_sweep_serial_parallel_identical(tmp_path, monkeypatch):
     rows = list(csv.DictReader(serial.open()))
     assert [r["value"] for r in rows] == ["0.5", "1.0"]
     assert float(rows[0]["smallness"]) < float(rows[1]["smallness"])
+
+
+@pytest.mark.parametrize("checks", [{"k": 2.0, "delta": 0.3}, {"k": 2.0}])
+def test_sweep_smallness_is_that_of_the_initial_data(tmp_path, checks):
+    # with checks.delta the lambda report measures it; without, the row
+    # computes it: either way it is the functional of the initial data
+    base = run_config(dt=1e-3, t_end=1e-2, record_every=1)
+    base["checks"] = checks
+    cfg = write_json(tmp_path / "sweep.json",
+                     {"base": base, "axis": "amplitude", "values": [1.0]})
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    (row,) = csv.DictReader(out.open())
+    grid, spec = parse_model_json(base["model"])
+    wave = np.cos(2.0 * np.pi * 1 * grid.coords(0))
+    u, v = Field(grid, 0.5 + 0.05 * wave), Field(grid, 0.6 + 0.05 * wave)
+    assert row["smallness"] == repr(smallness_functional(u, v, spec, 2.0))
 
 
 def test_sweep_rejects_empty_values(tmp_path, capsys):

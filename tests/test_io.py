@@ -18,6 +18,7 @@ from crossflux.io import (
 from crossflux.model import X, Y, ModelSpec
 from crossflux.report import Report
 from crossflux.solver import RunConfig, State, simulate
+from crossflux.spaces import lp_norm
 from crossflux.spectral import Field, TorusGrid
 
 
@@ -67,6 +68,30 @@ def test_dump_fields(grid32, cosine, tmp_path):
         u = read_field(tmp_path / f"u_{n:06d}.csv")
         np.testing.assert_array_equal(u.values, traj.states[n].u.values)
         assert (tmp_path / f"v_{n:06d}.csv").exists()
+
+
+def test_writers_match_state_by_state_forms(tmp_path, cosine, rng):
+    # the stack reductions write the bytes of the per-State forms: a row
+    # of Field reductions per recorded state, a write_field per field
+    for grid in (TorusGrid(1, 32), TorusGrid(2, 8)):
+        spec = ModelSpec(1.0, 1.5, X + Y, X * X)
+        u0 = Field(grid, 0.5 + 0.1 * rng.standard_normal(grid.shape))
+        v0 = cosine(grid, mean=0.3, amp=0.1)
+        traj = simulate(RunConfig(spec, State(0.0, u0, v0), dt=1e-5, t_end=4e-5))
+        lines = ["t,mass_u,mass_v,min_u,min_v,l2_u,l2_v"]
+        for t, st in zip(traj.times, traj.states):
+            row = (float(t), float(st.u.values.mean()), float(st.v.values.mean()),
+                   float(st.u.values.min()), float(st.v.values.min()),
+                   lp_norm(st.u, 2), lp_norm(st.v, 2))
+            lines.append(",".join(repr(x) for x in row))
+        assert trajectory_csv(traj) == "\n".join(lines) + "\n"
+
+        dump_fields(tmp_path / "dump", traj)
+        for n, st in enumerate(traj.states):
+            for tag, field in (("u", st.u), ("v", st.v)):
+                write_field(tmp_path / "one.csv", field)
+                dumped = tmp_path / "dump" / f"{tag}_{n:06d}.csv"
+                assert dumped.read_bytes() == (tmp_path / "one.csv").read_bytes()
 
 
 def test_write_reports_schema(tmp_path):

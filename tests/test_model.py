@@ -139,6 +139,20 @@ def test_find_delta_a():
     assert find_delta_A(ModelSpec(1.0, 1.0, Poly2({}), Poly2({}))) == CAP
 
 
+def test_find_delta_a_is_cached_per_spec():
+    # two specs built apart, with their terms in another order, are equal
+    # and share one cache entry
+    a = ModelSpec(1.25, 0.75, Poly2({(1, 0): 0.5, (0, 2): 0.25}), Poly2({(2, 0): 0.125}))
+    b = ModelSpec(1.25, 0.75, Poly2({(0, 2): 0.25, (1, 0): 0.5}), Poly2({(2, 0): 0.125}))
+    assert a is not b and a == b
+    value = find_delta_A(a)
+    info = find_delta_A.cache_info()
+    assert find_delta_A(b) == value
+    after = find_delta_A.cache_info()
+    assert (after.hits, after.currsize) == (info.hits + 1, info.currsize)
+    assert value == find_delta_A.__wrapped__(b)
+
+
 def test_bootstrap_poly_and_delta():
     P = bootstrap_poly(skt())
     assert P.terms == {2: 8.0}

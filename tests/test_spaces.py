@@ -7,6 +7,7 @@ import pytest
 
 from crossflux.errors import ConfigError, DomainError
 from crossflux.spaces import (
+    FINE_BATCH_POINTS,
     REGRESSION_CONSTANTS,
     TimeSeriesField,
     bernstein_check,
@@ -22,7 +23,8 @@ from crossflux.spaces import (
     sobolev_norm,
     spacetime_lk,
 )
-from crossflux.spectral import FOUR_PI_SQ, Field, TorusGrid, laplacian, transform
+from crossflux.spectral import (FOUR_PI_SQ, Field, TorusGrid, laplacian, spectral_plan,
+                                transform)
 
 
 def test_lebesgue_oracles(grid64, cosine):
@@ -75,6 +77,65 @@ def test_besov_heat_contraction(rng, grid64):
 
     f = random_band_field(grid64, 1, 16, rng)
     assert besov_Nk(heat_propagate(f, 1e-3), 2) <= besov_Nk(f, 2) * (1 + 1e-9)
+
+
+def test_besov_blocks_match_node_by_node_quadrature_bitwise(rng):
+    # the quadrature as evaluated one node at a time, one inverse
+    # transform per node; it also reports why and after how many
+    # segments it stopped
+    def reference(field, k, tol):
+        g = field.grid
+        plan = spectral_plan(g, g.N)
+        coeffs = plan.to_coeffs(field.values)
+        nodes, weights = np.polynomial.legendre.leggauss(5)
+
+        def integrand(t):
+            vals = plan.to_values(coeffs * np.exp(-plan.lam * t))
+            return float(np.mean(np.abs(vals) ** k))
+
+        def segment(a, b):
+            half = 0.5 * (b - a)
+            mid = 0.5 * (a + b)
+            return half * sum(w * integrand(mid + half * x)
+                              for x, w in zip(nodes, weights))
+
+        acc = segment(0.0, 1e-6)
+        t = 1e-6
+        tail = 0.0
+        stop = "limit"
+        for n in range(1, 2001):
+            acc += segment(t, t * 1.15)
+            t *= 1.15
+            right = integrand(t)
+            tail = right / (FOUR_PI_SQ * k)
+            if right == 0.0:
+                tail, stop = 0.0, "zero"
+                break
+            if tail < tol * (acc + tail):
+                stop = "tol"
+                break
+        return float((acc + tail) ** (1.0 / k)), stop, n
+
+    for d, N in ((1, 32), (1, 256), (2, 16), (2, 64)):
+        g = TorusGrid(d, N)
+        vals = rng.standard_normal(g.shape)
+        f = Field(g, vals - vals.mean())
+        for k in (1.5, 3.0, 4.0):
+            for tol in (1e-4, 1e-8, 1e-12):
+                value, stop, segments = reference(f, k, tol)
+                assert stop == "tol"
+                assert besov_Nk(f, k, tol) == value
+        if (d, N) == (2, 64):
+            # a block of 2-d N=64 segments fills the point budget early
+            assert segments > FINE_BATCH_POINTS // (6 * g.size)
+    # the alternating field has no mean coefficient at all, so its
+    # integrand underflows to zero before a tiny tolerance is met
+    g = TorusGrid(1, 256)
+    alt = Field(g, np.where(np.arange(256) % 2, -1.0, 1.0))
+    for k in (1.5, 4.0):
+        value, stop, segments = reference(alt, k, 1e-300)
+        assert stop == "zero" and segments > 32  # past a first block of 32
+        assert besov_Nk(alt, k, 1e-300) == value
 
 
 def test_spacetime_norm_closed_form(grid32):

@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossflux.errors import ConfigError, DomainError
-from crossflux.model import X, Y
+from crossflux.model import X, Y, Poly2Signed
 from crossflux.spectral import (
     FOUR_PI_SQ,
     Field,
     SpectralField,
     TorusGrid,
     dealias_size,
+    full_coeffs,
     half_coeffs,
     heat_propagate,
     inverse,
@@ -202,6 +203,44 @@ def test_half_layout_is_the_left_half_of_the_full_one(grid, seed):
     phase = np.exp(-1j * np.pi * sum(np.meshgrid(*[xi] * g.d, indexing="ij")) / g.N)
     direct = np.fft.fftn(f.values) / g.size * phase
     assert np.max(np.abs(full - direct)) < 1e-15
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=grids, lead=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_full_layout_is_hermitian_and_halves_back(grid, lead, seed):
+    # a random half stack of real fields: its full layout halves back
+    # exactly, and is Hermitian, so the full complex inverse is real
+    g = TorusGrid(*grid)
+    vals = np.random.default_rng(seed).standard_normal((lead,) + g.shape)
+    half = spectral_plan(g, g.N).to_coeffs(vals)
+    full = full_coeffs(g, half)
+    assert np.array_equal(half_coeffs(g, full), half)
+    xi = np.rint(np.fft.fftfreq(g.N) * g.N)
+    phase = np.exp(1j * np.pi * sum(np.meshgrid(*[xi] * g.d, indexing="ij")) / g.N)
+    back = np.fft.ifftn(full * phase, axes=tuple(range(-g.d, 0))) * g.size
+    assert np.max(np.abs(back.imag)) < 1e-14
+    assert np.max(np.abs(back.real - vals)) < 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=grids, degree=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_poly_plan_dealiases_random_degrees_exactly(grid, degree, seed):
+    # a random signed polynomial of the given total degree, evaluated at
+    # full-band data (unpaired -N/2 slots included): the default plan
+    # matches a projection through a much finer one
+    g = TorusGrid(*grid)
+    rng = np.random.default_rng(seed)
+    terms = {(i, n - i): rng.uniform(-1.0, 1.0)
+             for n in range(1, degree + 1) for i in range(n + 1)
+             if n == degree or rng.random() < 0.5}
+    p = Poly2Signed(terms)
+    assert p.total_degree() == degree
+    vals = rng.standard_normal((2,) + g.shape)
+    vals /= np.max(np.abs(vals))
+    plan = poly_plan(g, (p,))
+    fine = spectral_plan(g, 2 * dealias_size(g.N, degree))
+    c = plan.to_coeffs(vals)
+    assert np.max(np.abs(plan.poly_coeffs((p,), c) - fine.poly_coeffs((p,), c))) <= 1e-12
 
 
 @pytest.mark.parametrize("polys", [(X * Y,), (X, X * X * Y), (Y * Y * Y, X)])
