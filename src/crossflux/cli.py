@@ -43,9 +43,8 @@ def _build_initial(grid: TorusGrid, obj) -> tuple[Field, Field]:
         um, ua = config_number(obj, "u_mean"), config_number(obj, "u_amp")
         vm, va = config_number(obj, "v_mean"), config_number(obj, "v_amp")
         mode = config_number(obj, "mode", 1, integral=True)
+        # coords(0) already spans the grid, constant along the second axis in 2-d
         wave = np.cos(2.0 * np.pi * mode * grid.coords(0))
-        if grid.d == 2:
-            wave = np.broadcast_to(wave[:, None], grid.shape).copy()
         return Field(grid, um + ua * wave), Field(grid, vm + va * wave)
     if kind == "files":
         try:

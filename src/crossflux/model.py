@@ -55,18 +55,27 @@ class Poly2Signed:
     def eval(self, x, y):
         return sum(c * x ** i * y ** j for (i, j), c in self.terms.items())
 
-    def eval_arrays(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Sum of c * X**i * Y**j, multiplied in that order; an exponent
-        of 0 or 1 takes no power (c * 1 and x**1 are exact, so skipping
-        them changes no bit)."""
-        out = np.zeros(np.broadcast(X, Y).shape)
-        for (i, j), c in self.terms.items():
-            term = float(c)
-            if i:
-                term = term * (X if i == 1 else X ** i)
-            if j:
-                term = term * (Y if j == 1 else Y ** j)
-            out += term
+    def eval_arrays(self, X: np.ndarray, Y: np.ndarray, out=None) -> np.ndarray:
+        """Sum of c * X**i * Y**j, multiplied in that order, written into
+        `out` (a new array when None); X and Y are only read.  A unit
+        coefficient and an exponent of 0 take no multiply, X**1 takes no
+        power, and the sum starts from its first term: all exact, so
+        every bit is that of the power form."""
+        if out is None:
+            out = np.empty(np.broadcast(X, Y).shape)
+        if not self.terms:
+            out.fill(0.0)
+        for n, ((i, j), c) in enumerate(self.terms.items()):
+            dest = out if n == 0 else None
+            term = None if c == 1 else float(c)
+            for base, e in ((X, i), (Y, j)):
+                if e:
+                    power = base if e == 1 else base ** e
+                    term = power if term is None else np.multiply(term, power, out=dest)
+            if n:
+                out += 1.0 if term is None else term
+            elif term is not out:
+                out[...] = 1.0 if term is None else term
         return out
 
     def partial(self, var: int) -> "Poly2Signed":
@@ -121,13 +130,15 @@ class Poly2Signed:
 
 
 class Poly2(Poly2Signed):
-    """Polynomial with nonnegative coefficients."""
+    """Polynomial with nonnegative finite coefficients."""
 
     def __init__(self, terms=None):
         super().__init__(terms)
         for key, c in self.terms.items():
             if c < 0:
                 raise DomainError(f"coefficient of X^{key[0]} Y^{key[1]} is negative: {c}")
+            if not c < math.inf:
+                raise DomainError(f"coefficient of X^{key[0]} Y^{key[1]} is not finite: {c}")
 
 
 def _wrap(terms) -> Poly2Signed:

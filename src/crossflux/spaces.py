@@ -60,6 +60,10 @@ _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
 _NK_T_MIN = 1e-6
 _NK_RATIO = 1.15
 _NK_MAX_SEGMENTS = 2000
+# past this horizon exp(-4*pi^2*t) is 0.0 in float64 (exp(-746) == 0.0):
+# every nonzero mode has decayed to zero and only the roundoff-level
+# mean coefficient is left to integrate
+_NK_T_MAX = 746.0 / FOUR_PI_SQ
 # segments per block of the N_k quadrature.  A typical call needs 60-100;
 # at 1-d N=32 on a 2-core Xeon, blocks of 32 took 0.7 ms a call, blocks
 # of 16 0.9 ms and blocks of 128 1.2 ms
@@ -75,7 +79,10 @@ def besov_Nk(field: Field, k: float, tol: float = 1e-8) -> float:
     Quadrature: 5-point Gauss on [0, t_min] and on each segment of the
     geometric grid t_min * ratio^j; integration stops once the analytic
     single-mode tail bound I(T)/(4*pi^2*k) contributes less than `tol`
-    relatively, and that tail is added to the result.
+    relatively, and that tail is added to the result.  It also stops,
+    with no tail, at the first segment ending past _NK_T_MAX, where every
+    nonzero mode has underflowed, so a tiny `tol` does not integrate the
+    roundoff left in the mean coefficient.
 
     The integrand is evaluated a block of consecutive segments at a
     time: the Gauss nodes and right ends of up to _NK_BLOCK_SEGMENTS
@@ -118,8 +125,8 @@ def besov_Nk(field: Field, k: float, tol: float = 1e-8) -> float:
         return 0.5 * (b - a) * sum(w * fx for w, fx in zip(_GAUSS_W, f))
 
     def segments():
-        """(integral over the segment, integrand at its right end) for
-        each segment of the geometric grid, one block at a time."""
+        """(integral over the segment, integrand at its right end, right
+        end) for each segment of the geometric grid, one block at a time."""
         t = _NK_T_MIN
         for start in range(0, _NK_MAX_SEGMENTS, block):
             ends = [t]
@@ -127,15 +134,16 @@ def besov_Nk(field: Field, k: float, tol: float = 1e-8) -> float:
                 ends.append(ends[-1] * _NK_RATIO)
             a, b = np.array(ends[:-1]), np.array(ends[1:])
             f = integrands(np.column_stack([nodes(a, b), b]))
-            yield from zip(segment(a, b, f[:, :-1].T).tolist(), f[:, -1].tolist())
+            yield from zip(segment(a, b, f[:, :-1].T).tolist(), f[:, -1].tolist(),
+                           ends[1:])
             t = ends[-1]
 
     acc = segment(0.0, _NK_T_MIN, integrands(nodes(0.0, _NK_T_MIN)))
     tail = 0.0
-    for part, right in segments():
+    for part, right, end in segments():
         acc += part
         tail = right / (FOUR_PI_SQ * k)
-        if right == 0.0:
+        if right == 0.0 or end > _NK_T_MAX:
             tail = 0.0
             break
         if tail < tol * (acc + tail):

@@ -18,7 +18,10 @@ conjugate half of the last axis.  `full_coeffs`/`half_coeffs` convert.
 
 Every transform goes through a `SpectralPlan`, which alone knows the
 phase factors; `poly_plan` alone applies the dealiasing rule
-(`dealias_size`) to the polynomials a caller evaluates.
+(`dealias_size`) to the polynomials a caller evaluates.  The plan makes
+one numpy FFT call per axis: r2c on the last axis, then in 2-d c2c on
+the first axis over the stored N/2+1 columns only, and the reverse for
+the inverse, whose `irfft(n=M)` pads the columns of a finer grid.
 """
 
 from __future__ import annotations
@@ -207,6 +210,26 @@ def half_coeffs(grid: TorusGrid, full: np.ndarray) -> np.ndarray:
     return full[..., :grid.N // 2 + 1]
 
 
+def _forward(vals: np.ndarray, d: int, h: int) -> np.ndarray:
+    """The first h columns of the real FFT ("forward" norm) of samples
+    over the trailing d axes: r2c on the last axis, then in 2-d c2c on
+    the first axis over those h columns only.  numpy's `rfftn` makes the
+    same per-axis calls, so the numbers are those of its columns :h."""
+    f = np.fft.rfft(vals, axis=-1, norm="forward")[..., :h]
+    return np.fft.fft(f, axis=-2, norm="forward") if d == 2 else f
+
+
+def _inverse(coeffs: np.ndarray, d: int, n: int) -> np.ndarray:
+    """Samples on the n^d grid of half-layout coefficients (all n rows
+    in 2-d) whose columns past the given ones are zero: in 2-d c2c on
+    the first axis, then `irfft(n=n)` on the last axis, which pads the
+    missing columns with zeros.  The numbers are those of `irfftn` of
+    the explicitly zero-padded array."""
+    if d == 2:
+        coeffs = np.fft.ifft(coeffs, axis=-2, norm="forward")
+    return np.fft.irfft(coeffs, n=n, axis=-1, norm="forward")
+
+
 class SpectralPlan:
     """Transforms of one grid, and dealiased products through an M-grid,
     in the real-FFT half layout.
@@ -229,6 +252,13 @@ class SpectralPlan:
     c(xi0, -N/2) = conj(F(-xi0, N/2)) - F(xi0, N/2), then the first axis
     is folded row by row.  So project_fine(fine_values(c)) == c.
 
+    Transforms go through `_forward`/`_inverse`, one numpy call per
+    axis.  `irfft(n=M)` pads the columns past N/2, so 1-d padding builds
+    no zero array and 2-d padding an (M, N/2+1) one for the rows; the
+    first-axis passes skip the columns that are all zero (inverse) or
+    thrown away (forward).  The numbers are bitwise those of
+    `rfftn`/`irfftn` on the full M-grid.
+
     Every method acts on the trailing d axes and maps over any leading
     axes, so a stack of fields of shape (T, *grid.shape) is transformed
     in one call; a single field is a stack with no leading axes.
@@ -246,9 +276,6 @@ class SpectralPlan:
         self.xi_sq = xi_sq[..., :h]
         self.lam = FOUR_PI_SQ * self.xi_sq
         self.weight = np.where((np.arange(h) == 0) | (np.arange(h) == N // 2), 1.0, 2.0)
-        # `s` passed with `axes` spares numpy a size lookup, ~5 us a call
-        self._axes = tuple(range(-d, 0))
-        self._fine_shape = (M,) * d
         self._fwd, self._inv = fwd[..., :h], inv[..., :h]
         if M == N:
             return
@@ -274,45 +301,44 @@ class SpectralPlan:
         self._pad = pad
 
     def to_coeffs(self, vals: np.ndarray) -> np.ndarray:
-        return np.fft.rfftn(vals, s=self.grid.shape, axes=self._axes,
-                            norm="forward") * self._fwd
+        g = self.grid
+        return _forward(vals, g.d, g.N // 2 + 1) * self._fwd
 
     def to_values(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(coeffs * self._inv, s=self.grid.shape, axes=self._axes,
-                             norm="forward")
+        return _inverse(coeffs * self._inv, self.grid.d, self.grid.N)
 
     def fine_values(self, coeffs: np.ndarray) -> np.ndarray:
         g = self.grid
-        N, M, h = g.N, self.M, g.N // 2 + 1
+        N, M = g.N, self.M
         if M == N:
             return self.to_values(coeffs)
-        fine = np.zeros(coeffs.shape[:-g.d] + self._fine_shape[:-1] + (M // 2 + 1,),
-                        dtype=np.complex128)
         c = coeffs * self._pad
-        if g.d == 1:
-            fine[..., :h] = c
-        else:
-            fine[..., :N // 2, :h] = c[..., :N // 2, :]
-            fine[..., M - N // 2:, :h] = c[..., N // 2:, :]
-            fine[..., N // 2, :h] = coeffs[..., N // 2, :] * self._pad_split
-        return np.fft.irfftn(fine, s=self._fine_shape, axes=self._axes, norm="forward")
+        if g.d == 2:
+            # the first axis is padded in the middle: rows N/2..M-N/2
+            # are zero but for the split -N/2 row
+            fine = np.zeros(coeffs.shape[:-2] + (M, N // 2 + 1), dtype=np.complex128)
+            fine[..., :N // 2, :] = c[..., :N // 2, :]
+            fine[..., M - N // 2:, :] = c[..., N // 2:, :]
+            fine[..., N // 2, :] = coeffs[..., N // 2, :] * self._pad_split
+            c = fine
+        return _inverse(c, g.d, M)
 
     def project_fine(self, vals: np.ndarray) -> np.ndarray:
         g = self.grid
         N, h = g.N, g.N // 2 + 1
         if self.M == N:
             return self.to_coeffs(vals)
-        fine = np.fft.rfftn(vals, s=self._fine_shape, axes=self._axes, norm="forward")
+        fine = _forward(vals, g.d, h)
         if g.d == 1:
-            out = fine[..., :h] * self._proj
+            out = fine * self._proj
             col = out[..., N // 2]
             out[..., N // 2] = np.conj(col) - col
             return out
         col = fine[..., N // 2] * self._proj_col
         col = np.conj(col[..., self._rev]) - col
-        out = fine[..., self._rows, :h] * self._proj
+        out = fine[..., self._rows, :] * self._proj
         out[..., N // 2] = col[..., self._rows]
-        split = fine[..., N // 2, :h] * self._proj_split
+        split = fine[..., N // 2, :] * self._proj_split
         split[..., N // 2] = col[..., N // 2]
         out[..., N // 2, :] -= split
         return out
@@ -324,8 +350,8 @@ class SpectralPlan:
         are projected back in one call."""
         uf, vf = self.fine_values(c)
         fine = np.empty((len(polys),) + uf.shape)
-        for i, p in enumerate(polys):
-            fine[i] = p.eval_arrays(uf, vf)
+        for p, row in zip(polys, fine):
+            p.eval_arrays(uf, vf, out=row)
         return self.project_fine(fine)
 
 

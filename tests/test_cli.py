@@ -1,5 +1,6 @@
 """End-to-end command behavior through run_cli, including exit codes."""
 
+import copy
 import csv
 import json
 import math
@@ -425,6 +426,105 @@ def test_worker_count_rejects_bad_values(cap):
     with pytest.raises(ConfigError, match="CROSSFLUX_THREADS"):
         _worker_count(cap)
     assert _worker_count("3") == 3
+
+
+# small data: every check of a short run passes
+SMALL = {"kind": "cosine", "u_mean": 0.1, "u_amp": 0.02, "v_mean": 0.12, "v_amp": 0.02,
+         "mode": 1}
+
+
+def test_cosine_initial_data_in_2d(tmp_path, capsys):
+    # the cosine runs along the first axis and is constant along the second
+    cfg = write_json(tmp_path / "run.json",
+                     run_config(model=dict(MODEL, d=2, N=16), initial=SMALL,
+                                checks={"delta": 0.3}))
+    out = tmp_path / "traj.csv"
+    assert run_cli(["simulate", "--config", cfg, "--out", str(out),
+                    "--dump-fields", str(tmp_path)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    low = 0.1 + 0.02 * math.cos(2.0 * math.pi * 7.5 / 16)  # the cell center nearest 1/2
+    assert float(rows[0]["min_u"]) == pytest.approx(low, abs=1e-12)
+    u0 = read_field(str(tmp_path / "u_000000.csv")).values
+    assert u0.shape == (16, 16)
+    assert np.array_equal(u0, np.broadcast_to(u0[:, :1], u0.shape))
+    assert run_cli(["verify", "--config", cfg, "--checks", "mass,energy,stability,rate",
+                    "--report", str(tmp_path / "r.json")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def _edit(path, value):
+    """A short small-data run config with the entry at path replaced by
+    value, or deleted when value is KeyError."""
+    cfg = copy.deepcopy(run_config(initial=SMALL, t_end=2e-3, record_every=5))
+    *head, last = path
+    node = cfg
+    for key in head:
+        node = node[key]
+    if value is KeyError:
+        del node[last]
+    else:
+        node[last] = value
+    return cfg
+
+
+FUZZ_CASES = {
+    "top-level-list": [],
+    "top-level-null": None,
+    "no-model": _edit(["model"], KeyError),
+    "no-initial": _edit(["initial"], KeyError),
+    "no-dt": _edit(["dt"], KeyError),
+    "no-N": _edit(["model", "N"], KeyError),
+    "no-p": _edit(["model", "p"], KeyError),
+    "model-list": _edit(["model"], [1, 2]),
+    "d-3": _edit(["model", "d"], 3),
+    "N-12": _edit(["model", "N"], 12),
+    "N-string": _edit(["model", "N"], "16"),
+    "d1-inf": _edit(["model", "d1"], math.inf),
+    "p-string": _edit(["model", "p"], "X+Y"),
+    "p-short-triple": _edit(["model", "p"], [[1, 0]]),
+    "p-nan-coefficient": _edit(["model", "p"], [[1, 0, math.nan]]),
+    "p-inf-coefficient": _edit(["model", "q"], [[0, 1, math.inf]]),
+    "p-constant": _edit(["model", "p"], [[0, 0, 1.0]]),
+    "eta-negative": _edit(["model", "eta"], -1.0),
+    "initial-list": _edit(["initial"], [1]),
+    "no-kind": _edit(["initial", "kind"], KeyError),
+    "kind-gauss": _edit(["initial", "kind"], "gauss"),
+    "kind-number": _edit(["initial", "kind"], 3),
+    "no-u_mean": _edit(["initial", "u_mean"], KeyError),
+    "u_amp-nan": _edit(["initial", "u_amp"], math.nan),
+    "u_mean-inf": _edit(["initial", "u_mean"], math.inf),
+    "negative-initial": _edit(["initial", "u_amp"], 0.9),
+    "files-without-paths": _edit(["initial"], {"kind": "files"}),
+    "files-missing": _edit(["initial"], {"kind": "files", "u": "no/u.npz", "v": "no/v.npz"}),
+    "dt-negative": _edit(["dt"], -1e-4),
+    "dt-null": _edit(["dt"], None),
+    "dt-list": _edit(["dt"], [1]),
+    "t_end-nan": _edit(["t_end"], math.nan),
+    "dt-not-dividing": _edit(["dt"], 3e-4),
+    "record_every-0": _edit(["record_every"], 0),
+    "scheme-euler": _edit(["scheme"], "euler"),
+    "regularized-without-eta": _edit(["variant"], "regularized"),
+    "rk4-above-bound": _edit(["scheme"], "rk4"),
+    "checks-list": _edit(["checks"], [1]),
+    "negative-mode": _edit(["initial", "mode"], -3),
+    "cosine-2d": _edit(["model"], dict(MODEL, d=2, N=16)),
+}
+
+
+@pytest.mark.parametrize("name", FUZZ_CASES)
+def test_malformed_and_edge_configs_fail_cleanly(tmp_path, capsys, name):
+    # each config through simulate and verify, in process: a known exit
+    # code, never a traceback, and a one-line message on exit 2
+    cfg = write_json(tmp_path / "run.json", FUZZ_CASES[name])
+    for argv in (["simulate", "--out", str(tmp_path / "t.csv")],
+                 ["verify", "--checks", "mass,energy", "--report", str(tmp_path / "r.json")]):
+        code = run_cli(argv + ["--config", cfg])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            assert len(err.strip().splitlines()) == 1
+    assert code == (0 if name in ("cosine-2d", "negative-mode") else 2)
 
 
 def test_unknown_subcommand():

@@ -75,6 +75,44 @@ def test_poly_eval_arrays_is_the_power_form_bitwise(rng):
     assert np.array_equal(p.eval_arrays(x, y), power_form)
 
 
+@pytest.mark.parametrize("terms", [
+    {(0, 0): 0.3, (1, 0): 1.0, (2, 1): 1.0, (0, 2): -0.4},
+    {(1, 0): 1, (0, 1): 1.0},
+    {(0, 0): 1.0, (2, 0): 2.5, (1, 1): 1},
+    {(0, 0): -0.7},
+    {(1, 1): 1.0},
+    {},
+], ids=["mixed", "unit-linear", "unit-constant", "constant-only", "unit-product", "zero"])
+def test_poly_eval_arrays_skips_unit_factors_bitwise(rng, terms):
+    # unit coefficients and constant terms take no multiply, and the sum
+    # starts from the first term; with or without `out=` every bit is
+    # that of the power form, and X and Y are left as they were
+    x, y = rng.uniform(-2.0, 2.0, size=(2, 3, 40))
+    x0, y0 = x.copy(), y.copy()
+    p = Poly2Signed(terms)
+    power_form = np.zeros(x.shape)
+    for (i, j), c in p.terms.items():
+        power_form += float(c) * x ** i * y ** j
+    assert np.array_equal(p.eval_arrays(x, y), power_form)
+    out = np.full(x.shape, np.nan)
+    assert p.eval_arrays(x, y, out=out) is out
+    assert np.array_equal(out, power_form)
+    assert np.array_equal(x, x0) and np.array_equal(y, y0)
+    # the first term may be X itself: the result is a copy, not a view
+    first = p.eval_arrays(x, y)
+    first += 1.0
+    assert np.array_equal(x, x0) and np.array_equal(y, y0)
+
+
+def test_poly_eval_arrays_broadcasts_into_out(rng):
+    x = rng.uniform(0.0, 1.0, size=8)
+    y = rng.uniform(0.0, 1.0, size=(3, 8))
+    p = X + X * Y + 0.5
+    out = np.empty((3, 8))
+    p.eval_arrays(x, y, out=out)
+    assert np.array_equal(out, p.eval_arrays(np.broadcast_to(x, y.shape), y))
+
+
 def test_poly2_rejects_negative():
     with pytest.raises(DomainError, match="negative"):
         Poly2({(1, 0): -1.0})
@@ -82,6 +120,12 @@ def test_poly2_rejects_negative():
     assert Poly2Signed({(1, 0): -1.0}).eval(2.0, 0.0) == -2.0
     with pytest.raises(DomainError, match="nonnegative integers"):
         Poly2({(-1, 0): 1.0})
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf])
+def test_poly2_rejects_non_finite(c):
+    with pytest.raises(DomainError, match="not finite"):
+        Poly2({(1, 0): c})
 
 
 def test_model_spec_validation():

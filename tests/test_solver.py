@@ -336,3 +336,49 @@ def test_simulate_keeps_zero_coefficients_bitwise(d, seed, scheme):
     assert len(seen) >= 5
     for c0 in seen:
         assert np.array_equal(c0, initial)
+
+
+@pytest.mark.parametrize("d, N, scheme, per_step", [(1, 64, "imex", 3), (1, 64, "rk4", 9),
+                                                    (2, 16, "imex", 6)])
+def test_fft_calls_per_step(d, N, scheme, per_step):
+    # a guard on the step's cost: per step, one padded inverse and one
+    # projection per flux evaluation and one inverse of the new state,
+    # each one numpy FFT call per axis
+    grid = TorusGrid(d, N)
+    wave = np.cos(2.0 * np.pi * grid.coords(0))
+    init = State(0.0, Field(grid, 0.3 + 0.1 * wave), Field(grid, 0.4 + 0.1 * wave))
+    dt = 0.5 * rk4_max_dt(SKT, init)
+    calls = []
+
+    def counted(name):
+        original = getattr(np.fft, name)
+
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return spy
+
+    def count(steps):
+        calls.clear()
+        with mock.patch.multiple(np.fft, **{name: counted(name) for name in
+                                            ("fft", "ifft", "rfft", "irfft", "fftn",
+                                             "ifftn", "rfftn", "irfftn")}):
+            simulate(RunConfig(SKT, init, dt=dt, t_end=steps * dt, scheme=scheme))
+        return len(calls)
+
+    assert (count(6) - count(2)) == 4 * per_step
+
+
+@pytest.mark.parametrize("d, N, scheme", [(1, 32, "imex"), (1, 16, "rk4"), (2, 8, "imex")])
+def test_recorded_masses_are_the_mean_of_each_step_bitwise(rng, d, N, scheme):
+    grid = TorusGrid(d, N)
+    u0, v0 = (m + 0.2 * rng.uniform(0.0, 1.0, grid.shape) for m in (0.3, 0.4))
+    init = State(0.0, Field(grid, u0), Field(grid, v0))
+    dt = 0.5 * rk4_max_dt(SKT, init)
+    traj = simulate(RunConfig(SKT, init, dt=dt, t_end=7 * dt, scheme=scheme))
+    for recorded, mass, low in ((traj.u, traj.mass_u, traj.min_u),
+                                (traj.v, traj.mass_v, traj.min_v)):
+        flat = recorded.reshape(len(recorded), -1)
+        assert np.array_equal(mass, flat.mean(axis=1))
+        assert np.array_equal(mass, [row.mean() for row in recorded])
+        assert np.array_equal(low, flat.min(axis=1))

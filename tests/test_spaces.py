@@ -138,6 +138,17 @@ def test_besov_blocks_match_node_by_node_quadrature_bitwise(rng):
         assert besov_Nk(alt, k, 1e-300) == value
 
 
+def test_besov_tiny_tolerance_stops_where_every_mode_has_underflowed():
+    # the mean coefficient of cos(2 pi 100 x) is roundoff, not zero, and
+    # never decays; a tiny tol once integrated it out to t ~ 1e115
+    g = TorusGrid(1, 256)
+    f = Field(g, np.cos(2.0 * math.pi * 100 * g.coords(0)))
+    value = besov_Nk(f, 4, 1e-8)
+    assert value == pytest.approx((3.0 / 8.0 / (4 * FOUR_PI_SQ * 100 ** 2)) ** 0.25, rel=1e-9)
+    for tol in (1e-100, 1e-300):
+        assert besov_Nk(f, 4, tol) == pytest.approx(value, rel=1e-9)
+
+
 def test_spacetime_norm_closed_form(grid32):
     times = np.linspace(0.0, 1.0, 401)
     ones = np.ones(32)

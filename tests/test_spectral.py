@@ -11,6 +11,8 @@ from crossflux.errors import ConfigError, DomainError
 from crossflux.model import X, Y, Poly2Signed
 from crossflux.spectral import (
     FOUR_PI_SQ,
+    _forward,
+    _inverse,
     Field,
     SpectralField,
     TorusGrid,
@@ -187,6 +189,28 @@ def test_half_layout_pad_project_round_trip(grid, extra, seed):
     plan = spectral_plan(g, g.N + 2 * extra)
     c = plan.to_coeffs(np.random.default_rng(seed).standard_normal((2,) + g.shape))
     assert np.max(np.abs(plan.project_fine(plan.fine_values(c)) - c)) < 1e-15
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([1, 2]), N=st.sampled_from([8, 16, 32, 64]),
+       data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_per_axis_transforms_are_rfftn_and_irfftn_bitwise(d, N, data, seed):
+    # the plan's per-axis calls give numpy's n-d transforms to the bit:
+    # forward keeps the first N/2+1 columns of rfftn, and the inverse
+    # equals irfftn of the coefficients zero-padded to M/2+1 columns
+    M = data.draw(st.integers(N // 2, 3 * N // 2), label="M/2") * 2
+    h = N // 2 + 1
+    axes = tuple(range(-d, 0))
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal((2,) + (M,) * d)
+    full = np.fft.rfftn(vals, axes=axes, norm="forward")
+    assert np.array_equal(_forward(vals, d, h), full[..., :h])
+    shape = (2,) + (M,) * (d - 1)
+    c = rng.standard_normal(shape + (h,)) + 1j * rng.standard_normal(shape + (h,))
+    padded = np.zeros(shape + (M // 2 + 1,), dtype=np.complex128)
+    padded[..., :h] = c
+    assert np.array_equal(_inverse(c, d, M),
+                          np.fft.irfftn(padded, s=(M,) * d, axes=axes, norm="forward"))
 
 
 @settings(max_examples=40, deadline=None)
