@@ -13,9 +13,8 @@ from .solver import (RunConfig, State, Trajectory, rk4_max_dt, simulate,
                      solve_kolmogorov)
 from .spaces import (REGRESSION_CONSTANTS, TimeSeriesField, bernstein_check,
                      besov_Nk, block_sequence_check, block_sequence_norm,
-                     dyadic_block, dyadic_blocks, heat_decay_check, lp_norm,
-                     maxreg_ratio, mean, random_band_field, sobolev_norm,
-                     spacetime_lk)
+                     dyadic_blocks, heat_decay_check, lp_norm, maxreg_ratio,
+                     mean, random_band_field, sobolev_norm, spacetime_lk)
 from .spectral import (FOUR_PI_SQ, Field, SpectralField, TorusGrid, heat_propagate,
                        inverse, laplacian, mollify, poly_field, transform)
 from .verifier import (check_duality, check_energy_decay,

@@ -312,17 +312,17 @@ def _cmd_sweep(args) -> int:
     for key in ("base", "axis", "values"):
         if key not in obj:
             raise ConfigError(f"sweep config is missing {key!r}")
-    values = obj["values"]
-    if not isinstance(values, list) or not values:
+    if not isinstance(obj["values"], list) or not obj["values"]:
         raise ConfigError("sweep values must be a nonempty list")
+    values = [config_number({"sweep value": v}, "sweep value") for v in obj["values"]]
     for v in values:
-        if not isinstance(v, (int, float)) or not math.isfinite(v):
+        if not math.isfinite(v):
             raise ConfigError(f"sweep value {v!r} is not a finite number")
     axis = str(obj["axis"])
     payloads = []
     for v in values:
-        run_obj = _sweep_axis(obj["base"], axis, float(v))
-        run_obj["_sweep_value"] = float(v)
+        run_obj = _sweep_axis(obj["base"], axis, v)
+        run_obj["_sweep_value"] = v
         payloads.append(json.dumps(run_obj, sort_keys=True))
     parallel = bool(obj.get("parallel", False))
     if parallel and len(payloads) > 1:
@@ -338,8 +338,16 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError, in one line like any other;
+    subparsers inherit the class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="crossflux",
         description="pseudo-spectral simulator and estimate verifier for "
                     "two-species cross-diffusion on the torus")
@@ -389,12 +397,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help
+            return int(exc.code or 0)
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

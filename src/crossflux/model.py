@@ -267,8 +267,8 @@ def stability_constants(spec: ModelSpec, R: float, delta: float):
     return c, c > 0
 
 
-def _entropy_matrix_pd(spec: ModelSpec, delta: float, n: int = 64) -> bool:
-    a = np.linspace(0.0, delta, n)
+def _entropy_matrix_pd(spec: ModelSpec, delta: float) -> bool:
+    a = np.linspace(0.0, delta, 64)
     A, B = np.meshgrid(a, a, indexing="ij")
     dpx = spec.p.partial(0).eval_arrays(A, B)
     dpy = spec.p.partial(1).eval_arrays(A, B)
@@ -281,7 +281,7 @@ def _entropy_matrix_pd(spec: ModelSpec, delta: float, n: int = 64) -> bool:
 
 
 @lru_cache(maxsize=64)
-def find_delta_A(spec: ModelSpec, cap: float = CAP) -> float:
+def find_delta_A(spec: ModelSpec) -> float:
     """Largest certified box [0, delta]^2 on which the symmetrized duality
     matrix stays positive definite, shrunk by a 1% safety factor.
 
@@ -291,9 +291,9 @@ def find_delta_A(spec: ModelSpec, cap: float = CAP) -> float:
     depends on the spec alone (frozen, and hashed by value, as its
     polynomials are never changed after construction), so it is cached.
     """
-    if _entropy_matrix_pd(spec, cap):
-        return cap
-    lo, hi = 0.0, cap
+    if _entropy_matrix_pd(spec, CAP):
+        return CAP
+    lo, hi = 0.0, CAP
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if _entropy_matrix_pd(spec, mid):
@@ -303,17 +303,17 @@ def find_delta_A(spec: ModelSpec, cap: float = CAP) -> float:
     return 0.99 * lo
 
 
-def bootstrap_delta(P: Poly1, cap: float = CAP) -> float:
+def bootstrap_delta(P: Poly1) -> float:
     """Largest delta with P(x) < x/2 on (0, delta], times a 1% margin.
 
     P has nonnegative coefficients and a double zero at 0, so P(x)/x is
     increasing and checking the right endpoint suffices.
     """
     if P.is_zero:
-        return cap
-    if P.eval(cap) < 0.5 * cap:
-        return 0.99 * cap
-    lo, hi = 0.0, cap
+        return CAP
+    if P.eval(CAP) < 0.5 * CAP:
+        return 0.99 * CAP
+    lo, hi = 0.0, CAP
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if P.eval(mid) < 0.5 * mid:
@@ -336,8 +336,7 @@ def bootstrap_poly(spec: ModelSpec) -> Poly1:
     return Poly1(terms)
 
 
-def smallness_functional(u_in: Field, v_in: Field, spec: ModelSpec, k: float,
-                         tol: float = 1e-8) -> float:
+def smallness_functional(u_in: Field, v_in: Field, spec: ModelSpec, k: float) -> float:
     """Sup norms of the initial data plus N_k of the initial flux Laplacians."""
     if u_in.grid != v_in.grid:
         raise ConfigError("fields live on different grids")
@@ -351,7 +350,7 @@ def smallness_functional(u_in: Field, v_in: Field, spec: ModelSpec, k: float,
     phi1, phi2 = flux(spec, u_in, v_in)
     from .spaces import besov_Nk, lp_norm  # local import to avoid a cycle
     return (lp_norm(u_in, math.inf) + lp_norm(v_in, math.inf)
-            + besov_Nk(laplacian(phi1), k, tol) + besov_Nk(laplacian(phi2), k, tol))
+            + besov_Nk(laplacian(phi1), k) + besov_Nk(laplacian(phi2), k))
 
 
 def thresholds(spec: ModelSpec, R: float = 1.0) -> dict:

@@ -48,6 +48,32 @@ class State:
         return self.u.grid
 
 
+def _recorded_steps(dt: float, t_end: float, record_every: int) -> np.ndarray:
+    """Indices of the steps a run records: 0, every `record_every`-th
+    step, and the last of the t_end / dt steps.
+
+    This is the one rule for run parameters: dt and t_end are finite, dt
+    is positive and divides t_end into 1 to MAX_STEPS steps, and
+    record_every is a positive integer, not a bool.
+    """
+    if not (math.isfinite(dt) and math.isfinite(t_end)):
+        raise ConfigError(f"dt and t_end must be finite, got {dt} and {t_end}")
+    if dt <= 0:
+        raise ConfigError(f"dt must be positive, got {dt}")
+    if t_end > MAX_STEPS * dt:
+        raise ConfigError(f"t_end / dt = {t_end / dt:.3g} steps exceeds the limit of {MAX_STEPS}")
+    n = round(t_end / dt)
+    if n < 1:
+        raise ConfigError("t_end must be at least one step long")
+    if abs(n * dt - t_end) > 1e-8 * t_end:
+        raise ConfigError("dt must divide t_end")
+    if (isinstance(record_every, bool) or not isinstance(record_every, (int, np.integer))
+            or record_every < 1):
+        raise ConfigError(f"record_every must be a positive integer, got {record_every!r}")
+    every = min(record_every, n)
+    return np.minimum(np.arange(-(-n // every) + 1) * every, n)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Complete description of one simulation run."""
@@ -61,20 +87,7 @@ class RunConfig:
     variant: str = "plain"
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and math.isfinite(self.t_end)):
-            raise ConfigError(f"dt and t_end must be finite, got {self.dt} and {self.t_end}")
-        if self.dt <= 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
-        if self.t_end < self.dt:
-            raise ConfigError("t_end must be at least one step long")
-        if self.t_end > MAX_STEPS * self.dt:
-            raise ConfigError(f"t_end / dt = {self.t_end / self.dt:.3g} steps "
-                              f"exceeds the limit of {MAX_STEPS}")
-        n = round(self.t_end / self.dt)
-        if abs(n * self.dt - self.t_end) > 1e-8 * self.t_end:
-            raise ConfigError("dt must divide t_end")
-        if self.record_every < 1 or self.record_every != int(self.record_every):
-            raise ConfigError(f"record_every must be a positive integer, got {self.record_every}")
+        _recorded_steps(self.dt, self.t_end, self.record_every)
         if self.scheme not in ("imex", "rk4"):
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if self.variant not in ("plain", "regularized"):
@@ -176,7 +189,7 @@ def simulate(config: RunConfig) -> Trajectory:
     grid = config.initial.grid
     dt = config.dt
     n_steps = config.n_steps
-    every = min(config.record_every, n_steps)
+    steps = _recorded_steps(dt, config.t_end, config.record_every)
     regularized = config.variant == "regularized"
     # p(u,v)*u and q(u,v)*v; the regularized flux multiplies two fields,
     # so its plan dealiases at least the quadratic X*Y
@@ -200,11 +213,9 @@ def simulate(config: RunConfig) -> Trajectory:
     if regularized:
         moll = np.exp(-spec.eta * plan.lam)
 
-    # states are recorded at every `every`-th step and at the last one
-    n_rec = -(-n_steps // every) + 1
     step_times = np.arange(n_steps + 1) * dt
-    times = step_times[np.minimum(np.arange(n_rec) * every, n_steps)]
-    rec = np.empty((2, n_rec) + grid.shape)
+    times = step_times[steps]
+    rec = np.empty((2, len(steps)) + grid.shape)
     mins = np.empty((2, n_steps + 1))
     masses = np.empty((2, n_steps + 1))
 
@@ -235,11 +246,11 @@ def simulate(config: RunConfig) -> Trajectory:
         if not np.isfinite(vals).all():
             raise BlowupError(n, trajectory(n, r))
         diagnose(n)
-        if n % every == 0 or n == n_steps:
+        if n == steps[r]:
             rec[:, r] = vals
             r += 1
 
-    return trajectory(n_steps + 1, n_rec)
+    return trajectory(n_steps + 1, len(steps))
 
 
 def solve_kolmogorov(z_in: Field, mu: TimeSeriesField, f: TimeSeriesField,
@@ -255,16 +266,7 @@ def solve_kolmogorov(z_in: Field, mu: TimeSeriesField, f: TimeSeriesField,
     grid = z_in.grid
     if mu.grid != grid or f.grid != grid:
         raise ConfigError("z_in, mu, and f must share one grid")
-    if not dt > 0:
-        raise ConfigError(f"dt must be positive, got {dt}")
-    if not t_end <= MAX_STEPS * dt:
-        raise ConfigError(f"t_end / dt = {t_end / dt:.3g} steps exceeds the limit of {MAX_STEPS}")
-    if (isinstance(record_every, bool) or not isinstance(record_every, (int, np.integer))
-            or record_every < 1):
-        raise ConfigError(f"record_every must be a positive integer, got {record_every!r}")
-    n_steps = round(t_end / dt)
-    if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-8 * t_end:
-        raise ConfigError("dt must divide t_end")
+    steps = _recorded_steps(dt, t_end, record_every)
     if float(mu.values.min()) <= 0.0:
         raise DomainError("mu must be strictly positive")
 
@@ -272,14 +274,11 @@ def solve_kolmogorov(z_in: Field, mu: TimeSeriesField, f: TimeSeriesField,
     dt_lam = dt * plan.lam
     cz = plan.to_coeffs(z_in.values)
     z_vals = z_in.values
-    # states are recorded as in `simulate`: every `every`-th step and the last
-    every = min(record_every, n_steps)
-    n_rec = -(-n_steps // every) + 1
-    times = np.minimum(np.arange(n_rec) * every, n_steps) * dt
-    z_rec = np.empty((n_rec,) + grid.shape)
+    times = steps * dt
+    z_rec = np.empty((len(steps),) + grid.shape)
     z_rec[0] = z_vals
     r = 1
-    for n in range(1, n_steps + 1):
+    for n in range(1, int(steps[-1]) + 1):
         t = (n - 1) * dt
         mu_n = interp_linear(mu.values, mu.times, t)
         f_n = interp_linear(f.values, f.times, t)
@@ -289,7 +288,7 @@ def solve_kolmogorov(z_in: Field, mu: TimeSeriesField, f: TimeSeriesField,
         z_vals = plan.to_values(cz)
         if not np.all(np.isfinite(z_vals)):
             raise BlowupError(n, TimeSeriesField(times[:r], z_rec[:r]))
-        if n % every == 0 or n == n_steps:
+        if n == steps[r]:
             z_rec[r] = z_vals
             r += 1
     return TimeSeriesField(times, z_rec)

@@ -22,10 +22,10 @@ from .errors import ConfigError, DomainError
 from .report import Report
 from .spectral import FOUR_PI_SQ, Field, TorusGrid, heat_propagate, spectral_plan
 
-# Calibrated constants for the randomized inequality checks.  The rate
-# in the annulus decay check is exact (slowest mode of the annulus); the
-# prefactors absorb the multiplier-norm constants observed empirically,
-# with slack.
+# Calibrated constants for the randomized inequality checks, which draw
+# their fields from seed 0.  The rate in the annulus decay check is exact
+# (slowest mode of the annulus); the prefactors absorb the multiplier-norm
+# constants observed empirically, with slack.
 REGRESSION_CONSTANTS = {
     "bernstein": 4.0,
     "heat_decay": 2.0,
@@ -59,11 +59,21 @@ _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
 # geometric time grid for the N_k quadrature
 _NK_T_MIN = 1e-6
 _NK_RATIO = 1.15
-_NK_MAX_SEGMENTS = 2000
 # past this horizon exp(-4*pi^2*t) is 0.0 in float64 (exp(-746) == 0.0):
 # every nonzero mode has decayed to zero and only the roundoff-level
 # mean coefficient is left to integrate
 _NK_T_MAX = 746.0 / FOUR_PI_SQ
+# segment ends t_min * ratio^j by repeated multiplication, up to the
+# first end past _NK_T_MAX (j = 120)
+_NK_ENDS = [_NK_T_MIN]
+while _NK_ENDS[-1] <= _NK_T_MAX:
+    _NK_ENDS.append(_NK_ENDS[-1] * _NK_RATIO)
+# one row per segment, [0, t_min] first: half-lengths, and the Gauss
+# nodes followed by the right end
+_NK_A, _NK_B = np.array([0.0] + _NK_ENDS[:-1]), np.array(_NK_ENDS)
+_NK_HALF = 0.5 * (_NK_B - _NK_A)
+_NK_NODES = np.column_stack([np.multiply.outer(_NK_HALF, _GAUSS_X)
+                             + (0.5 * (_NK_A + _NK_B))[:, None], _NK_B])
 # segments per block of the N_k quadrature.  A typical call needs 60-100;
 # at 1-d N=32 on a 2-core Xeon, blocks of 32 took 0.7 ms a call, blocks
 # of 16 0.9 ms and blocks of 128 1.2 ms
@@ -77,12 +87,13 @@ def besov_Nk(field: Field, k: float, tol: float = 1e-8) -> float:
     """Heat-semigroup functional N_k for a mean-zero field.
 
     Quadrature: 5-point Gauss on [0, t_min] and on each segment of the
-    geometric grid t_min * ratio^j; integration stops once the analytic
-    single-mode tail bound I(T)/(4*pi^2*k) contributes less than `tol`
-    relatively, and that tail is added to the result.  It also stops,
-    with no tail, at the first segment ending past _NK_T_MAX, where every
-    nonzero mode has underflowed, so a tiny `tol` does not integrate the
-    roundoff left in the mean coefficient.
+    geometric grid t_min * ratio^j, fixed at import and ending at the
+    first segment end past _NK_T_MAX.  Integration stops once the
+    analytic single-mode tail bound I(T)/(4*pi^2*k) contributes less
+    than `tol` relatively, and that tail is added to the result.  At the
+    last segment every nonzero mode has underflowed, so integration stops
+    there with no tail, and a tiny `tol` does not integrate the roundoff
+    left in the mean coefficient.
 
     The integrand is evaluated a block of consecutive segments at a
     time: the Gauss nodes and right ends of up to _NK_BLOCK_SEGMENTS
@@ -104,51 +115,24 @@ def besov_Nk(field: Field, k: float, tol: float = 1e-8) -> float:
             "Subtract the average first.")
     plan = spectral_plan(g, g.N)
     coeffs = plan.to_coeffs(field.values)
-    rows = len(_GAUSS_X) + 1
+    rows, last = _NK_NODES.shape[1], len(_NK_HALF) - 1
     block = max(1, min(_NK_BLOCK_SEGMENTS, FINE_BATCH_POINTS // (rows * g.size)))
-
-    def integrands(t: np.ndarray) -> np.ndarray:
-        """The integrand at each time of t, of any shape."""
+    acc = 0.0
+    for start in range(0, last + 1, block):
+        t = _NK_NODES[start:start + block]
         decay = np.exp(-plan.lam * t.reshape(t.shape + (1,) * g.d))
-        vals = plan.to_values(coeffs * decay)
-        return np.mean(np.abs(vals.reshape(t.shape + (-1,))) ** k, axis=-1)
-
-    def nodes(a, b) -> np.ndarray:
-        """Gauss nodes of the segments [a, b], one row per segment."""
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        return np.multiply.outer(half, _GAUSS_X) + np.asarray(mid)[..., None]
-
-    def segment(a, b, f):
-        """Gauss sum over [a, b], or over each of the segments [a[i], b[i]]
-        when f holds one row of node values per node."""
-        return 0.5 * (b - a) * sum(w * fx for w, fx in zip(_GAUSS_W, f))
-
-    def segments():
-        """(integral over the segment, integrand at its right end, right
-        end) for each segment of the geometric grid, one block at a time."""
-        t = _NK_T_MIN
-        for start in range(0, _NK_MAX_SEGMENTS, block):
-            ends = [t]
-            for _ in range(min(block, _NK_MAX_SEGMENTS - start)):
-                ends.append(ends[-1] * _NK_RATIO)
-            a, b = np.array(ends[:-1]), np.array(ends[1:])
-            f = integrands(np.column_stack([nodes(a, b), b]))
-            yield from zip(segment(a, b, f[:, :-1].T).tolist(), f[:, -1].tolist(),
-                           ends[1:])
-            t = ends[-1]
-
-    acc = segment(0.0, _NK_T_MIN, integrands(nodes(0.0, _NK_T_MIN)))
-    tail = 0.0
-    for part, right, end in segments():
-        acc += part
-        tail = right / (FOUR_PI_SQ * k)
-        if right == 0.0 or end > _NK_T_MAX:
-            tail = 0.0
-            break
-        if tail < tol * (acc + tail):
-            break
-    return float((acc + tail) ** (1.0 / k))
+        vals = plan.to_values(coeffs * decay).reshape(t.shape + (-1,))
+        f = np.mean(np.abs(vals) ** k, axis=-1)
+        parts = _NK_HALF[start:start + block] * sum(
+            w * fx for w, fx in zip(_GAUSS_W, f[:, :-1].T))
+        for i, part, right in zip(range(start, last + 1), parts.tolist(),
+                                  f[:, -1].tolist()):
+            acc += part
+            tail = 0.0 if i == last else right / (FOUR_PI_SQ * k)
+            # the stop test starts after the first geometric segment
+            if i and (right == 0.0 or tail < tol * (acc + tail)):
+                return float((acc + tail) ** (1.0 / k))
+    return float(acc ** (1.0 / k))
 
 
 @dataclass(frozen=True)
@@ -227,33 +211,18 @@ class DyadicBlock:
 
     j: int
     field: Field
-    clipped: bool
-    empty: bool
-
-
-def dyadic_block(field: Field, j: int) -> DyadicBlock:
-    if j < 0 or j != int(j):
-        raise DomainError(f"block index must be a nonnegative integer, got {j}")
-    g = field.grid
-    plan = spectral_plan(g, g.N)
-    lo, hi = 4.0 ** j, 4.0 ** (j + 1)
-    mask = (plan.xi_sq >= lo) & (plan.xi_sq < hi)
-    coeffs = np.where(mask, plan.to_coeffs(field.values), 0.0)
-    clipped = 2 ** (j + 1) > g.N // 2
-    empty = not bool(mask.any())
-    return DyadicBlock(j, Field(g, plan.to_values(coeffs)), clipped, empty)
 
 
 def dyadic_blocks(field: Field) -> list:
-    """All nonempty blocks; together with the mean they reconstruct the field."""
+    """The blocks j = 0 .. log2(N/2), each holding the frequency 2^j;
+    together with the mean they reconstruct the field."""
     g = field.grid
+    plan = spectral_plan(g, g.N)
+    coeffs = plan.to_coeffs(field.values)
     out = []
-    j = 0
-    while 4.0 ** j <= g.d * (g.N / 2.0) ** 2:
-        blk = dyadic_block(field, j)
-        if not blk.empty:
-            out.append(blk)
-        j += 1
+    for j in range(g.N.bit_length() - 1):
+        mask = (plan.xi_sq >= 4.0 ** j) & (plan.xi_sq < 4.0 ** (j + 1))
+        out.append(DyadicBlock(j, Field(g, plan.to_values(np.where(mask, coeffs, 0.0)))))
     return out
 
 
@@ -273,8 +242,7 @@ def random_band_field(grid: TorusGrid, lo: float, hi: float, rng) -> Field:
     return Field(grid, plan.to_values(np.where(mask, plan.to_coeffs(noise), 0.0)))
 
 
-def bernstein_check(grid: TorusGrid, m: int, k: float, trials: int = 200,
-                    seed: int = 0) -> Report:
+def bernstein_check(grid: TorusGrid, m: int, k: float, trials: int = 200) -> Report:
     """Sup-norm control ||f||_inf <= C (2m)^(d/k) ||f||_k on the annulus
     m <= |xi| < 2m, tested on random fields."""
     if m < 1:
@@ -282,7 +250,7 @@ def bernstein_check(grid: TorusGrid, m: int, k: float, trials: int = 200,
     if 2 * m > grid.N // 2:
         raise DomainError(
             f"annulus [m, 2m) = [{m}, {2 * m}) is not resolved on N = {grid.N}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     bound = REGRESSION_CONSTANTS["bernstein"]
     scale = (2.0 * m) ** (grid.d / k)
     worst = 0.0
@@ -302,7 +270,7 @@ def bernstein_check(grid: TorusGrid, m: int, k: float, trials: int = 200,
 
 
 def heat_decay_check(grid: TorusGrid, m: int, p: float, times,
-                     trials: int = 200, seed: int = 0) -> Report:
+                     trials: int = 200) -> Report:
     """Semigroup decay || exp(t*Lap) f ||_p <= C exp(-c t m^2) ||f||_p on
     the annulus m <= |xi| < 2m, with the sharp rate c = 4*pi^2."""
     if m < 1:
@@ -313,7 +281,7 @@ def heat_decay_check(grid: TorusGrid, m: int, p: float, times,
     times = np.asarray(times, dtype=np.float64)
     if np.any(times < 0):
         raise DomainError("decay check times must be nonnegative")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     bound = REGRESSION_CONSTANTS["heat_decay"]
     rate = FOUR_PI_SQ * m * m
     worst = 0.0
@@ -338,13 +306,12 @@ def heat_decay_check(grid: TorusGrid, m: int, p: float, times,
     )
 
 
-def block_sequence_check(grid: TorusGrid, k: float, trials: int = 200,
-                         seed: int = 0) -> Report:
+def block_sequence_check(grid: TorusGrid, k: float, trials: int = 200) -> Report:
     """Block-sequence norm against the plain L^k norm on random mean-zero
     fields.  At k = 2 the two agree identically (orthogonality), and the
     check demands equality to 1e-12; for k > 2 it applies the calibrated
     constant."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     equality = abs(k - 2.0) < 1e-15
     bound = 1e-12 if equality else REGRESSION_CONSTANTS["block_sequence"]
     worst = 0.0

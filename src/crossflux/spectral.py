@@ -65,7 +65,6 @@ class TorusGrid:
         self.N = N
         self.shape = (N,) * d
         self.size = N ** d
-        _, self.xi_sq, _, _ = _fourier_data(d, N)
 
     def coords(self, axis: int = 0) -> np.ndarray:
         """Cell-center coordinates along one axis, broadcastable to shape."""
@@ -379,19 +378,17 @@ def laplacian(field: Field) -> Field:
     return Field(field.grid, plan.to_values(-plan.lam * plan.to_coeffs(field.values)))
 
 
-def heat_propagate(field: Field, t: float, m: float = 1.0) -> Field:
-    """Evolve by the heat semigroup exp(t*m*Laplacian).
+def heat_propagate(field: Field, t: float) -> Field:
+    """Evolve by the heat semigroup exp(t*Laplacian), unit diffusivity.
 
-    t must be nonnegative and m positive; the operation contracts every
-    Lebesgue and Sobolev norm and preserves the mean exactly.
+    t must be nonnegative; the operation contracts every Lebesgue and
+    Sobolev norm and preserves the mean exactly.
     """
     if t < 0:
         raise DomainError(f"heat time must be nonnegative, got {t}")
-    if m <= 0:
-        raise DomainError(f"diffusivity must be positive, got {m}")
     plan = spectral_plan(field.grid, field.grid.N)
     return Field(field.grid, plan.to_values(plan.to_coeffs(field.values)
-                                            * np.exp(-m * t * plan.lam)))
+                                            * np.exp(-t * plan.lam)))
 
 
 def mollify(field: Field, eta: float) -> Field:
@@ -404,7 +401,7 @@ def mollify(field: Field, eta: float) -> Field:
     """
     if eta <= 0:
         raise DomainError(f"mollification width must be positive, got {eta}")
-    return heat_propagate(field, eta, 1.0)
+    return heat_propagate(field, eta)
 
 
 def poly_plan(grid: TorusGrid, polys) -> SpectralPlan:

@@ -2,7 +2,7 @@
 
 Every checker is a pure function from recorded data to a Report: no
 randomness, no mutation. Inequalities between continuum quantities are
-tested with a small multiplicative slack (default 1e-3) that absorbs the
+tested with the fixed multiplicative slack INEQ_SLACK that absorbs the
 O(dt) scheme defect and the trapezoid quadrature defect; identities are
 tested by relative residual, to be driven below target by refinement on
 the caller's side. Both sides of every inequality are evaluated with the
@@ -113,7 +113,7 @@ def check_mass(traj: Trajectory) -> Report:
 
 
 def check_duality(z: TimeSeriesField, mu: TimeSeriesField, f: TimeSeriesField,
-                  z_in: Field, tol: float = INEQ_SLACK) -> Report:
+                  z_in: Field) -> Report:
     """H^-1 duality bound for d_t z = Lap(mu z) + Lap(f).
 
     Checks, at every recorded time, that the H^-1 norm of z plus the
@@ -142,7 +142,7 @@ def check_duality(z: TimeSeriesField, mu: TimeSeriesField, f: TimeSeriesField,
            + cum_trapz(times, _flat(f_t ** 2 / mu_t).mean(axis=1)))
     scale = max(float(rhs.max()), 1e-30)
     max_ratio = float(np.max(lhs / np.maximum(rhs, 1e-30 * scale)))
-    ok = bool(np.all(lhs <= rhs * (1.0 + tol) + 1e-30))
+    ok = bool(np.all(lhs <= rhs * (1.0 + INEQ_SLACK) + 1e-30))
 
     measured = {"max_ratio": max_ratio,
                 "final_margin": float(rhs[-1] - lhs[-1]),
@@ -157,7 +157,7 @@ def check_duality(z: TimeSeriesField, mu: TimeSeriesField, f: TimeSeriesField,
         l2_lhs = (_flat(z_t ** 2).mean(axis=1)
                   + cum_trapz(times, _grad_energy(grid, z_t, mu_t)))
         l2_rhs = float(np.mean(z_in.values ** 2)) * expo
-        ok_l2 = bool(np.all(l2_lhs <= l2_rhs * (1.0 + tol) + 1e-30))
+        ok_l2 = bool(np.all(l2_lhs <= l2_rhs * (1.0 + INEQ_SLACK) + 1e-30))
         measured["l2_max_ratio"] = float(np.max(
             l2_lhs / np.maximum(l2_rhs, 1e-30 * max(float(l2_rhs.max()), 1e-30))))
         ok = ok and ok_l2
@@ -165,13 +165,13 @@ def check_duality(z: TimeSeriesField, mu: TimeSeriesField, f: TimeSeriesField,
             sup0 = float(np.max(np.abs(z_in.values)))
             upper = _flat(z_t).max(axis=1)
             lower = _flat(z_t).min(axis=1)
-            ok_max = bool(np.all(upper <= sup0 * expo * (1.0 + tol))
-                          and np.all(lower >= -tol * sup0))
+            ok_max = bool(np.all(upper <= sup0 * expo * (1.0 + INEQ_SLACK))
+                          and np.all(lower >= -INEQ_SLACK * sup0))
             measured["max_principle_excess"] = float(
                 np.max(upper - sup0 * expo))
             ok = ok and ok_max
 
-    return Report("duality", ok, measured, tol,
+    return Report("duality", ok, measured, INEQ_SLACK,
                   "H^-1 duality estimate for the scalar Kolmogorov form")
 
 
@@ -249,8 +249,7 @@ def fit_decay_rate(traj: Trajectory) -> Report:
 
 
 def check_stability_pair(traj1: Trajectory, traj2: Trajectory, spec: ModelSpec,
-                         R: float, delta: float,
-                         tol: float = INEQ_SLACK) -> Report:
+                         R: float, delta: float) -> Report:
     """H^-1 distance bound between a bounded and a small trajectory.
 
     The distance in H^-1 plus the defect-weighted accumulated L2
@@ -284,12 +283,12 @@ def check_stability_pair(traj1: Trajectory, traj2: Trajectory, spec: ModelSpec,
              + float(np.mean(zv[0])) ** 2 * (spec.d2 + spec.q.eval(R, R)))
     rhs = hm1[0] + slope * times
     floor = 1e-15 * (1.0 + amp1 + amp2)
-    ok = bool(np.all(lhs <= np.maximum(rhs * (1.0 + tol), floor)))
+    ok = bool(np.all(lhs <= np.maximum(rhs * (1.0 + INEQ_SLACK), floor)))
     max_ratio = float(np.max(lhs / np.maximum(rhs, floor)))
     return Report("stability", ok,
                   {"max_ratio": max_ratio, "c_delta": c_delta,
                    "rhs_slope": slope, "horizon": float(times[-1])},
-                  tol, "H^-1 stability between a bounded and a small trajectory")
+                  INEQ_SLACK, "H^-1 stability between a bounded and a small trajectory")
 
 
 def check_lyapunov_nonconvex(traj: Trajectory) -> Report:

@@ -325,6 +325,15 @@ def test_sweep_rejects_string_numbers(tmp_path, capsys):
     assert "u_mean must be a number" in capsys.readouterr().err
 
 
+def test_sweep_rejects_boolean_values(tmp_path, capsys):
+    cfg = write_json(tmp_path / "sweep.json",
+                     {"base": run_config(), "axis": "amplitude", "values": [True, 0.5]})
+    assert run_cli(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "sweep value must be a number" in err
+
+
 def test_malformed_json_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"model\": }")
@@ -527,5 +536,17 @@ def test_malformed_and_edge_configs_fail_cleanly(tmp_path, capsys, name):
     assert code == (0 if name in ("cosine-2d", "negative-mode") else 2)
 
 
-def test_unknown_subcommand():
-    assert run_cli(["transmogrify"]) == 2
+@pytest.mark.parametrize("argv", [[], ["transmogrify"], ["simulate"],
+                                  ["norms", "--norm", "lp"]],
+                         ids=["empty", "unknown-subcommand", "simulate-bare",
+                              "norms-without-input"])
+def test_usage_errors_print_one_line(capsys, argv):
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("configuration error: ")
+
+
+def test_help_exits_zero(capsys):
+    assert run_cli(["--help"]) == 0
+    assert "usage" in capsys.readouterr().out

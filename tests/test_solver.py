@@ -50,8 +50,9 @@ def test_run_config_validation(grid32, cosine):
         RunConfig(SKT, st, dt=3e-4, t_end=1e-3)
     with pytest.raises(ConfigError, match="dt"):
         RunConfig(SKT, st, dt=0.0, t_end=1e-3)
-    with pytest.raises(ConfigError, match="record_every"):
-        RunConfig(SKT, st, dt=1e-4, t_end=1e-3, record_every=0)
+    for every in (0, 2.0, True):
+        with pytest.raises(ConfigError, match="record_every"):
+            RunConfig(SKT, st, dt=1e-4, t_end=1e-3, record_every=every)
     with pytest.raises(ConfigError, match="scheme"):
         RunConfig(SKT, st, dt=1e-4, t_end=1e-3, scheme="euler")
     with pytest.raises(ConfigError, match="regularized"):

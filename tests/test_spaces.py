@@ -23,8 +23,7 @@ from crossflux.spaces import (
     sobolev_norm,
     spacetime_lk,
 )
-from crossflux.spectral import (FOUR_PI_SQ, Field, TorusGrid, laplacian, spectral_plan,
-                                transform)
+from crossflux.spectral import FOUR_PI_SQ, Field, TorusGrid, laplacian, spectral_plan
 
 
 def test_lebesgue_oracles(grid64, cosine):
@@ -138,6 +137,12 @@ def test_besov_blocks_match_node_by_node_quadrature_bitwise(rng):
         assert besov_Nk(alt, k, 1e-300) == value
 
 
+def test_besov_of_zero_field_is_zero():
+    for g in (TorusGrid(1, 32), TorusGrid(2, 16)):
+        for k in (1.5, 4.0):
+            assert besov_Nk(Field(g, np.zeros(g.shape)), k) == 0.0
+
+
 def test_besov_tiny_tolerance_stops_where_every_mode_has_underflowed():
     # the mean coefficient of cos(2 pi 100 x) is roundoff, not zero, and
     # never decays; a tiny tol once integrated it out to t ~ 1e115
@@ -225,8 +230,9 @@ def test_block_sequence_norm(rng, grid64):
 def test_random_band_field_support(rng, grid64):
     f = random_band_field(grid64, 4, 8, rng)
     assert abs(mean(f)) < 1e-14
-    coeffs = transform(f).coeffs
-    outside = (grid64.xi_sq < 16.0) | (grid64.xi_sq >= 64.0)
+    plan = spectral_plan(grid64, 64)
+    coeffs = plan.to_coeffs(f.values)
+    outside = (plan.xi_sq < 16.0) | (plan.xi_sq >= 64.0)
     assert np.max(np.abs(coeffs[outside])) < 1e-14
     assert lp_norm(f, 2) > 0
 
