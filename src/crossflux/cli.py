@@ -94,15 +94,21 @@ def _zero_series(traj: Trajectory) -> TimeSeriesField:
 
 def _verify_reports(obj, requested) -> list[Report]:
     """The requested reports in order.  When a run blows up, the reports
-    finished so far are followed by a failed `blowup` report."""
+    finished so far are followed by a failed `blowup` report.  Each
+    warning raised on the way is printed as one `warning:` line."""
     reports: list[Report] = []
-    try:
-        for rep in _check_reports(obj, requested):
-            reports.append(rep)
-    except BlowupError as exc:
-        print(f"run blew up at step {exc.step}", file=sys.stderr)
-        reports.append(Report("blowup", False, {"step": exc.step}, 0.0,
-                              "the run stays finite up to t_end"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        try:
+            for rep in _check_reports(obj, requested):
+                reports.append(rep)
+        except BlowupError as exc:
+            print(f"run blew up at step {exc.step}", file=sys.stderr)
+            reports.append(Report("blowup", False, {"step": exc.step}, 0.0,
+                                  "the run stays finite up to t_end"))
+        finally:
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
     return reports
 
 

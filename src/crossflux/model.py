@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .spectral import Field, TorusGrid, laplacian, poly_plan
+from .spectral import FRESH, Field, TorusGrid, Work, laplacian, poly_plan
 
 CAP = 1e3  # returned when a threshold is unbounded for the given model
 
@@ -55,23 +55,35 @@ class Poly2Signed:
     def eval(self, x, y):
         return sum(c * x ** i * y ** j for (i, j), c in self.terms.items())
 
-    def eval_arrays(self, X: np.ndarray, Y: np.ndarray, out=None) -> np.ndarray:
+    def eval_arrays(self, X: np.ndarray, Y: np.ndarray, out=None,
+                    work: Work = FRESH) -> np.ndarray:
         """Sum of c * X**i * Y**j, multiplied in that order, written into
         `out` (a new array when None); X and Y are only read.  A unit
         coefficient and an exponent of 0 take no multiply, X**1 takes no
         power, and the sum starts from its first term: all exact, so
-        every bit is that of the power form."""
+        every bit is that of the power form.  Terms after the first and
+        powers that cannot go into the term are built in arrays of
+        `work` (see `spectral.Work`)."""
         if out is None:
             out = np.empty(np.broadcast(X, Y).shape)
         if not self.terms:
             out.fill(0.0)
         for n, ((i, j), c) in enumerate(self.terms.items()):
-            dest = out if n == 0 else None
+            dest = out if n == 0 else work.array("poly term", out.shape)
             term = None if c == 1 else float(c)
             for base, e in ((X, i), (Y, j)):
-                if e:
-                    power = base if e == 1 else base ** e
-                    term = power if term is None else np.multiply(term, power, out=dest)
+                if not e:
+                    continue
+                if e == 1:
+                    power = base
+                else:
+                    # base ** 2 is np.square, any other power np.power
+                    power = work.array("poly power", out.shape) if term is dest else dest
+                    if e == 2:
+                        np.square(base, out=power)
+                    else:
+                        np.power(base, e, out=power)
+                term = power if term is None else np.multiply(term, power, out=dest)
             if n:
                 out += 1.0 if term is None else term
             elif term is not out:

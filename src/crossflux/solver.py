@@ -24,7 +24,7 @@ import numpy as np
 from .errors import BlowupError, ConfigError, DomainError
 from .model import ModelSpec, X, Y, derive_QR
 from .spaces import TimeSeriesField, interp_linear
-from .spectral import FOUR_PI_SQ, Field, TorusGrid, poly_plan, spectral_plan
+from .spectral import FOUR_PI_SQ, Field, TorusGrid, Work, poly_plan, spectral_plan
 
 RK4_STABILITY_CONSTANT = 0.4
 # every step is diagnosed into preallocated arrays, so the count is capped
@@ -157,23 +157,42 @@ def rk4_max_dt(spec: ModelSpec, state: State) -> float:
     return RK4_STABILITY_CONSTANT / (FOUR_PI_SQ * (g.N / 2) ** 2 * s)
 
 
-def _rk4_update(plan, dt, c, d, fluxes):
-    def rhs(a):
-        return -plan.lam * (d * a + plan.poly_coeffs(fluxes, a))
+def _rk4_update(plan, dt, c, d, fluxes, neg_lam, work):
+    """One classical RK4 step of c, in place, with the arithmetic of
+    c + dt/6 * (k1 + 2*k2 + 2*k3 + k4) in that order."""
+    k, total, stage = (work.array(name, c.shape, np.complex128)
+                       for name in ("rk4 k", "rk4 total", "rk4 stage"))
 
-    k1 = rhs(c)
-    k2 = rhs(c + 0.5 * dt * k1)
-    k3 = rhs(c + 0.5 * dt * k2)
-    k4 = rhs(c + dt * k3)
-    return c + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    def rhs(a, out):
+        # -lam * (d * a + flux coefficients), into out
+        np.multiply(d, a, out=out)
+        np.add(out, plan.poly_coeffs(fluxes, a, work=work), out=out)
+        return np.multiply(neg_lam, out, out=out)
+
+    rhs(c, total)
+    np.add(c, np.multiply(0.5 * dt, total, out=stage), out=stage)
+    for step in (0.5 * dt, dt):
+        rhs(stage, k)
+        np.add(c, np.multiply(step, k, out=stage), out=stage)
+        np.add(total, np.multiply(2, k, out=k), out=total)
+    rhs(stage, k)
+    np.add(total, k, out=total)
+    np.add(c, np.multiply(dt / 6.0, total, out=total), out=c)
 
 
-def _regularized_coeffs(plan, spec, c, vals, moll):
-    """Explicit-part coefficients for the truncated, mollified flux."""
-    capped = np.minimum(vals, spec.trunc_delta)
-    pq = np.stack([spec.p.eval_arrays(*capped), spec.q.eval_arrays(*capped)])
-    return plan.project_fine(plan.fine_values(plan.to_coeffs(pq) * moll)
-                             * plan.fine_values(c))
+def _regularized_coeffs(plan, spec, c, vals, moll, work):
+    """Explicit-part coefficients for the truncated, mollified flux.  The
+    smoothed flux polynomials and the densities are sampled on the fine
+    grid as one stack of four."""
+    capped = np.minimum(vals, spec.trunc_delta, out=work.array("capped", vals.shape))
+    pq = work.array("pq", vals.shape)
+    spec.p.eval_arrays(*capped, out=pq[0], work=work)
+    spec.q.eval_arrays(*capped, out=pq[1], work=work)
+    both = work.array("factors", (4,) + c.shape[1:], np.complex128)
+    np.multiply(plan.to_coeffs(pq, work=work), moll, out=both[:2])
+    both[2:] = c
+    fine = plan.fine_values(both, work=work)
+    return plan.project_fine(np.multiply(fine[:2], fine[2:], out=fine[2:]), work=work)
 
 
 def simulate(config: RunConfig) -> Trajectory:
@@ -184,6 +203,12 @@ def simulate(config: RunConfig) -> Trajectory:
     variant evaluates the polynomial part of each flux at densities
     capped at trunc_delta and smoothed by the heat kernel at time eta
     before multiplying the density.
+
+    The run owns one `Work`: every step writes its intermediates, the
+    new coefficients and the new samples into the same arrays, so no
+    large array is allocated after the first step.  Overflow or an
+    invalid operation in a step raises `BlowupError` at that step, as
+    does a non-finite sample.
     """
     spec = config.spec
     grid = config.initial.grid
@@ -203,13 +228,20 @@ def simulate(config: RunConfig) -> Trajectory:
                 f"dt = {dt:.3e} exceeds the rk4 stability bound {bound:.3e} "
                 "for this initial state")
 
-    vals = np.stack([config.initial.u.values, config.initial.v.values])
+    # the initial samples go into the work array that each step's
+    # to_values rewrites, so the run holds one array of samples
+    work = Work()
+    vals = work.array("values", (2,) + grid.shape)
+    vals[0], vals[1] = config.initial.u.values, config.initial.v.values
     c = plan.to_coeffs(vals)
+    finite = np.empty(vals.shape, dtype=bool)
     # the diffusivities, and dt * lam and the implicit denominators of
     # both species, broadcast against the stack
     d = np.reshape([spec.d1, spec.d2], (2,) + (1,) * grid.d)
     dt_lam = dt * plan.lam
     den = 1.0 + dt_lam * d
+    if config.scheme == "rk4":
+        neg_lam = -plan.lam
     if regularized:
         moll = np.exp(-spec.eta * plan.lam)
 
@@ -222,8 +254,8 @@ def simulate(config: RunConfig) -> Trajectory:
     def diagnose(n):
         # sum / size is bitwise what `mean` computes, without its Python layer
         flat = vals.reshape(2, -1)
-        flat.min(axis=1, out=mins[:, n])
-        masses[:, n] = flat.sum(axis=1) / grid.size
+        np.minimum.reduce(flat, axis=1, out=mins[:, n])
+        np.divide(np.add.reduce(flat, axis=1), grid.size, out=masses[:, n])
 
     def trajectory(n, r):
         return Trajectory(spec, config.scheme, config.variant, dt, times[:r],
@@ -233,22 +265,28 @@ def simulate(config: RunConfig) -> Trajectory:
     diagnose(0)
     rec[:, 0] = vals
     r = 1
-    for n in range(1, n_steps + 1):
-        if config.scheme == "rk4":
-            c = _rk4_update(plan, dt, c, d, fluxes)
-        else:
-            if regularized:
-                cw = _regularized_coeffs(plan, spec, c, vals, moll)
-            else:
-                cw = plan.poly_coeffs(fluxes, c)
-            c = (c - dt_lam * cw) / den
-        vals = plan.to_values(c)
-        if not np.isfinite(vals).all():
-            raise BlowupError(n, trajectory(n, r))
-        diagnose(n)
-        if n == steps[r]:
-            rec[:, r] = vals
-            r += 1
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for n in range(1, n_steps + 1):
+                if config.scheme == "rk4":
+                    _rk4_update(plan, dt, c, d, fluxes, neg_lam, work)
+                else:
+                    if regularized:
+                        cw = _regularized_coeffs(plan, spec, c, vals, moll, work)
+                    else:
+                        cw = plan.poly_coeffs(fluxes, c, work=work)
+                    # c = (c - dt_lam * cw) / den, in place
+                    np.subtract(c, np.multiply(dt_lam, cw, out=cw), out=c)
+                    np.divide(c, den, out=c)
+                vals = plan.to_values(c, work=work)
+                if not np.isfinite(vals, out=finite).all():
+                    raise BlowupError(n, trajectory(n, r))
+                diagnose(n)
+                if n == steps[r]:
+                    rec[:, r] = vals
+                    r += 1
+    except FloatingPointError:
+        raise BlowupError(n, trajectory(n, r)) from None
 
     return trajectory(n_steps + 1, len(steps))
 

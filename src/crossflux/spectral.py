@@ -209,24 +209,66 @@ def half_coeffs(grid: TorusGrid, full: np.ndarray) -> np.ndarray:
     return full[..., :grid.N // 2 + 1]
 
 
-def _forward(vals: np.ndarray, d: int, h: int) -> np.ndarray:
+class Work:
+    """Named work arrays for the `SpectralPlan` methods.
+
+    `array(name, shape, dtype)` gives an array to write into, zero when
+    made if `zero` is set.  A `Work()` makes each array on its first
+    request and hands the same one back for every later request of that
+    name and shape, so a caller that passes one work object to every call
+    allocates nothing large after its first call.  A result a method
+    returns then lives in one of these arrays, and later calls with the
+    same work object overwrite it.  The caller owns the work object:
+    `simulate` makes one per run, and the shared plans hold none.
+    `FRESH`, the default of every method, keeps nothing and makes new
+    arrays on every request.
+    """
+
+    def __init__(self):
+        self._arrays = {}
+
+    def array(self, name: str, shape: tuple, dtype=np.float64, zero: bool = False):
+        try:
+            return self._arrays[name, shape]
+        except KeyError:
+            a = self._arrays[name, shape] = (np.zeros if zero else np.empty)(shape, dtype)
+            return a
+
+
+class _Fresh(Work):
+    def array(self, name: str, shape: tuple, dtype=np.float64, zero: bool = False):
+        return (np.zeros if zero else np.empty)(shape, dtype)
+
+
+FRESH = _Fresh()
+
+
+def _forward(vals: np.ndarray, d: int, h: int, work: Work) -> np.ndarray:
     """The first h columns of the real FFT ("forward" norm) of samples
-    over the trailing d axes: r2c on the last axis, then in 2-d c2c on
-    the first axis over those h columns only.  numpy's `rfftn` makes the
-    same per-axis calls, so the numbers are those of its columns :h."""
-    f = np.fft.rfft(vals, axis=-1, norm="forward")[..., :h]
-    return np.fft.fft(f, axis=-2, norm="forward") if d == 2 else f
+    over the trailing d axes, a view into a work array: r2c on the last
+    axis, then in 2-d c2c in place on the first axis over those h
+    columns only.  numpy's `rfftn` makes the same per-axis calls, so the
+    numbers are those of its columns :h."""
+    shape = vals.shape[:-1] + (vals.shape[-1] // 2 + 1,)
+    f = np.fft.rfft(vals, axis=-1, norm="forward",
+                    out=work.array("spectrum", shape, np.complex128))[..., :h]
+    if d == 2:
+        np.fft.fft(f, axis=-2, norm="forward", out=f)
+    return f
 
 
-def _inverse(coeffs: np.ndarray, d: int, n: int) -> np.ndarray:
-    """Samples on the n^d grid of half-layout coefficients (all n rows
-    in 2-d) whose columns past the given ones are zero: in 2-d c2c on
-    the first axis, then `irfft(n=n)` on the last axis, which pads the
+def _inverse(coeffs: np.ndarray, d: int, n: int, out: np.ndarray,
+             mid: np.ndarray | None = None) -> np.ndarray:
+    """Samples on the n^d grid, written into `out`, of half-layout
+    coefficients (all n rows in 2-d) whose columns past the given ones
+    are zero: in 2-d c2c on the first axis, into `mid` or else in place
+    in `coeffs`, then `irfft(n=n)` on the last axis, which pads the
     missing columns with zeros.  The numbers are those of `irfftn` of
     the explicitly zero-padded array."""
     if d == 2:
-        coeffs = np.fft.ifft(coeffs, axis=-2, norm="forward")
-    return np.fft.irfft(coeffs, n=n, axis=-1, norm="forward")
+        coeffs = np.fft.ifft(coeffs, axis=-2, norm="forward",
+                             out=coeffs if mid is None else mid)
+    return np.fft.irfft(coeffs, n=n, axis=-1, norm="forward", out=out)
 
 
 class SpectralPlan:
@@ -258,6 +300,14 @@ class SpectralPlan:
     thrown away (forward).  The numbers are bitwise those of
     `rfftn`/`irfftn` on the full M-grid.
 
+    Every method writes its intermediates and its result into the arrays
+    of a `Work`, through `out=` on the FFT calls and the ufuncs.  The
+    caller owns it: `simulate` passes one per run, so its steps reuse the
+    same arrays, and the 2-d padding array is zeroed once, each call
+    rewriting only its N rows and the split row.  A plan holds no work
+    arrays, as plans are shared; without a work object a call gets fresh
+    arrays (`FRESH`).  Inputs are only read.
+
     Every method acts on the trailing d axes and maps over any leading
     axes, so a stack of fields of shape (T, *grid.shape) is transformed
     in one call; a single field is a stack with no leading axes.
@@ -281,7 +331,7 @@ class SpectralPlan:
         _, _, fine_fwd, fine_inv = _fourier_data(d, M)
         # rows of the M-grid that hold the N rows of the first axis (2-d)
         k = np.arange(N)
-        self._rows = np.where(k < N // 2, k, k + M - N)
+        rows = np.where(k < N // 2, k, k + M - N)
         # padding multiplies by the phase of the slot it fills; the -N/2
         # column is stored at +N/2 as -1/2 c, the -N/2 row (2-d) is split
         # as +1/2 c there and -1/2 c at the +N/2 row
@@ -289,69 +339,78 @@ class SpectralPlan:
         pad[..., N // 2] *= -0.5
         if d == 2:
             self._pad_split = -0.5 * pad[N // 2]
-            pad = pad[self._rows]
+            pad = pad[rows]
             pad[N // 2] *= 0.5
             self._rev = -np.arange(M) % M
             self._proj_col = fine_fwd[:, N // 2]
             self._proj_split = fine_fwd[N // 2, :h]
-            self._proj = fine_fwd[self._rows, :h]
+            self._proj = fine_fwd[rows, :h]
         else:
             self._proj = fine_fwd[:h]
         self._pad = pad
 
-    def to_coeffs(self, vals: np.ndarray) -> np.ndarray:
+    def to_coeffs(self, vals: np.ndarray, work: Work = FRESH) -> np.ndarray:
         g = self.grid
-        return _forward(vals, g.d, g.N // 2 + 1) * self._fwd
+        c = _forward(vals, g.d, g.N // 2 + 1, work)
+        return np.multiply(c, self._fwd, out=c)
 
-    def to_values(self, coeffs: np.ndarray) -> np.ndarray:
-        return _inverse(coeffs * self._inv, self.grid.d, self.grid.N)
+    def to_values(self, coeffs: np.ndarray, work: Work = FRESH) -> np.ndarray:
+        N = self.grid.N
+        c = np.multiply(coeffs, self._inv, out=work.array("coeffs", coeffs.shape, np.complex128))
+        return _inverse(c, self.grid.d, N, work.array("values", coeffs.shape[:-1] + (N,)))
 
-    def fine_values(self, coeffs: np.ndarray) -> np.ndarray:
+    def fine_values(self, coeffs: np.ndarray, work: Work = FRESH) -> np.ndarray:
         g = self.grid
         N, M = g.N, self.M
-        if M == N:
-            return self.to_values(coeffs)
-        c = coeffs * self._pad
-        if g.d == 2:
-            # the first axis is padded in the middle: rows N/2..M-N/2
-            # are zero but for the split -N/2 row
-            fine = np.zeros(coeffs.shape[:-2] + (M, N // 2 + 1), dtype=np.complex128)
-            fine[..., :N // 2, :] = c[..., :N // 2, :]
-            fine[..., M - N // 2:, :] = c[..., N // 2:, :]
-            fine[..., N // 2, :] = coeffs[..., N // 2, :] * self._pad_split
-            c = fine
-        return _inverse(c, g.d, M)
+        if M == N or g.d == 1:
+            # no padding, or padding that irfft(n=M) does
+            c = np.multiply(coeffs, self._inv if M == N else self._pad,
+                            out=work.array("coeffs", coeffs.shape, np.complex128))
+            return _inverse(c, g.d, M, work.array("fine", coeffs.shape[:-1] + (M,)))
+        # the first axis is padded in the middle: rows N/2..M-N/2 stay
+        # zero but for the split -N/2 row, so only those rows are written
+        lead, h = coeffs.shape[:-2], N // 2 + 1
+        c = work.array("pad", lead + (M, h), np.complex128, zero=True)
+        np.multiply(coeffs[..., :N // 2, :], self._pad[:N // 2], out=c[..., :N // 2, :])
+        np.multiply(coeffs[..., N // 2:, :], self._pad[N // 2:], out=c[..., M - N // 2:, :])
+        np.multiply(coeffs[..., N // 2, :], self._pad_split, out=c[..., N // 2, :])
+        # the c2c pass goes into the projection's spectrum, idle until then
+        mid = work.array("spectrum", lead + (M, M // 2 + 1), np.complex128)[..., :h]
+        return _inverse(c, 2, M, work.array("fine", lead + (M, M)), mid)
 
-    def project_fine(self, vals: np.ndarray) -> np.ndarray:
+    def project_fine(self, vals: np.ndarray, work: Work = FRESH) -> np.ndarray:
         g = self.grid
-        N, h = g.N, g.N // 2 + 1
-        if self.M == N:
-            return self.to_coeffs(vals)
-        fine = _forward(vals, g.d, h)
+        N, M, h = g.N, self.M, g.N // 2 + 1
+        if M == N:
+            return self.to_coeffs(vals, work=work)
+        fine = _forward(vals, g.d, h, work)
+        out = work.array("coeffs", vals.shape[:-g.d] + self.lam.shape, np.complex128)
         if g.d == 1:
-            out = fine * self._proj
+            np.multiply(fine, self._proj, out=out)
             col = out[..., N // 2]
-            out[..., N // 2] = np.conj(col) - col
+            np.subtract(np.conj(col), col, out=col)
             return out
         col = fine[..., N // 2] * self._proj_col
         col = np.conj(col[..., self._rev]) - col
-        out = fine[..., self._rows, :] * self._proj
-        out[..., N // 2] = col[..., self._rows]
+        np.multiply(fine[..., :N // 2, :], self._proj[:N // 2], out=out[..., :N // 2, :])
+        np.multiply(fine[..., M - N // 2:, :], self._proj[N // 2:], out=out[..., N // 2:, :])
+        out[..., :N // 2, N // 2] = col[..., :N // 2]
+        out[..., N // 2:, N // 2] = col[..., M - N // 2:]
         split = fine[..., N // 2, :] * self._proj_split
         split[..., N // 2] = col[..., N // 2]
         out[..., N // 2, :] -= split
         return out
 
-    def poly_coeffs(self, polys, c: np.ndarray) -> np.ndarray:
+    def poly_coeffs(self, polys, c: np.ndarray, work: Work = FRESH) -> np.ndarray:
         """Coefficients of each polynomial of (u, v), stacked along a new
         first axis, given the stack c = (coefficients of u, of v).  u and
         v are sampled on the fine grid in one call, and the polynomials
         are projected back in one call."""
-        uf, vf = self.fine_values(c)
-        fine = np.empty((len(polys),) + uf.shape)
+        uf, vf = self.fine_values(c, work=work)
+        fine = work.array("polys", (len(polys),) + uf.shape)
         for p, row in zip(polys, fine):
-            p.eval_arrays(uf, vf, out=row)
-        return self.project_fine(fine)
+            p.eval_arrays(uf, vf, out=row, work=work)
+        return self.project_fine(fine, work=work)
 
 
 @lru_cache(maxsize=64)

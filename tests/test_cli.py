@@ -4,6 +4,7 @@ import copy
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -83,11 +84,12 @@ def test_simulate_blowup_exit_code(tmp_path, capsys):
         ),
     )
     out = tmp_path / "traj.csv"
+    # the l2 column of the partial history overflows in its squares
     with np.errstate(over="ignore", invalid="ignore"):
         code = run_cli(["simulate", "--config", cfg, "--out", str(out)])
     assert code == 1
     assert out.exists()  # partial history is still written
-    assert "blew up" in capsys.readouterr().err.lower()
+    assert "run blew up at step 8\n" in capsys.readouterr().err
 
 
 def test_verify_passing_checks(tmp_path, capsys):
@@ -406,28 +408,46 @@ def test_malformed_check_parameters_exit_code(tmp_path, capsys, check, params):
     assert "Traceback" not in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("checks, finished", [("mass,energy", []),
                                               ("mass,stability", ["mass"])])
 def test_verify_blowup_writes_partial_reports(tmp_path, capsys, checks, finished):
     # amplitude 2.9 makes the explicit flux unstable at dt = 1e-3; the
-    # second case blows up only in the stability check's second run
+    # second case blows up only in the stability check's second run.  The
+    # first overflow falls in step 13, where the run stops, so numpy
+    # warns of nothing
     big = dict(run_config()["initial"], u_mean=2.9, u_amp=2.9, v_mean=2.9, v_amp=2.9)
     if finished:
         cfg = run_config(dt=1e-3, checks={"delta": 0.3, "initial2": big})
     else:
         cfg = run_config(dt=1e-3, initial=big)
     report = tmp_path / "report.json"
-    code = run_cli(["verify", "--config", write_json(tmp_path / "run.json", cfg),
-                    "--checks", checks, "--report", str(report)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(["verify", "--config", write_json(tmp_path / "run.json", cfg),
+                        "--checks", checks, "--report", str(report)])
     assert code == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
-    assert "blew up at step" in err
+    assert err.splitlines() == ["run blew up at step 13", "failed checks: blowup"]
     reports = json.loads(report.read_text())
     assert [r["check"] for r in reports] == finished + ["blowup"]
     blowup = reports[-1]
     assert blowup["pass"] is False
-    assert f"blew up at step {int(blowup['measured']['step'])}" in err
+    assert blowup["measured"]["step"] == 13
+
+
+def test_verify_prints_each_warning_as_one_line(tmp_path, capsys):
+    # k_sob = 1 is not above d/2 = 1 in 2-d: track_hk warns, and the
+    # run still passes
+    model = dict(MODEL, d=2, N=16)
+    cfg = run_config(model=model, dt=2e-4, t_end=2e-3, checks={"k_sob": 1})
+    code = run_cli(["verify", "--config", write_json(tmp_path / "run.json", cfg),
+                    "--checks", "hk", "--report", str(tmp_path / "r.json")])
+    assert code == 0
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("warning: ")] == [
+        "warning: k_sob = 1 is not above d/2 = 1.0"]
+    assert "cli.py" not in err
 
 
 @pytest.mark.parametrize("cap", ["abc", "0", "-1"])

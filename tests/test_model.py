@@ -28,7 +28,7 @@ from crossflux.model import (
     stability_constants,
     thresholds,
 )
-from crossflux.spectral import Field, TorusGrid, poly_field
+from crossflux.spectral import Field, TorusGrid, Work, poly_field
 
 
 def skt(a=1.0, d1=1.0, d2=1.0):
@@ -82,7 +82,9 @@ def test_poly_eval_arrays_is_the_power_form_bitwise(rng):
     {(0, 0): -0.7},
     {(1, 1): 1.0},
     {},
-], ids=["mixed", "unit-linear", "unit-constant", "constant-only", "unit-product", "zero"])
+    {(1, 3): 0.7, (2, 2): 1.0, (3, 0): 1.5},
+], ids=["mixed", "unit-linear", "unit-constant", "constant-only", "unit-product", "zero",
+        "powers"])
 def test_poly_eval_arrays_skips_unit_factors_bitwise(rng, terms):
     # unit coefficients and constant terms take no multiply, and the sum
     # starts from the first term; with or without `out=` every bit is
@@ -98,6 +100,10 @@ def test_poly_eval_arrays_skips_unit_factors_bitwise(rng, terms):
     assert p.eval_arrays(x, y, out=out) is out
     assert np.array_equal(out, power_form)
     assert np.array_equal(x, x0) and np.array_equal(y, y0)
+    # a kept work object hands the same term and power arrays to both calls
+    work = Work()
+    for _ in range(2):
+        assert np.array_equal(p.eval_arrays(x, y, out=out, work=work), power_form)
     # the first term may be X itself: the result is a copy, not a view
     first = p.eval_arrays(x, y)
     first += 1.0

@@ -1,6 +1,7 @@
 """Stepper exactness, conservation, blowup handling, and the scalar solver."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,8 @@ from crossflux.solver import (
     solve_kolmogorov,
 )
 from crossflux.spaces import TimeSeriesField
-from crossflux.spectral import FOUR_PI_SQ, Field, SpectralPlan, TorusGrid, spectral_plan
+from crossflux.spectral import (FOUR_PI_SQ, Field, SpectralPlan, TorusGrid, poly_plan,
+                                spectral_plan)
 
 
 HEAT = ModelSpec(0.3, 0.3, Poly2({}), Poly2({}))
@@ -130,15 +132,21 @@ def test_recording_grid(grid32, cosine):
 
 
 def test_blowup_raises_with_partial_history(grid32, cosine):
+    # the first overflow falls in step 8, where the run stops: numpy
+    # warns of nothing, and the history holds steps 0 to 7
     u0 = cosine(grid32, mean=10.0, amp=8.0)
     cfg = RunConfig(SKT, State(0.0, u0, u0), dt=1.0, t_end=50.0)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         with pytest.raises(BlowupError) as exc:
             simulate(cfg)
-    assert exc.value.step >= 1
+    assert not caught
+    assert exc.value.step == 8
     partial = exc.value.trajectory
     assert partial is not None
-    assert partial.times[-1] < 50.0
+    assert partial.times[-1] == 7.0
+    assert partial.mass_u.shape == (8,)
+    assert np.isfinite(partial.u).all()
 
 
 def test_regularized_variants(grid32, cosine):
@@ -326,10 +334,10 @@ def test_simulate_keeps_zero_coefficients_bitwise(d, seed, scheme):
     seen = []
     original = SpectralPlan.to_values
 
-    def spy(plan, coeffs):
+    def spy(plan, coeffs, **kwargs):
         if coeffs.shape[:1] == (2,) and coeffs.ndim == d + 1:
             seen.append(coeffs[zero].copy())
-        return original(plan, coeffs)
+        return original(plan, coeffs, **kwargs)
 
     with mock.patch.object(SpectralPlan, "to_values", spy):
         simulate(cfg)
@@ -339,35 +347,115 @@ def test_simulate_keeps_zero_coefficients_bitwise(d, seed, scheme):
         assert np.array_equal(c0, initial)
 
 
-@pytest.mark.parametrize("d, N, scheme, per_step", [(1, 64, "imex", 3), (1, 64, "rk4", 9),
-                                                    (2, 16, "imex", 6)])
-def test_fft_calls_per_step(d, N, scheme, per_step):
-    # a guard on the step's cost: per step, one padded inverse and one
-    # projection per flux evaluation and one inverse of the new state,
-    # each one numpy FFT call per axis
+FFT_CASES = pytest.mark.parametrize(
+    "d, N, scheme, per_step", [(1, 64, "imex", 3), (1, 64, "rk4", 9), (2, 16, "imex", 6)])
+
+
+def fft_calls(d, N, scheme, steps):
+    """The `out` argument (None when not given) of each numpy FFT call
+    that a run of the given number of steps makes."""
     grid = TorusGrid(d, N)
     wave = np.cos(2.0 * np.pi * grid.coords(0))
     init = State(0.0, Field(grid, 0.3 + 0.1 * wave), Field(grid, 0.4 + 0.1 * wave))
     dt = 0.5 * rk4_max_dt(SKT, init)
-    calls = []
+    outs = []
 
     def counted(name):
         original = getattr(np.fft, name)
 
         def spy(*args, **kwargs):
-            calls.append(name)
+            outs.append(kwargs.get("out"))
             return original(*args, **kwargs)
         return spy
 
-    def count(steps):
-        calls.clear()
-        with mock.patch.multiple(np.fft, **{name: counted(name) for name in
-                                            ("fft", "ifft", "rfft", "irfft", "fftn",
-                                             "ifftn", "rfftn", "irfftn")}):
-            simulate(RunConfig(SKT, init, dt=dt, t_end=steps * dt, scheme=scheme))
-        return len(calls)
+    with mock.patch.multiple(np.fft, **{name: counted(name) for name in
+                                        ("fft", "ifft", "rfft", "irfft", "fftn",
+                                         "ifftn", "rfftn", "irfftn")}):
+        simulate(RunConfig(SKT, init, dt=dt, t_end=steps * dt, scheme=scheme))
+    return outs
 
-    assert (count(6) - count(2)) == 4 * per_step
+
+@FFT_CASES
+def test_fft_calls_per_step(d, N, scheme, per_step):
+    # a guard on the step's cost: per step, one padded inverse and one
+    # projection per flux evaluation and one inverse of the new state,
+    # each one numpy FFT call per axis
+    assert len(fft_calls(d, N, scheme, 6)) - len(fft_calls(d, N, scheme, 2)) == 4 * per_step
+
+
+@FFT_CASES
+def test_fft_calls_write_into_the_run_work_arrays(d, N, scheme, per_step):
+    # after step 2 every transform writes into a given array, and those
+    # arrays are the same few however long the run: no step allocates
+    # its own transform output
+    def owner(a):
+        return a if a.base is None else a.base
+
+    short, long = fft_calls(d, N, scheme, 2), fft_calls(d, N, scheme, 6)
+    assert all(isinstance(out, np.ndarray) for out in long[-4 * per_step:])
+    # the lists keep every array alive, so distinct arrays have distinct ids
+    assert (len({id(owner(out)) for out in long})
+            == len({id(owner(out)) for out in short}))
+
+
+def fresh_loop(spec, u0, v0, dt, n_steps, scheme, variant):
+    """The time loop of `simulate` composed from the plan methods with no
+    work object, so every call makes new arrays; returns the samples,
+    minima and means of every step, each of shape (2, n_steps + 1, ...)."""
+    grid = TorusGrid(u0.ndim, u0.shape[0])
+    regularized = variant == "regularized"
+    fluxes = (X * spec.p, Y * spec.q)
+    plan = poly_plan(grid, fluxes + (X * Y,) if regularized else fluxes)
+    d = np.reshape([spec.d1, spec.d2], (2,) + (1,) * grid.d)
+    lam = plan.lam
+
+    def rhs(a):
+        return -lam * (d * a + plan.poly_coeffs(fluxes, a))
+
+    vals = np.stack([u0, v0])
+    c = plan.to_coeffs(vals)
+    seen = [vals]
+    for _ in range(n_steps):
+        if scheme == "rk4":
+            k1 = rhs(c)
+            k2 = rhs(c + 0.5 * dt * k1)
+            k3 = rhs(c + 0.5 * dt * k2)
+            k4 = rhs(c + dt * k3)
+            c = c + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        else:
+            if regularized:
+                capped = np.minimum(vals, spec.trunc_delta)
+                pq = np.stack([spec.p.eval_arrays(*capped), spec.q.eval_arrays(*capped)])
+                moll = np.exp(-spec.eta * lam)
+                cw = plan.project_fine(plan.fine_values(plan.to_coeffs(pq) * moll)
+                                       * plan.fine_values(c))
+            else:
+                cw = plan.poly_coeffs(fluxes, c)
+            c = (c - dt * lam * cw) / (1.0 + dt * lam * d)
+        vals = plan.to_values(c)
+        seen.append(vals)
+    stack = np.stack(seen, axis=1)
+    flat = stack.reshape(2, n_steps + 1, -1)
+    return stack, flat.min(axis=2), flat.mean(axis=2)
+
+
+@pytest.mark.parametrize("scheme, variant", [("imex", "plain"), ("rk4", "plain"),
+                                             ("imex", "regularized")])
+@pytest.mark.parametrize("spec", [SKT, CUBIC], ids=["skt", "cubic"])
+@pytest.mark.parametrize("d, N", [(1, 16), (2, 8)])
+def test_simulate_is_the_fresh_array_loop_bitwise(rng, d, N, spec, scheme, variant):
+    # the run's work arrays change where numbers are written, not which
+    grid = TorusGrid(d, N)
+    spec = ModelSpec(spec.d1, spec.d2, spec.p, spec.q, eta=1e-4, trunc_delta=0.45)
+    u0, v0 = (m + 0.2 * rng.uniform(0.0, 1.0, grid.shape) for m in (0.3, 0.4))
+    init = State(0.0, Field(grid, u0), Field(grid, v0))
+    dt, n_steps = 0.5 * rk4_max_dt(spec, init), 6
+    traj = simulate(RunConfig(spec, init, dt=dt, t_end=n_steps * dt, scheme=scheme,
+                              variant=variant))
+    vals, mins, means = fresh_loop(spec, u0, v0, dt, n_steps, scheme, variant)
+    assert np.array_equal(traj.u, vals[0]) and np.array_equal(traj.v, vals[1])
+    assert np.array_equal(traj.min_u, mins[0]) and np.array_equal(traj.min_v, mins[1])
+    assert np.array_equal(traj.mass_u, means[0]) and np.array_equal(traj.mass_v, means[1])
 
 
 @pytest.mark.parametrize("d, N, scheme", [(1, 32, "imex"), (1, 16, "rk4"), (2, 8, "imex")])
