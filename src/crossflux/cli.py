@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -22,9 +23,9 @@ import numpy as np
 from . import io
 from .counterexample import build_pair, verify_counterexample
 from .errors import BlowupError, ConfigError, CrossfluxError
-from .model import config_number, parse_model_json, smallness_functional, thresholds
+from .model import config_number, parse_model_json, thresholds
 from .report import Report
-from .solver import RunConfig, State, Trajectory, simulate
+from .solver import RunConfig, State, simulate
 from .spaces import TimeSeriesField, besov_Nk, lp_norm, sobolev_norm
 from .spectral import Field, TorusGrid
 from .verifier import (check_duality, check_energy_decay, check_lyapunov_nonconvex,
@@ -83,102 +84,78 @@ def _optional_number(obj: dict, key: str):
     return None if obj.get(key) is None else config_number(obj, key)
 
 
-def _mu_series(traj: Trajectory, d_coef: float, poly) -> TimeSeriesField:
-    return TimeSeriesField(traj.times, d_coef + poly.eval_arrays(traj.u, traj.v))
-
-
-def _zero_series(traj: Trajectory) -> TimeSeriesField:
-    return TimeSeriesField(np.array([traj.times[0], traj.times[-1]]),
-                           np.zeros((2,) + traj.grid.shape))
-
-
-def _verify_reports(obj, requested) -> list[Report]:
-    """The requested reports in order.  When a run blows up, the reports
-    finished so far are followed by a failed `blowup` report.  Each
-    warning raised on the way is printed as one `warning:` line."""
-    reports: list[Report] = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("default")
-        try:
-            for rep in _check_reports(obj, requested):
-                reports.append(rep)
-        except BlowupError as exc:
-            print(f"run blew up at step {exc.step}", file=sys.stderr)
-            reports.append(Report("blowup", False, {"step": exc.step}, 0.0,
-                                  "the run stays finite up to t_end"))
-        finally:
-            for w in caught:
-                print(f"warning: {w.message}", file=sys.stderr)
-    return reports
-
-
-def _check_reports(obj, requested):
-    """Yield the report of each requested check in order."""
+def _run(obj, requested=()):
+    """Parse a run config, integrate it and compute the requested reports
+    in order: the one run path of every command.  A request with `lambda`
+    records every step.  Returns the trajectory (partial after a blow-up),
+    the reports finished, and the blow-up step or None."""
     force = 1 if "lambda" in requested else None
     grid, spec, cfg, checks = _parse_run(obj, force_record_every=force)
-    traj = simulate(cfg)
-    for name in requested:
-        if name == "mass":
-            yield check_mass(traj)
-        elif name == "energy":
-            yield check_energy_decay(traj, spec)
-        elif name == "duality":
-            zeros = _zero_series(traj)
-            for label, series, d_coef, poly, z_in in (
-                    ("duality_u", traj.series_u(), spec.d1, spec.p, cfg.initial.u),
-                    ("duality_v", traj.series_v(), spec.d2, spec.q, cfg.initial.v)):
-                rep = check_duality(series, _mu_series(traj, d_coef, poly),
-                                    zeros, z_in)
-                yield Report(label, rep.passed, rep.measured, rep.tolerance, rep.anchor)
-        elif name == "rate":
-            yield fit_decay_rate(traj)
-        elif name == "stability":
-            if "delta" not in checks:
-                raise ConfigError("stability check needs checks.delta")
-            delta = config_number(checks, "delta")
-            radius = config_number(checks, "R", 1.0)
-            if checks.get("initial2") is not None:
-                u2, v2 = _build_initial(grid, checks["initial2"])
-            else:
-                scale = config_number(checks, "stability_scale", 0.5)
-                init2 = copy.deepcopy(obj["initial"])
-                if init2.get("kind") != "cosine":
-                    raise ConfigError(
-                        "stability_scale needs cosine initial data; "
-                        "supply checks.initial2 otherwise")
-                init2["u_amp"] = config_number(init2, "u_amp") * scale
-                init2["v_amp"] = config_number(init2, "v_amp") * scale
-                u2, v2 = _build_initial(grid, init2)
-            cfg2 = RunConfig(spec, State(0.0, u2, v2), cfg.dt, cfg.t_end,
-                             cfg.record_every, cfg.scheme, cfg.variant)
-            yield check_stability_pair(traj, simulate(cfg2), spec, radius, delta)
-        elif name == "lambda":
-            if "k" not in checks:
-                raise ConfigError("lambda check needs checks.k")
-            _, rep = track_lambda(traj, spec, config_number(checks, "k"),
-                                  delta=_optional_number(checks, "delta"))
-            yield rep
-        elif name == "hk":
-            if "k_sob" not in checks:
-                raise ConfigError("hk check needs checks.k_sob")
-            _, rep = track_hk(traj, config_number(checks, "k_sob", integral=True),
-                              small=_optional_number(checks, "hk_small"))
-            yield rep
-        elif name == "lyapunov":
-            yield check_lyapunov_nonconvex(traj)
+    traj = None
+    reports: list[Report] = []
+    try:
+        traj = simulate(cfg)
+        for name in requested:
+            if name == "mass":
+                reports.append(check_mass(traj))
+            elif name == "energy":
+                reports.append(check_energy_decay(traj, spec))
+            elif name == "duality":
+                zeros = TimeSeriesField(traj.times[[0, -1]], np.zeros((2,) + grid.shape))
+                for label, series, d_coef, poly, z_in in (
+                        ("duality_u", traj.series_u(), spec.d1, spec.p, cfg.initial.u),
+                        ("duality_v", traj.series_v(), spec.d2, spec.q, cfg.initial.v)):
+                    mu = TimeSeriesField(traj.times,
+                                         d_coef + poly.eval_arrays(traj.u, traj.v))
+                    rep = check_duality(series, mu, zeros, z_in)
+                    reports.append(dataclasses.replace(rep, name=label))
+            elif name == "rate":
+                reports.append(fit_decay_rate(traj))
+            elif name == "stability":
+                if "delta" not in checks:
+                    raise ConfigError("stability check needs checks.delta")
+                delta = config_number(checks, "delta")
+                radius = config_number(checks, "R", 1.0)
+                if checks.get("initial2") is not None:
+                    u2, v2 = _build_initial(grid, checks["initial2"])
+                else:
+                    scale = config_number(checks, "stability_scale", 0.5)
+                    init2 = copy.deepcopy(obj["initial"])
+                    if init2.get("kind") != "cosine":
+                        raise ConfigError(
+                            "stability_scale needs cosine initial data; "
+                            "supply checks.initial2 otherwise")
+                    init2["u_amp"] = config_number(init2, "u_amp") * scale
+                    init2["v_amp"] = config_number(init2, "v_amp") * scale
+                    u2, v2 = _build_initial(grid, init2)
+                cfg2 = RunConfig(spec, State(0.0, u2, v2), cfg.dt, cfg.t_end,
+                                 cfg.record_every, cfg.scheme, cfg.variant)
+                reports.append(check_stability_pair(traj, simulate(cfg2), spec,
+                                                    radius, delta))
+            elif name == "lambda":
+                _, rep = track_lambda(traj, spec, config_number(checks, "k", 3.0),
+                                      delta=_optional_number(checks, "delta"))
+                reports.append(rep)
+            elif name == "hk":
+                if "k_sob" not in checks:
+                    raise ConfigError("hk check needs checks.k_sob")
+                _, rep = track_hk(traj, config_number(checks, "k_sob", integral=True),
+                                  small=_optional_number(checks, "hk_small"))
+                reports.append(rep)
+            elif name == "lyapunov":
+                reports.append(check_lyapunov_nonconvex(traj))
+    except BlowupError as exc:
+        # a blow-up in the stability check's second run leaves the first whole
+        return exc.trajectory if traj is None else traj, reports, exc.step
+    return traj, reports, None
 
 
 def _cmd_simulate(args) -> int:
-    obj = io.load_json(args.config)
-    _, _, cfg, _ = _parse_run(obj)
-    try:
-        traj = simulate(cfg)
-    except BlowupError as exc:
-        if exc.trajectory is not None:
-            io.write_trajectory(args.out, exc.trajectory)
-        print(f"run blew up at step {exc.step}", file=sys.stderr)
-        return 1
+    traj, _, step = _run(io.load_json(args.config))
     io.write_trajectory(args.out, traj)
+    if step is not None:
+        print(f"run blew up at step {step}", file=sys.stderr)
+        return 1
     if args.dump_fields:
         io.dump_fields(args.dump_fields, traj)
     return 0
@@ -193,7 +170,19 @@ def _cmd_verify(args) -> int:
         if name not in KNOWN_CHECKS:
             raise ConfigError(
                 f"unknown check {name!r}; known: {', '.join(KNOWN_CHECKS)}")
-    reports = _verify_reports(obj, requested)
+    # each warning raised on the way is printed as one `warning:` line,
+    # after the blow-up line and before a configuration error
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        try:
+            _, reports, step = _run(obj, requested)
+            if step is not None:
+                print(f"run blew up at step {step}", file=sys.stderr)
+                reports.append(Report("blowup", False, {"step": step}, 0.0,
+                                      "the run stays finite up to t_end"))
+        finally:
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
     io.write_reports(args.report, reports)
     failed = [r.name for r in reports if not r.passed]
     for rep in reports:
@@ -278,30 +267,19 @@ def _sweep_axis(base: dict, axis: str, value: float) -> dict:
 
 
 def _sweep_row(payload: str) -> str:
+    """One table row: verify's `lambda` and `rate` reports of the run."""
     run_obj = json.loads(payload)
-    value = run_obj.pop("_sweep_value")
-    checks = run_obj.get("checks", {})
-    k = config_number(checks, "k", 3.0)
-    delta = _optional_number(checks, "delta")
-    try:
-        _, spec, cfg, _ = _parse_run(run_obj)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            traj = simulate(cfg)
-            lam, lam_rep = track_lambda(traj, spec, k, delta=delta)
-            # track_lambda measures the smallness of the recorded initial
-            # state, a copy of cfg.initial, when checks.delta is set
-            small = lam_rep.measured.get("smallness")
-            if small is None:
-                small = smallness_functional(cfg.initial.u, cfg.initial.v, spec, k)
-            rate_rep = fit_decay_rate(traj)
-        row = (repr(float(value)), repr(small), repr(float(lam[-1])),
-               repr(rate_rep.measured["rate"]),
-               repr(rate_rep.measured["r_squared"]),
-               str(int(lam_rep.passed)), str(int(rate_rep.passed)), "0")
-    except BlowupError:
-        row = (repr(float(value)), "nan", "nan", "nan", "nan", "0", "0", "1")
-    return ",".join(row)
+    value = repr(float(run_obj.pop("_sweep_value")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, reports, step = _run(run_obj, ("lambda", "rate"))
+    if step is not None:
+        return ",".join((value, "nan", "nan", "nan", "nan", "0", "0", "1"))
+    lam, rate = reports
+    return ",".join((value, repr(lam.measured["smallness"]),
+                     repr(lam.measured["lambda_final"]), repr(rate.measured["rate"]),
+                     repr(rate.measured["r_squared"]), str(int(lam.passed)),
+                     str(int(rate.passed)), "0"))
 
 
 def _worker_count(cap: str | None) -> int:

@@ -71,14 +71,25 @@ def read_field(path: str) -> Field:
     return Field(grid, vals)
 
 
+def _l2_rows(s: np.ndarray) -> list:
+    with np.errstate(over="ignore"):
+        squares = np.mean(np.abs(s) ** 2, axis=1)
+    l2 = [float(m ** 0.5) for m in squares]
+    for i in np.flatnonzero(~np.isfinite(squares)):
+        scale = np.abs(s[i]).max()
+        l2[i] = float(scale * np.mean((s[i] / scale) ** 2) ** 0.5)
+    return l2
+
+
 def trajectory_csv(traj) -> str:
     """Summary rows at recorded times: masses, minima, L2 norms.  Each
     column is one reduction over the state stacks; the L2 root is taken
-    per state, as `lp_norm` takes it."""
+    per state, as `lp_norm` takes it.  A row whose squares overflow, as
+    in the partial history of a blown-up run, is scaled by its largest
+    |sample| first."""
     n = len(traj.times)
     u, v = traj.u.reshape(n, -1), traj.v.reshape(n, -1)
-    l2_u, l2_v = ([float(m ** 0.5) for m in np.mean(np.abs(s) ** 2, axis=1)]
-                  for s in (u, v))
+    l2_u, l2_v = (_l2_rows(s) for s in (u, v))
     cols = (traj.times.tolist(), u.mean(axis=1).tolist(), v.mean(axis=1).tolist(),
             u.min(axis=1).tolist(), v.min(axis=1).tolist(), l2_u, l2_v)
     lines = ["t,mass_u,mass_v,min_u,min_v,l2_u,l2_v"]

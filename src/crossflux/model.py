@@ -20,6 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .spaces import besov_Nk, lp_norm
 from .spectral import FRESH, Field, TorusGrid, Work, laplacian, poly_plan
 
 CAP = 1e3  # returned when a threshold is unbounded for the given model
@@ -360,7 +361,6 @@ def smallness_functional(u_in: Field, v_in: Field, spec: ModelSpec, k: float) ->
         if float(f.values.min()) < -1e-12:
             raise DomainError(f"initial {name} must be nonnegative")
     phi1, phi2 = flux(spec, u_in, v_in)
-    from .spaces import besov_Nk, lp_norm  # local import to avoid a cycle
     return (lp_norm(u_in, math.inf) + lp_norm(v_in, math.inf)
             + besov_Nk(laplacian(phi1), k) + besov_Nk(laplacian(phi2), k))
 

@@ -299,7 +299,9 @@ def solve_kolmogorov(z_in: Field, mu: TimeSeriesField, f: TimeSeriesField,
     mu and f are interpolated piecewise-linearly in time.  Each step
     splits mu into its current spatial minimum (implicit, diagonal) plus
     the nonnegative remainder (explicit).  The forcing enters through the
-    Laplacian, so the mean of z is conserved exactly.
+    Laplacian, so the mean of z is conserved exactly.  Overflow or an
+    invalid operation in a step raises `BlowupError` at that step, as
+    does a non-finite sample, with the series recorded so far.
     """
     grid = z_in.grid
     if mu.grid != grid or f.grid != grid:
@@ -316,17 +318,21 @@ def solve_kolmogorov(z_in: Field, mu: TimeSeriesField, f: TimeSeriesField,
     z_rec = np.empty((len(steps),) + grid.shape)
     z_rec[0] = z_vals
     r = 1
-    for n in range(1, int(steps[-1]) + 1):
-        t = (n - 1) * dt
-        mu_n = interp_linear(mu.values, mu.times, t)
-        f_n = interp_linear(f.values, f.times, t)
-        mu_min = float(mu_n.min())
-        expl = plan.to_coeffs((mu_n - mu_min) * z_vals + f_n)
-        cz = (cz - dt_lam * expl) / (1.0 + dt_lam * mu_min)
-        z_vals = plan.to_values(cz)
-        if not np.all(np.isfinite(z_vals)):
-            raise BlowupError(n, TimeSeriesField(times[:r], z_rec[:r]))
-        if n == steps[r]:
-            z_rec[r] = z_vals
-            r += 1
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for n in range(1, int(steps[-1]) + 1):
+                t = (n - 1) * dt
+                mu_n = interp_linear(mu.values, mu.times, t)
+                f_n = interp_linear(f.values, f.times, t)
+                mu_min = float(mu_n.min())
+                expl = plan.to_coeffs((mu_n - mu_min) * z_vals + f_n)
+                cz = (cz - dt_lam * expl) / (1.0 + dt_lam * mu_min)
+                z_vals = plan.to_values(cz)
+                if not np.all(np.isfinite(z_vals)):
+                    raise BlowupError(n, TimeSeriesField(times[:r], z_rec[:r]))
+                if n == steps[r]:
+                    z_rec[r] = z_vals
+                    r += 1
+    except FloatingPointError:
+        raise BlowupError(n, TimeSeriesField(times[:r], z_rec[:r])) from None
     return TimeSeriesField(times, z_rec)

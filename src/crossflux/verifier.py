@@ -331,9 +331,10 @@ def track_lambda(traj: Trajectory, spec: ModelSpec, k: float,
     construction) and a Report.  The sup-norm parts are maxima over the
     recorded states only, an underestimate of the continuum sup, so the
     caller should record every step when this tracker drives a decision.
-    The report asserts the bootstrap conclusion (the functional stays
-    below delta over the recorded horizon) only when the smallness of
-    the initial data is below delta/2; otherwise it passes vacuously.
+    The report always measures the smallness functional of the initial
+    data.  It asserts the bootstrap conclusion (the functional stays
+    below delta over the recorded horizon) only when delta is given and
+    that smallness is below delta/2; otherwise it passes vacuously.
     """
     grid = traj.grid
     if k <= 1 + grid.d / 2:
@@ -349,16 +350,15 @@ def track_lambda(traj: Trajectory, spec: ModelSpec, k: float,
     lam = (cum_trapz(times, g1) ** (1.0 / k)
            + cum_trapz(times, g2) ** (1.0 / k) + sup_u + sup_v)
 
-    measured = {"lambda_final": float(lam[-1]), "horizon": float(times[-1])}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        small = smallness_functional(Field(grid, u[0]), Field(grid, v[0]), spec, k)
+    measured = {"lambda_final": float(lam[-1]), "horizon": float(times[-1]),
+                "smallness": small}
     passed = True
     if delta is not None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            small = smallness_functional(Field(grid, u[0]), Field(grid, v[0]),
-                                         spec, k)
         premise = small <= delta / 2.0
-        measured.update({"smallness": small, "delta": float(delta),
-                         "premise_holds": float(premise)})
+        measured.update({"delta": float(delta), "premise_holds": float(premise)})
         if premise:
             passed = bool(lam[-1] < delta)
     return lam, Report("lambda", passed, measured, 0.0,

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from crossflux.cli import _worker_count, run_cli
+from crossflux.cli import KNOWN_CHECKS, _worker_count, run_cli
 from crossflux.errors import ConfigError
 from crossflux.io import read_field, write_field
 from crossflux.model import thresholds as model_thresholds
@@ -84,12 +84,17 @@ def test_simulate_blowup_exit_code(tmp_path, capsys):
         ),
     )
     out = tmp_path / "traj.csv"
-    # the l2 column of the partial history overflows in its squares
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = run_cli(["simulate", "--config", cfg, "--out", str(out)])
     assert code == 1
-    assert out.exists()  # partial history is still written
-    assert "run blew up at step 8\n" in capsys.readouterr().err
+    assert not caught
+    assert capsys.readouterr().err == "run blew up at step 8\n"
+    # the partial history is still written, its l2 finite although the
+    # squares of its last state overflow
+    rows = list(csv.DictReader(out.open()))
+    assert len(rows) == 8
+    assert all(math.isfinite(float(r[key])) for r in rows for key in ("l2_u", "l2_v"))
 
 
 def test_verify_passing_checks(tmp_path, capsys):
@@ -310,6 +315,64 @@ def test_sweep_smallness_is_that_of_the_initial_data(tmp_path, checks):
     assert row["smallness"] == repr(smallness_functional(u, v, spec, 2.0))
 
 
+def test_sweep_row_is_the_verify_lambda_and_rate_reports(tmp_path):
+    # the base records every 10th step; the sweep row, like verify with
+    # lambda requested, records every step
+    base = run_config(checks={"k": 3.0, "delta": 0.3})
+    cfg = write_json(tmp_path / "sweep.json",
+                     {"base": base, "axis": "amplitude", "values": [1.0]})
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    (row,) = csv.DictReader(out.open())
+    report = tmp_path / "report.json"
+    assert run_cli(["verify", "--config", write_json(tmp_path / "run.json", base),
+                    "--checks", "lambda,rate", "--report", str(report)]) == 0
+    lam, rate = json.loads(report.read_text())
+    assert row["smallness"] == repr(lam["measured"]["smallness"])
+    assert row["lambda_final"] == repr(lam["measured"]["lambda_final"])
+    assert row["rate"] == repr(rate["measured"]["rate"])
+    assert row["r_squared"] == repr(rate["measured"]["r_squared"])
+    assert (row["lambda_pass"], row["rate_pass"]) == ("1", "1")
+
+
+def test_sweep_blowup_row(tmp_path):
+    base = run_config(initial={"kind": "cosine", "u_mean": 10.0, "u_amp": 8.0,
+                               "v_mean": 10.0, "v_amp": 8.0, "mode": 1},
+                      dt=1.0, t_end=50.0, record_every=1)
+    cfg = write_json(tmp_path / "sweep.json",
+                     {"base": base, "axis": "amplitude", "values": [1.0]})
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1] == "1.0,nan,nan,nan,nan,0,0,1"
+
+
+def test_sweep_dotted_axis(tmp_path):
+    # the model.d1 = 1.0 row runs the base itself, as amplitude 1.0 does
+    base = run_config(dt=1e-3, t_end=1e-2, record_every=1)
+    rows = {}
+    for axis, values in (("model.d1", [0.5, 1.0]), ("amplitude", [1.0])):
+        cfg = write_json(tmp_path / "sweep.json",
+                         {"base": base, "axis": axis, "values": values})
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        rows[axis] = out.read_text().splitlines()[1:]
+    assert rows["model.d1"][1] == rows["amplitude"][0]
+    assert rows["model.d1"][0] != rows["model.d1"][1]
+
+
+@pytest.mark.parametrize("axis, base, message", [
+    ("model.nothing.x", run_config(), "sweep axis 'model.nothing.x' not found"),
+    ("amplitude", run_config(checks=[]), "checks must be an object"),
+], ids=["missing-axis", "checks-list"])
+def test_sweep_config_errors_print_one_line(tmp_path, capsys, axis, base, message):
+    cfg = write_json(tmp_path / "sweep.json",
+                     {"base": base, "axis": axis, "values": [1.0]})
+    assert run_cli(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert message in err
+
+
 def test_sweep_rejects_empty_values(tmp_path, capsys):
     cfg = write_json(
         tmp_path / "sweep.json",
@@ -448,6 +511,35 @@ def test_verify_prints_each_warning_as_one_line(tmp_path, capsys):
     assert [line for line in err.splitlines() if line.startswith("warning: ")] == [
         "warning: k_sob = 1 is not above d/2 = 1.0"]
     assert "cli.py" not in err
+
+
+# the nonconvex model of the Lyapunov identity: every check runs on it
+LYAP_MODEL = dict(MODEL, p=[[0, 2, 1.0]], q=[[2, 0, 1.0]])
+
+
+@pytest.mark.parametrize("name", KNOWN_CHECKS)
+def test_verify_runs_every_known_check(tmp_path, name):
+    # a check name with no branch in the run path gives no report
+    cfg = run_config(model=LYAP_MODEL, initial=SMALL, t_end=2e-3, record_every=5,
+                     checks={"delta": 0.3, "k_sob": 1})
+    report = tmp_path / "report.json"
+    code = run_cli(["verify", "--config", write_json(tmp_path / "run.json", cfg),
+                    "--checks", name, "--report", str(report)])
+    assert code in (0, 1)
+    expected = ["duality_u", "duality_v"] if name == "duality" else [name]
+    assert [r["check"] for r in json.loads(report.read_text())] == expected
+
+
+@pytest.mark.parametrize("hk_small, premise", [(1e-6, 0.0), (10.0, 1.0)])
+def test_verify_hk_small_premise(tmp_path, hk_small, premise):
+    # the initial H^1 norm of the small data lies between the two thresholds
+    cfg = run_config(initial=SMALL, t_end=2e-3, checks={"k_sob": 1, "hk_small": hk_small})
+    report = tmp_path / "report.json"
+    assert run_cli(["verify", "--config", write_json(tmp_path / "run.json", cfg),
+                    "--checks", "hk", "--report", str(report)]) == 0
+    (hk,) = json.loads(report.read_text())
+    assert hk["measured"]["premise_holds"] == premise
+    assert hk["pass"] is True
 
 
 @pytest.mark.parametrize("cap", ["abc", "0", "-1"])

@@ -213,6 +213,25 @@ def test_kolmogorov_rejects_nonpositive_mu(grid32, cosine):
         solve_kolmogorov(z0, mu, f, dt=1e-4, t_end=0.01)
 
 
+def test_kolmogorov_blowup_raises_with_partial_series(grid32, cosine):
+    # dt * lam_max * (mu_max - mu_min) ~ 1e3: the explicit part is unstable;
+    # the first overflow falls in step 172, where the solve stops
+    z0 = cosine(grid32)
+    mu_field = Field(grid32, 1.0 + 50.0 * (1.0 + z0.values))
+    mu = TimeSeriesField(np.array([0.0, 1.0]), [mu_field, mu_field])
+    f = constant_series(grid32, 0.0, 1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(BlowupError) as exc:
+            solve_kolmogorov(z0, mu, f, dt=1e-3, t_end=1.0)
+    assert not caught
+    assert exc.value.step == 172
+    partial = exc.value.trajectory
+    assert partial.times[-1] == pytest.approx(0.171)
+    assert partial.values.shape == (172, 32)
+    assert np.isfinite(partial.values).all()
+
+
 @pytest.mark.parametrize(
     "kwargs, match",
     [
