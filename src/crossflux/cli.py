@@ -84,17 +84,56 @@ def _optional_number(obj: dict, key: str):
     return None if obj.get(key) is None else config_number(obj, key)
 
 
+def _stability_inputs(obj, grid, cfg, checks):
+    """delta, R and the second run of the stability check: `cfg` with
+    checks.initial2, or else with both cosine amplitudes scaled by
+    checks.stability_scale."""
+    if "delta" not in checks:
+        raise ConfigError("stability check needs checks.delta")
+    delta = config_number(checks, "delta")
+    radius = config_number(checks, "R", 1.0)
+    if checks.get("initial2") is not None:
+        u2, v2 = _build_initial(grid, checks["initial2"])
+    else:
+        scale = config_number(checks, "stability_scale", 0.5)
+        init2 = copy.deepcopy(obj["initial"])
+        if init2.get("kind") != "cosine":
+            raise ConfigError(
+                "stability_scale needs cosine initial data; "
+                "supply checks.initial2 otherwise")
+        init2["u_amp"] = config_number(init2, "u_amp") * scale
+        init2["v_amp"] = config_number(init2, "v_amp") * scale
+        u2, v2 = _build_initial(grid, init2)
+    return delta, radius, dataclasses.replace(cfg, initial=State(0.0, u2, v2))
+
+
+def _whole(result):
+    """A batch member's trajectory; a member that blew up raises its
+    `BlowupError`."""
+    if isinstance(result, BlowupError):
+        raise result
+    return result
+
+
 def _run(obj, requested=()):
     """Parse a run config, integrate it and compute the requested reports
     in order: the one run path of every command.  A request with `lambda`
-    records every step.  Returns the trajectory (partial after a blow-up),
-    the reports finished, and the blow-up step or None."""
+    records every step; one with `stability` integrates the check's
+    second run in one batch with the first.  Returns the trajectory
+    (partial after a blow-up), the reports finished, and the blow-up step
+    or None."""
     force = 1 if "lambda" in requested else None
     grid, spec, cfg, checks = _parse_run(obj, force_record_every=force)
+    if "stability" in requested:
+        delta, radius, cfg2 = _stability_inputs(obj, grid, cfg, checks)
     traj = None
     reports: list[Report] = []
     try:
-        traj = simulate(cfg)
+        if "stability" in requested:
+            first, second = simulate([cfg, cfg2])
+            traj = _whole(first)
+        else:
+            traj = simulate(cfg)
         for name in requested:
             if name == "mass":
                 reports.append(check_mass(traj))
@@ -112,25 +151,7 @@ def _run(obj, requested=()):
             elif name == "rate":
                 reports.append(fit_decay_rate(traj))
             elif name == "stability":
-                if "delta" not in checks:
-                    raise ConfigError("stability check needs checks.delta")
-                delta = config_number(checks, "delta")
-                radius = config_number(checks, "R", 1.0)
-                if checks.get("initial2") is not None:
-                    u2, v2 = _build_initial(grid, checks["initial2"])
-                else:
-                    scale = config_number(checks, "stability_scale", 0.5)
-                    init2 = copy.deepcopy(obj["initial"])
-                    if init2.get("kind") != "cosine":
-                        raise ConfigError(
-                            "stability_scale needs cosine initial data; "
-                            "supply checks.initial2 otherwise")
-                    init2["u_amp"] = config_number(init2, "u_amp") * scale
-                    init2["v_amp"] = config_number(init2, "v_amp") * scale
-                    u2, v2 = _build_initial(grid, init2)
-                cfg2 = RunConfig(spec, State(0.0, u2, v2), cfg.dt, cfg.t_end,
-                                 cfg.record_every, cfg.scheme, cfg.variant)
-                reports.append(check_stability_pair(traj, simulate(cfg2), spec,
+                reports.append(check_stability_pair(traj, _whole(second), spec,
                                                     radius, delta))
             elif name == "lambda":
                 _, rep = track_lambda(traj, spec, config_number(checks, "k", 3.0),
@@ -239,7 +260,10 @@ def _cmd_thresholds(args) -> int:
     if "model" not in obj:
         raise ConfigError("config is missing 'model'")
     _, spec = parse_model_json(obj["model"])
-    radius = config_number(obj.get("checks", {}), "R", 1.0)
+    checks = obj.get("checks", {})
+    if not isinstance(checks, dict):
+        raise ConfigError("checks must be an object")
+    radius = config_number(checks, "R", 1.0)
     for key, value in thresholds(spec, radius).items():
         print(f"{key} = {value:.12g}")
     return 0
@@ -248,8 +272,8 @@ def _cmd_thresholds(args) -> int:
 def _sweep_axis(base: dict, axis: str, value: float) -> dict:
     obj = copy.deepcopy(base)
     if axis == "amplitude":
-        init = obj.get("initial", {})
-        if init.get("kind") != "cosine":
+        init = obj.get("initial") if isinstance(obj, dict) else None
+        if not isinstance(init, dict) or init.get("kind") != "cosine":
             raise ConfigError("the amplitude axis needs cosine initial data")
         for key in ("u_mean", "u_amp", "v_mean", "v_amp"):
             init[key] = config_number(init, key) * value

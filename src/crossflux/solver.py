@@ -17,6 +17,7 @@ Recorded states are stacked into arrays with time as the leading axis.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,21 +196,71 @@ def _regularized_coeffs(plan, spec, c, vals, moll, work):
     return plan.project_fine(np.multiply(fine[:2], fine[2:], out=fine[2:]), work=work)
 
 
-def simulate(config: RunConfig) -> Trajectory:
+def _shared(config: RunConfig) -> tuple:
+    """Everything of a run but its initial state."""
+    return (config.spec, config.initial.grid, config.dt, config.t_end,
+            config.record_every, config.scheme, config.variant)
+
+
+def simulate(config: RunConfig | Sequence[RunConfig]) -> Trajectory | list:
     """Integrate the system as configured; never clips negative values.
+
+    `config` is one `RunConfig`, or a sequence of them that differ only in
+    their initial states: the same spec, grid, dt, t_end, record_every,
+    scheme and variant, or else a `ConfigError`.  One config gives its
+    `Trajectory`, or raises `BlowupError` with the partial trajectory.  A
+    sequence gives a list with one `Trajectory` or `BlowupError` per
+    member, in order.  Its members advance as one batch through one time
+    loop, and each member's arrays are bitwise those of its single run.
+    When any member blows up, the whole batch is rerun member by member,
+    so each member keeps its own blow-up step and partial trajectory.
 
     u and v advance as one coefficient stack of shape (2, ...), so each
     step makes one stacked transform of each kind.  The regularized
     variant evaluates the polynomial part of each flux at densities
     capped at trunc_delta and smoothed by the heat kernel at time eta
     before multiplying the density.
+    """
+    if isinstance(config, RunConfig):
+        return _integrate((config,), ())[0]
+    configs = tuple(config)
+    if not configs:
+        raise ConfigError("simulate needs at least one run config")
+    for member in configs:
+        if not isinstance(member, RunConfig):
+            raise ConfigError(f"simulate takes RunConfigs, got {type(member).__name__}")
+        if _shared(member) != _shared(configs[0]):
+            raise ConfigError("batched runs must differ only in their initial states")
+    try:
+        return _integrate(configs, (len(configs),))
+    except BlowupError:
+        pass
+    results = []
+    for member in configs:
+        try:
+            results.append(_integrate((member,), ())[0])
+        except BlowupError as exc:
+            results.append(exc)
+    return results
 
-    The run owns one `Work`: every step writes its intermediates, the
+
+def _integrate(configs: tuple, members: tuple) -> list:
+    """The time loop of `simulate` for configs that differ only in their
+    initial states, with the state a stack of shape (2, *members,
+    *grid.shape): `members` is () for one run, so a single run carries no
+    batch axis, and (B,) for a batch of B.  Returns one `Trajectory` per
+    config.  A blow-up raises `BlowupError` at its step, with the partial
+    trajectory of a single run and none for a batch.
+
+    The loop owns one `Work`: every step writes its intermediates, the
     new coefficients and the new samples into the same arrays, so no
     large array is allocated after the first step.  Overflow or an
-    invalid operation in a step raises `BlowupError` at that step, as
-    does a non-finite sample.
+    invalid operation in a step raises at that step, as does a non-finite
+    sample.  Recorded samples and per-step diagnostics are kept by row,
+    u of each member then v of each member, so each member's records
+    are contiguous.
     """
+    config = configs[0]
     spec = config.spec
     grid = config.initial.grid
     dt = config.dt
@@ -222,22 +273,27 @@ def simulate(config: RunConfig) -> Trajectory:
     plan = poly_plan(grid, fluxes + (X * Y,) if regularized else fluxes)
 
     if config.scheme == "rk4":
-        bound = rk4_max_dt(spec, config.initial)
-        if dt > bound:
-            raise ConfigError(
-                f"dt = {dt:.3e} exceeds the rk4 stability bound {bound:.3e} "
-                "for this initial state")
+        for member in configs:
+            bound = rk4_max_dt(spec, member.initial)
+            if dt > bound:
+                raise ConfigError(
+                    f"dt = {dt:.3e} exceeds the rk4 stability bound {bound:.3e} "
+                    "for this initial state")
 
     # the initial samples go into the work array that each step's
-    # to_values rewrites, so the run holds one array of samples
+    # to_values rewrites, so the run holds one array of samples, and its
+    # row views below stay valid for the whole run
+    B = len(configs)
     work = Work()
-    vals = work.array("values", (2,) + grid.shape)
-    vals[0], vals[1] = config.initial.u.values, config.initial.v.values
+    vals = work.array("values", (2,) + members + grid.shape)
+    rows = vals.reshape((2 * B,) + grid.shape)
+    flat = vals.reshape(2 * B, -1)
+    for b, member in enumerate(configs):
+        rows[b], rows[B + b] = member.initial.u.values, member.initial.v.values
     c = plan.to_coeffs(vals)
-    finite = np.empty(vals.shape, dtype=bool)
     # the diffusivities, and dt * lam and the implicit denominators of
     # both species, broadcast against the stack
-    d = np.reshape([spec.d1, spec.d2], (2,) + (1,) * grid.d)
+    d = np.reshape([spec.d1, spec.d2], (2,) + (1,) * (len(members) + grid.d))
     dt_lam = dt * plan.lam
     den = 1.0 + dt_lam * d
     if config.scheme == "rk4":
@@ -247,23 +303,30 @@ def simulate(config: RunConfig) -> Trajectory:
 
     step_times = np.arange(n_steps + 1) * dt
     times = step_times[steps]
-    rec = np.empty((2, len(steps)) + grid.shape)
-    mins = np.empty((2, n_steps + 1))
-    masses = np.empty((2, n_steps + 1))
+    rec = np.empty((2 * B, len(steps)) + grid.shape)
+    mins = np.empty((2 * B, n_steps + 1))
+    sums = np.empty((n_steps + 1, 2 * B))
 
     def diagnose(n):
-        # sum / size is bitwise what `mean` computes, without its Python layer
-        flat = vals.reshape(2, -1)
+        # every sample of a row is finite exactly when the row's sum is:
+        # an overflowing sum raises under the loop's errstate
         np.minimum.reduce(flat, axis=1, out=mins[:, n])
-        np.divide(np.add.reduce(flat, axis=1), grid.size, out=masses[:, n])
+        row_sums = np.add.reduce(flat, axis=1, out=sums[n])
+        return all(map(math.isfinite, row_sums.tolist()))
 
-    def trajectory(n, r):
-        return Trajectory(spec, config.scheme, config.variant, dt, times[:r],
-                          rec[0, :r], rec[1, :r], step_times[:n], mins[0, :n],
-                          mins[1, :n], masses[0, :n], masses[1, :n])
+    def trajectories(n, r):
+        # sum / size is bitwise what `mean` computes, without its Python layer
+        return [Trajectory(spec, config.scheme, config.variant, dt, times[:r],
+                           rec[b, :r], rec[B + b, :r], step_times[:n], mins[b, :n],
+                           mins[B + b, :n], sums[:n, b] / grid.size,
+                           sums[:n, B + b] / grid.size)
+                for b in range(B)]
+
+    def blowup(n, r):
+        return BlowupError(n, None if members else trajectories(n, r)[0])
 
     diagnose(0)
-    rec[:, 0] = vals
+    rec[:, 0] = rows
     r = 1
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -278,17 +341,17 @@ def simulate(config: RunConfig) -> Trajectory:
                     # c = (c - dt_lam * cw) / den, in place
                     np.subtract(c, np.multiply(dt_lam, cw, out=cw), out=c)
                     np.divide(c, den, out=c)
-                vals = plan.to_values(c, work=work)
-                if not np.isfinite(vals, out=finite).all():
-                    raise BlowupError(n, trajectory(n, r))
-                diagnose(n)
+                # rewrites vals, and so rows and flat
+                plan.to_values(c, work=work)
+                if not diagnose(n):
+                    raise blowup(n, r)
                 if n == steps[r]:
-                    rec[:, r] = vals
+                    rec[:, r] = rows
                     r += 1
     except FloatingPointError:
-        raise BlowupError(n, trajectory(n, r)) from None
+        raise blowup(n, r) from None
 
-    return trajectory(n_steps + 1, len(steps))
+    return trajectories(n_steps + 1, len(steps))
 
 
 def solve_kolmogorov(z_in: Field, mu: TimeSeriesField, f: TimeSeriesField,

@@ -219,7 +219,8 @@ class Work:
     allocates nothing large after its first call.  A result a method
     returns then lives in one of these arrays, and later calls with the
     same work object overwrite it.  The caller owns the work object:
-    `simulate` makes one per run, and the shared plans hold none.
+    `simulate` makes one per time loop, shared by a batch of runs, and
+    the shared plans hold none.
     `FRESH`, the default of every method, keeps nothing and makes new
     arrays on every request.
     """
@@ -302,9 +303,9 @@ class SpectralPlan:
 
     Every method writes its intermediates and its result into the arrays
     of a `Work`, through `out=` on the FFT calls and the ufuncs.  The
-    caller owns it: `simulate` passes one per run, so its steps reuse the
-    same arrays, and the 2-d padding array is zeroed once, each call
-    rewriting only its N rows and the split row.  A plan holds no work
+    caller owns it: `simulate` passes one per time loop, so its steps
+    reuse the same arrays, and the 2-d padding array is zeroed once, each
+    call rewriting only its N rows and the split row.  A plan holds no work
     arrays, as plans are shared; without a work object a call gets fresh
     arrays (`FRESH`).  Inputs are only read.
 

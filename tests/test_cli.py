@@ -9,11 +9,13 @@ import warnings
 import numpy as np
 import pytest
 
+from crossflux import cli
 from crossflux.cli import KNOWN_CHECKS, _worker_count, run_cli
 from crossflux.errors import ConfigError
 from crossflux.io import read_field, write_field
 from crossflux.model import thresholds as model_thresholds
 from crossflux.model import ModelSpec, Poly2, parse_model_json, smallness_functional
+from crossflux.solver import simulate
 from crossflux.spaces import besov_Nk, sobolev_norm
 from crossflux.spectral import Field, TorusGrid
 
@@ -260,17 +262,25 @@ def test_counterexample_command(tmp_path):
 
 
 def test_thresholds_command(tmp_path, capsys):
-    cfg = write_json(tmp_path / "model.json", {"model": dict(MODEL), "R": 1.0})
+    cfg = write_json(tmp_path / "model.json", {"model": dict(MODEL), "checks": {"R": 2.0}})
     assert run_cli(["thresholds", "--config", cfg]) == 0
     out = capsys.readouterr().out
     spec = ModelSpec(1.0, 1.0, Poly2({(1, 0): 1, (0, 1): 1}), Poly2({(1, 0): 1, (0, 1): 1}))
-    expected = model_thresholds(spec, 1.0)
+    expected = model_thresholds(spec, 2.0)
     values = {}
     for line in out.strip().split("\n"):
         key, _, val = line.partition(" = ")
         values[key.strip()] = float(val)
     for key, val in expected.items():
         assert values[key] == pytest.approx(val, rel=1e-9)
+
+
+def test_thresholds_rejects_checks_that_are_not_an_object(tmp_path, capsys):
+    cfg = write_json(tmp_path / "model.json", {"model": dict(MODEL), "checks": [1]})
+    assert run_cli(["thresholds", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "checks must be an object" in err
 
 
 def test_sweep_serial_parallel_identical(tmp_path, monkeypatch):
@@ -363,7 +373,9 @@ def test_sweep_dotted_axis(tmp_path):
 @pytest.mark.parametrize("axis, base, message", [
     ("model.nothing.x", run_config(), "sweep axis 'model.nothing.x' not found"),
     ("amplitude", run_config(checks=[]), "checks must be an object"),
-], ids=["missing-axis", "checks-list"])
+    ("amplitude", [1], "the amplitude axis needs cosine initial data"),
+    ("amplitude", run_config(initial=[1]), "the amplitude axis needs cosine initial data"),
+], ids=["missing-axis", "checks-list", "base-list", "initial-list"])
 def test_sweep_config_errors_print_one_line(tmp_path, capsys, axis, base, message):
     cfg = write_json(tmp_path / "sweep.json",
                      {"base": base, "axis": axis, "values": [1.0]})
@@ -497,6 +509,34 @@ def test_verify_blowup_writes_partial_reports(tmp_path, capsys, checks, finished
     blowup = reports[-1]
     assert blowup["pass"] is False
     assert blowup["measured"]["step"] == 13
+
+
+def test_verify_stability_integrates_both_runs_in_one_call(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(config):
+        calls.append(config)
+        return simulate(config)
+
+    monkeypatch.setattr(cli, "simulate", counted)
+    small = dict(run_config()["initial"], u_mean=0.1, u_amp=0.02, v_mean=0.12, v_amp=0.02)
+    cfg = run_config(initial=small, checks={"delta": 0.3})
+    assert run_cli(["verify", "--config", write_json(tmp_path / "run.json", cfg),
+                    "--checks", "mass,stability", "--report", str(tmp_path / "r.json")]) == 0
+    (batch,) = calls
+    assert len(batch) == 2
+
+
+def test_verify_stability_config_errors_before_the_run(tmp_path, capsys):
+    # the run would blow up at step 13; the malformed delta is reported first
+    big = dict(run_config()["initial"], u_mean=2.9, u_amp=2.9, v_mean=2.9, v_amp=2.9)
+    cfg = run_config(dt=1e-3, initial=big, checks={"delta": "0.3"})
+    report = tmp_path / "report.json"
+    assert run_cli(["verify", "--config", write_json(tmp_path / "run.json", cfg),
+                    "--checks", "mass,stability", "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["configuration error: delta must be a number, got '0.3'"]
+    assert not report.exists()
 
 
 def test_verify_prints_each_warning_as_one_line(tmp_path, capsys):

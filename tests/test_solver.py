@@ -366,17 +366,23 @@ def test_simulate_keeps_zero_coefficients_bitwise(d, seed, scheme):
         assert np.array_equal(c0, initial)
 
 
-FFT_CASES = pytest.mark.parametrize(
-    "d, N, scheme, per_step", [(1, 64, "imex", 3), (1, 64, "rk4", 9), (2, 16, "imex", 6)])
+FFT_CASES = pytest.mark.parametrize("d, N, scheme, per_step, batch", [
+    pytest.param(1, 64, "imex", 3, 1, id="1-64-imex-3"),
+    pytest.param(1, 64, "rk4", 9, 1, id="1-64-rk4-9"),
+    pytest.param(2, 16, "imex", 6, 1, id="2-16-imex-6"),
+    pytest.param(1, 64, "imex", 3, 2, id="1-64-imex-3-batch2"),
+])
 
 
-def fft_calls(d, N, scheme, steps):
+def fft_calls(d, N, scheme, steps, batch=1):
     """The `out` argument (None when not given) of each numpy FFT call
-    that a run of the given number of steps makes."""
+    that a run of the given number of steps makes; a batch of more than
+    one run integrates that many copies of the run in one call."""
     grid = TorusGrid(d, N)
     wave = np.cos(2.0 * np.pi * grid.coords(0))
     init = State(0.0, Field(grid, 0.3 + 0.1 * wave), Field(grid, 0.4 + 0.1 * wave))
     dt = 0.5 * rk4_max_dt(SKT, init)
+    cfg = RunConfig(SKT, init, dt=dt, t_end=steps * dt, scheme=scheme)
     outs = []
 
     def counted(name):
@@ -390,31 +396,94 @@ def fft_calls(d, N, scheme, steps):
     with mock.patch.multiple(np.fft, **{name: counted(name) for name in
                                         ("fft", "ifft", "rfft", "irfft", "fftn",
                                          "ifftn", "rfftn", "irfftn")}):
-        simulate(RunConfig(SKT, init, dt=dt, t_end=steps * dt, scheme=scheme))
+        simulate(cfg if batch == 1 else [cfg] * batch)
     return outs
 
 
 @FFT_CASES
-def test_fft_calls_per_step(d, N, scheme, per_step):
+def test_fft_calls_per_step(d, N, scheme, per_step, batch):
     # a guard on the step's cost: per step, one padded inverse and one
     # projection per flux evaluation and one inverse of the new state,
-    # each one numpy FFT call per axis
-    assert len(fft_calls(d, N, scheme, 6)) - len(fft_calls(d, N, scheme, 2)) == 4 * per_step
+    # each one numpy FFT call per axis, however many runs the batch holds
+    assert (len(fft_calls(d, N, scheme, 6, batch)) - len(fft_calls(d, N, scheme, 2, batch))
+            == 4 * per_step)
 
 
 @FFT_CASES
-def test_fft_calls_write_into_the_run_work_arrays(d, N, scheme, per_step):
+def test_fft_calls_write_into_the_run_work_arrays(d, N, scheme, per_step, batch):
     # after step 2 every transform writes into a given array, and those
     # arrays are the same few however long the run: no step allocates
     # its own transform output
     def owner(a):
         return a if a.base is None else a.base
 
-    short, long = fft_calls(d, N, scheme, 2), fft_calls(d, N, scheme, 6)
+    short, long = fft_calls(d, N, scheme, 2, batch), fft_calls(d, N, scheme, 6, batch)
+    # the four extra steps make their transforms through numpy.fft, so
+    # the checks below see them
+    assert len(long) - len(short) == 4 * per_step
     assert all(isinstance(out, np.ndarray) for out in long[-4 * per_step:])
     # the lists keep every array alive, so distinct arrays have distinct ids
     assert (len({id(owner(out)) for out in long})
             == len({id(owner(out)) for out in short}))
+
+
+RECORDED = ("u", "v", "times", "step_times", "min_u", "min_v", "mass_u", "mass_v")
+
+
+def assert_same_run(a, b):
+    for name in RECORDED:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+@pytest.mark.parametrize("batch", [2, 3])
+@pytest.mark.parametrize("scheme, variant", [("imex", "plain"), ("rk4", "plain"),
+                                             ("imex", "regularized")])
+@pytest.mark.parametrize("d, N", [(1, 32), (1, 64), (2, 16)])
+def test_batch_members_are_their_single_runs_bitwise(rng, d, N, scheme, variant, batch):
+    grid = TorusGrid(d, N)
+    spec = ModelSpec(1.0, 1.5, X + Y, X + Y, eta=1e-4, trunc_delta=0.45)
+    inits = [State(0.0, *(Field(grid, m + 0.2 * rng.uniform(0.0, 1.0, grid.shape))
+                          for m in (0.3, 0.4)))
+             for _ in range(batch)]
+    dt = 0.5 * min(rk4_max_dt(spec, init) for init in inits)
+    configs = [RunConfig(spec, init, dt=dt, t_end=7 * dt, record_every=3, scheme=scheme,
+                         variant=variant) for init in inits]
+    members = simulate(configs)
+    assert len(members) == batch
+    for cfg, member in zip(configs, members):
+        assert_same_run(member, simulate(cfg))
+
+
+def test_batch_blowup_keeps_each_members_own_result(grid32, cosine):
+    # the data of the CLI's partial-report blow-up: amplitude 2.9 is
+    # unstable at dt = 1e-3 and blows up at step 13; the other members
+    # run to t_end
+    def state(mean, amp):
+        return State(0.0, cosine(grid32, mean=mean, amp=amp), cosine(grid32, mean=mean, amp=amp))
+
+    configs = [RunConfig(SKT, st, dt=1e-3, t_end=2e-2, record_every=10)
+               for st in (state(0.5, 0.05), state(2.9, 2.9), state(0.6, 0.03))]
+    members = simulate(configs)
+    with pytest.raises(BlowupError) as single:
+        simulate(configs[1])
+    assert isinstance(members[1], BlowupError)
+    assert members[1].step == single.value.step == 13
+    assert_same_run(members[1].trajectory, single.value.trajectory)
+    for i in (0, 2):
+        assert_same_run(members[i], simulate(configs[i]))
+
+
+def test_batch_members_differ_only_in_their_initial_states(grid32, grid64, cosine):
+    st = State(0.0, cosine(grid32, mean=0.5, amp=0.1), cosine(grid32, mean=0.6, amp=0.1))
+    cfg = RunConfig(SKT, st, dt=1e-4, t_end=1e-3)
+    st64 = State(0.0, cosine(grid64, mean=0.5, amp=0.1), cosine(grid64, mean=0.6, amp=0.1))
+    for other in (RunConfig(SKT, st, dt=2e-4, t_end=1e-3),
+                  RunConfig(CUBIC, st, dt=1e-4, t_end=1e-3),
+                  RunConfig(SKT, st64, dt=1e-4, t_end=1e-3)):
+        with pytest.raises(ConfigError, match="differ only in their initial states"):
+            simulate([cfg, other])
+    with pytest.raises(ConfigError, match="at least one"):
+        simulate([])
 
 
 def fresh_loop(spec, u0, v0, dt, n_steps, scheme, variant):
