@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
-import json
+import functools
 import math
 import os
 import sys
@@ -73,10 +73,26 @@ def _parse_run(obj, force_record_every: int | None = None):
                     record_every=record_every,
                     scheme=str(obj.get("scheme", "imex")),
                     variant=str(obj.get("variant", "plain")))
+    return grid, spec, cfg, _checks(obj)
+
+
+def _checks(obj) -> dict:
+    """The `checks` object of a config, {} when absent."""
     checks = obj.get("checks", {})
     if not isinstance(checks, dict):
         raise ConfigError("checks must be an object")
-    return grid, spec, cfg, checks
+    return checks
+
+
+def _scaled_cosine(init, keys, factor: float, error: str) -> dict:
+    """A copy of cosine initial data with the numbers at `keys` multiplied
+    by factor; other initial data raise ConfigError(error)."""
+    if not isinstance(init, dict) or init.get("kind") != "cosine":
+        raise ConfigError(error)
+    init = dict(init)
+    for key in keys:
+        init[key] = config_number(init, key) * factor
+    return init
 
 
 def _optional_number(obj: dict, key: str):
@@ -95,14 +111,10 @@ def _stability_inputs(obj, grid, cfg, checks):
     if checks.get("initial2") is not None:
         u2, v2 = _build_initial(grid, checks["initial2"])
     else:
-        scale = config_number(checks, "stability_scale", 0.5)
-        init2 = copy.deepcopy(obj["initial"])
-        if init2.get("kind") != "cosine":
-            raise ConfigError(
-                "stability_scale needs cosine initial data; "
-                "supply checks.initial2 otherwise")
-        init2["u_amp"] = config_number(init2, "u_amp") * scale
-        init2["v_amp"] = config_number(init2, "v_amp") * scale
+        init2 = _scaled_cosine(obj["initial"], ("u_amp", "v_amp"),
+                               config_number(checks, "stability_scale", 0.5),
+                               "stability_scale needs cosine initial data; "
+                               "supply checks.initial2 otherwise")
         u2, v2 = _build_initial(grid, init2)
     return delta, radius, dataclasses.replace(cfg, initial=State(0.0, u2, v2))
 
@@ -260,10 +272,7 @@ def _cmd_thresholds(args) -> int:
     if "model" not in obj:
         raise ConfigError("config is missing 'model'")
     _, spec = parse_model_json(obj["model"])
-    checks = obj.get("checks", {})
-    if not isinstance(checks, dict):
-        raise ConfigError("checks must be an object")
-    radius = config_number(checks, "R", 1.0)
+    radius = config_number(_checks(obj), "R", 1.0)
     for key, value in thresholds(spec, radius).items():
         print(f"{key} = {value:.12g}")
     return 0
@@ -273,10 +282,8 @@ def _sweep_axis(base: dict, axis: str, value: float) -> dict:
     obj = copy.deepcopy(base)
     if axis == "amplitude":
         init = obj.get("initial") if isinstance(obj, dict) else None
-        if not isinstance(init, dict) or init.get("kind") != "cosine":
-            raise ConfigError("the amplitude axis needs cosine initial data")
-        for key in ("u_mean", "u_amp", "v_mean", "v_amp"):
-            init[key] = config_number(init, key) * value
+        obj["initial"] = _scaled_cosine(init, ("u_mean", "u_amp", "v_mean", "v_amp"), value,
+                                        "the amplitude axis needs cosine initial data")
         return obj
     node = obj
     parts = axis.split(".")
@@ -290,10 +297,10 @@ def _sweep_axis(base: dict, axis: str, value: float) -> dict:
     return obj
 
 
-def _sweep_row(payload: str) -> str:
-    """One table row: verify's `lambda` and `rate` reports of the run."""
-    run_obj = json.loads(payload)
-    value = repr(float(run_obj.pop("_sweep_value")))
+def _sweep_row(item: tuple) -> str:
+    """One table row from a (value as text, run config) pair: verify's
+    `lambda` and `rate` reports of the run."""
+    value, run_obj = item
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         _, reports, step = _run(run_obj, ("lambda", "rate"))
@@ -327,11 +334,7 @@ def _cmd_sweep(args) -> int:
         if not math.isfinite(v):
             raise ConfigError(f"sweep value {v!r} is not a finite number")
     axis = str(obj["axis"])
-    payloads = []
-    for v in values:
-        run_obj = _sweep_axis(obj["base"], axis, v)
-        run_obj["_sweep_value"] = v
-        payloads.append(json.dumps(run_obj, sort_keys=True))
+    payloads = [(repr(v), _sweep_axis(obj["base"], axis, v)) for v in values]
     parallel = bool(obj.get("parallel", False))
     if parallel and len(payloads) > 1:
         workers = min(len(payloads),
@@ -354,7 +357,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use."""
     parser = _Parser(
         prog="crossflux",
         description="pseudo-spectral simulator and estimate verifier for "

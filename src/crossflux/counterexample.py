@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .model import bisect
 from .report import Report
 from .spaces import lp_norm, sobolev_norm
 from .spectral import Field, TorusGrid
@@ -54,12 +55,7 @@ def quintic_roots() -> QuinticRoots:
     cubic = lambda x: x ** 3 + x - 3.0
     if not cubic(lo) < 0 < cubic(hi):
         raise DomainError("cubic bracket lost")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if cubic(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bisect(lambda x: cubic(x) < 0, lo, hi, 200)
     r3 = 0.5 * (lo + hi)
     xs = np.linspace(0.0, 3.0, 100)
     alt = (xs ** 2 + 1) ** 2 * xs - 3 * (xs ** 2 + 1) ** 2 + 9 * xs

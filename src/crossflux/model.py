@@ -293,6 +293,19 @@ def _entropy_matrix_pd(spec: ModelSpec, delta: float) -> bool:
     return bool(np.all(m11 > 0) and np.all(m22 > 0) and np.all(m11 * m22 - off ** 2 > 0))
 
 
+def bisect(holds, lo: float, hi: float, halvings: int) -> tuple:
+    """The bracket [lo, hi] after `halvings` bisection steps towards the
+    point where the predicate `holds`, true at lo and false at hi, turns
+    false."""
+    for _ in range(halvings):
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 @lru_cache(maxsize=64)
 def find_delta_A(spec: ModelSpec) -> float:
     """Largest certified box [0, delta]^2 on which the symmetrized duality
@@ -306,14 +319,7 @@ def find_delta_A(spec: ModelSpec) -> float:
     """
     if _entropy_matrix_pd(spec, CAP):
         return CAP
-    lo, hi = 0.0, CAP
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if _entropy_matrix_pd(spec, mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.99 * lo
+    return 0.99 * bisect(lambda x: _entropy_matrix_pd(spec, x), 0.0, CAP, 60)[0]
 
 
 def bootstrap_delta(P: Poly1) -> float:
@@ -326,14 +332,7 @@ def bootstrap_delta(P: Poly1) -> float:
         return CAP
     if P.eval(CAP) < 0.5 * CAP:
         return 0.99 * CAP
-    lo, hi = 0.0, CAP
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if P.eval(mid) < 0.5 * mid:
-            lo = mid
-        else:
-            hi = mid
-    return 0.99 * lo
+    return 0.99 * bisect(lambda x: P.eval(x) < 0.5 * x, 0.0, CAP, 80)[0]
 
 
 def bootstrap_poly(spec: ModelSpec) -> Poly1:

@@ -53,9 +53,10 @@ def _recorded_steps(dt: float, t_end: float, record_every: int) -> np.ndarray:
     """Indices of the steps a run records: 0, every `record_every`-th
     step, and the last of the t_end / dt steps.
 
-    This is the one rule for run parameters: dt and t_end are finite, dt
-    is positive and divides t_end into 1 to MAX_STEPS steps, and
-    record_every is a positive integer, not a bool.
+    This is the one rule for a run's time grid, shared by `RunConfig`
+    and `solve_kolmogorov`: dt and t_end are finite, dt is positive and
+    divides t_end into 1 to MAX_STEPS steps, and record_every is a
+    positive integer, not a bool.
     """
     if not (math.isfinite(dt) and math.isfinite(t_end)):
         raise ConfigError(f"dt and t_end must be finite, got {dt} and {t_end}")
@@ -77,7 +78,9 @@ def _recorded_steps(dt: float, t_end: float, record_every: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Complete description of one simulation run."""
+    """Complete description of one simulation run, validated here: every
+    run check is made at construction.  The initial state is at t = 0,
+    and an rk4 run's dt is at most the `rk4_max_dt` of its initial state."""
 
     spec: ModelSpec
     initial: State
@@ -98,9 +101,17 @@ class RunConfig:
         if self.variant == "regularized" and (self.spec.eta is None
                                               or self.spec.trunc_delta is None):
             raise ConfigError("regularized runs need eta and trunc_delta in the model")
+        if self.initial.t != 0:
+            raise ConfigError(f"the initial state must be at t = 0, got t = {self.initial.t}")
         for name, f in (("u", self.initial.u), ("v", self.initial.v)):
             if float(f.values.min()) < -1e-12:
                 raise DomainError(f"initial {name} must be nonnegative")
+        if self.scheme == "rk4":
+            bound = rk4_max_dt(self.spec, self.initial)
+            if self.dt > bound:
+                raise ConfigError(
+                    f"dt = {self.dt:.3e} exceeds the rk4 stability bound {bound:.3e} "
+                    "for this initial state")
 
     @property
     def n_steps(self) -> int:
@@ -113,9 +124,6 @@ class Trajectory:
     at `times`, plus cheap per-step diagnostics."""
 
     spec: ModelSpec
-    scheme: str
-    variant: str
-    dt: float
     times: np.ndarray
     u: np.ndarray
     v: np.ndarray
@@ -149,12 +157,16 @@ def amplitude(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def rk4_max_dt(spec: ModelSpec, state: State) -> float:
-    """Explicit stability bound for the rk4 stepper at this state."""
+    """Explicit stability bound for the rk4 stepper at this state; 0 when
+    the coupling polynomials overflow at its amplitude."""
     g = state.grid
     amp = amplitude(state.u.values, state.v.values)
     q1, r1, q2, r2 = derive_QR(spec)
-    s = max(spec.d1 + q1.eval(amp, amp) + r1.eval(amp, amp),
-            spec.d2 + q2.eval(amp, amp) + r2.eval(amp, amp))
+    try:
+        s = max(spec.d1 + q1.eval(amp, amp) + r1.eval(amp, amp),
+                spec.d2 + q2.eval(amp, amp) + r2.eval(amp, amp))
+    except OverflowError:
+        return 0.0
     return RK4_STABILITY_CONSTANT / (FOUR_PI_SQ * (g.N / 2) ** 2 * s)
 
 
@@ -272,14 +284,6 @@ def _integrate(configs: tuple, members: tuple) -> list:
     fluxes = (X * spec.p, Y * spec.q)
     plan = poly_plan(grid, fluxes + (X * Y,) if regularized else fluxes)
 
-    if config.scheme == "rk4":
-        for member in configs:
-            bound = rk4_max_dt(spec, member.initial)
-            if dt > bound:
-                raise ConfigError(
-                    f"dt = {dt:.3e} exceeds the rk4 stability bound {bound:.3e} "
-                    "for this initial state")
-
     # the initial samples go into the work array that each step's
     # to_values rewrites, so the run holds one array of samples, and its
     # row views below stay valid for the whole run
@@ -316,9 +320,8 @@ def _integrate(configs: tuple, members: tuple) -> list:
 
     def trajectories(n, r):
         # sum / size is bitwise what `mean` computes, without its Python layer
-        return [Trajectory(spec, config.scheme, config.variant, dt, times[:r],
-                           rec[b, :r], rec[B + b, :r], step_times[:n], mins[b, :n],
-                           mins[B + b, :n], sums[:n, b] / grid.size,
+        return [Trajectory(spec, times[:r], rec[b, :r], rec[B + b, :r], step_times[:n],
+                           mins[b, :n], mins[B + b, :n], sums[:n, b] / grid.size,
                            sums[:n, B + b] / grid.size)
                 for b in range(B)]
 

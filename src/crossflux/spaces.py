@@ -50,7 +50,7 @@ def lp_norm(field: Field, p: float) -> float:
 def sobolev_norm(field: Field, s: float) -> float:
     """H^s norm with weight (1 + 4*pi^2*|xi|^2)^s, zero mode included."""
     plan = spectral_plan(field.grid, field.grid.N)
-    power = plan.weight * np.abs(plan.to_coeffs(field.values)) ** 2
+    power = plan.power(plan.to_coeffs(field.values))
     return float(np.sqrt(np.sum((1.0 + plan.lam) ** s * power)))
 
 
@@ -174,8 +174,19 @@ class TimeSeriesField:
         return len(self.times)
 
 
-def interp_linear(stack: np.ndarray, times: np.ndarray, t: float) -> np.ndarray:
-    """Stacked samples interpolated linearly in time, constant outside."""
+def interp_linear(stack: np.ndarray, times: np.ndarray, t) -> np.ndarray:
+    """Stacked samples interpolated linearly in time, constant outside.
+    `t` is one time, or a 1-d array of times for the stack of samples at
+    each, every one bitwise that of its scalar call."""
+    if np.ndim(t):
+        t = np.asarray(t, dtype=np.float64)
+        out = stack[np.where(t <= times[0], 0, -1)]
+        mid = (t > times[0]) & (t < times[-1])
+        i = np.searchsorted(times, t[mid], side="right") - 1
+        w = (t[mid] - times[i]) / (times[i + 1] - times[i])
+        w = w.reshape(w.shape + (1,) * (stack.ndim - 1))
+        out[mid] = (1.0 - w) * stack[i] + w * stack[i + 1]
+        return out
     if t <= times[0]:
         return stack[0]
     if t >= times[-1]:
@@ -242,20 +253,26 @@ def random_band_field(grid: TorusGrid, lo: float, hi: float, rng) -> Field:
     return Field(grid, plan.to_values(np.where(mask, plan.to_coeffs(noise), 0.0)))
 
 
-def bernstein_check(grid: TorusGrid, m: int, k: float, trials: int = 200) -> Report:
-    """Sup-norm control ||f||_inf <= C (2m)^(d/k) ||f||_k on the annulus
-    m <= |xi| < 2m, tested on random fields."""
+def _annulus_fields(grid: TorusGrid, m: int, trials: int):
+    """`trials` random fields on the annulus m <= |xi| < 2m, drawn from
+    seed 0; the annulus is checked (m >= 1, 2m <= N/2) on the call."""
     if m < 1:
         raise DomainError(f"annulus parameter must be >= 1, got {m}")
     if 2 * m > grid.N // 2:
         raise DomainError(
             f"annulus [m, 2m) = [{m}, {2 * m}) is not resolved on N = {grid.N}")
     rng = np.random.default_rng(0)
+    return (random_band_field(grid, m, 2 * m, rng) for _ in range(trials))
+
+
+def bernstein_check(grid: TorusGrid, m: int, k: float, trials: int = 200) -> Report:
+    """Sup-norm control ||f||_inf <= C (2m)^(d/k) ||f||_k on the annulus
+    m <= |xi| < 2m, tested on random fields."""
+    fields = _annulus_fields(grid, m, trials)
     bound = REGRESSION_CONSTANTS["bernstein"]
     scale = (2.0 * m) ** (grid.d / k)
     worst = 0.0
-    for _ in range(trials):
-        f = random_band_field(grid, m, 2 * m, rng)
+    for f in fields:
         denom = scale * lp_norm(f, k)
         if denom == 0.0:
             continue
@@ -273,20 +290,14 @@ def heat_decay_check(grid: TorusGrid, m: int, p: float, times,
                      trials: int = 200) -> Report:
     """Semigroup decay || exp(t*Lap) f ||_p <= C exp(-c t m^2) ||f||_p on
     the annulus m <= |xi| < 2m, with the sharp rate c = 4*pi^2."""
-    if m < 1:
-        raise DomainError(f"annulus parameter must be >= 1, got {m}")
-    if 2 * m > grid.N // 2:
-        raise DomainError(
-            f"annulus [m, 2m) = [{m}, {2 * m}) is not resolved on N = {grid.N}")
+    fields = _annulus_fields(grid, m, trials)
     times = np.asarray(times, dtype=np.float64)
     if np.any(times < 0):
         raise DomainError("decay check times must be nonnegative")
-    rng = np.random.default_rng(0)
     bound = REGRESSION_CONSTANTS["heat_decay"]
     rate = FOUR_PI_SQ * m * m
     worst = 0.0
-    for _ in range(trials):
-        f = random_band_field(grid, m, 2 * m, rng)
+    for f in fields:
         den = lp_norm(f, p)
         if den == 0.0:
             continue

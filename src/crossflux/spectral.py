@@ -35,6 +35,9 @@ import numpy as np
 from .errors import ConfigError, DomainError
 
 FOUR_PI_SQ = 4.0 * math.pi ** 2
+# largest fine size M per grid size N: the factor by which the degree of
+# the flux polynomials multiplies the memory of every dealiased product
+MAX_FINE_RATIO = 8
 
 
 @lru_cache(maxsize=64)
@@ -279,10 +282,11 @@ class SpectralPlan:
     Coefficients keep the frequencies 0..N/2 of the last axis (all N of
     the first axis in 2-d); the rest follow from c(-xi) = conj(c(xi)).
     The N/2 column holds the -N/2 coefficient of the full layout, whose
-    unpaired slot encodes a sine-type mode.  `lam`, `xi_sq`, `freq_axes`
-    and `weight` are laid out alike; a sum of w(xi)|c(xi)|^2 over all
-    frequencies, for w even in xi, is the half-layout sum of
-    weight * w * |c|^2 (weight 1 on columns 0 and N/2, 2 elsewhere).
+    unpaired slot encodes a sine-type mode.  `lam` and `xi_sq` are laid
+    out alike.  `power` gives the Parseval density of coefficients: a sum
+    of w(xi)|c(xi)|^2 over all frequencies, for w even in xi, is the
+    half-layout sum of w * power(c).  `derivative` gives the samples of
+    an axis derivative.
 
     `to_coeffs`/`to_values` map cell-center samples to coefficients and
     back.  `fine_values` evaluates the interpolant at the cell centers of
@@ -322,10 +326,10 @@ class SpectralPlan:
         d, N = grid.d, grid.N
         h = N // 2 + 1
         axes, xi_sq, fwd, inv = _fourier_data(d, N)
-        self.freq_axes = tuple(a[..., :h] for a in axes)
+        self._freq_axes = tuple(a[..., :h] for a in axes)
         self.xi_sq = xi_sq[..., :h]
         self.lam = FOUR_PI_SQ * self.xi_sq
-        self.weight = np.where((np.arange(h) == 0) | (np.arange(h) == N // 2), 1.0, 2.0)
+        self._weight = np.where((np.arange(h) == 0) | (np.arange(h) == N // 2), 1.0, 2.0)
         self._fwd, self._inv = fwd[..., :h], inv[..., :h]
         if M == N:
             return
@@ -349,6 +353,18 @@ class SpectralPlan:
         else:
             self._proj = fine_fwd[:h]
         self._pad = pad
+
+    def power(self, coeffs: np.ndarray) -> np.ndarray:
+        """|c|^2 weighted 1 on columns 0 and N/2, 2 on the others."""
+        return self._weight * np.abs(coeffs) ** 2
+
+    def derivative(self, coeffs: np.ndarray, axis: int) -> np.ndarray:
+        """Samples of the derivative along `axis` of the interpolant.  The
+        unpaired -N/2 mode differentiates to 0: on the cell-centered grid
+        its derivative vanishes at every node."""
+        freq = self._freq_axes[axis]
+        mult = 2j * np.pi * np.where(freq == -self.grid.N // 2, 0.0, freq)
+        return self.to_values(coeffs * mult)
 
     def to_coeffs(self, vals: np.ndarray, work: Work = FRESH) -> np.ndarray:
         g = self.grid
@@ -466,8 +482,15 @@ def mollify(field: Field, eta: float) -> Field:
 
 def poly_plan(grid: TorusGrid, polys) -> SpectralPlan:
     """The plan whose fine grid dealiases every polynomial of `polys`:
-    M = dealias_size(N, D) for the largest total degree D among them."""
-    return spectral_plan(grid, dealias_size(grid.N, max(p.total_degree() for p in polys)))
+    M = dealias_size(N, D) for the largest total degree D among them.
+    An M above MAX_FINE_RATIO * N raises `ConfigError` before any array
+    is made."""
+    D = max(p.total_degree() for p in polys)
+    M = dealias_size(grid.N, D)
+    if M > MAX_FINE_RATIO * grid.N:
+        raise ConfigError(f"polynomial degree {D} needs a fine grid of M = {M} points per "
+                          f"axis for N = {grid.N}, above the limit M <= {MAX_FINE_RATIO} N")
+    return spectral_plan(grid, M)
 
 
 def poly_field(p, u: Field, v: Field) -> Field:

@@ -457,29 +457,32 @@ def test_malformed_run_parameters_exit_code(tmp_path, capsys, overrides):
 
 
 @pytest.mark.parametrize(
-    "check, params",
+    "check, params, message",
     [
-        ("hk", {"k_sob": 1.5}),
-        ("hk", {"k_sob": True}),
-        ("hk", {"k_sob": "1"}),
-        ("hk", {"k_sob": 2, "hk_small": "0.1"}),
-        ("stability", {"delta": "0.3"}),
-        ("stability", {"delta": 0.3, "R": True}),
-        ("stability", {"delta": 0.3, "stability_scale": "0.5"}),
-        ("lambda", {"k": "3"}),
-        ("lambda", {"k": 3.0, "delta": "0.3"}),
+        ("hk", {"k_sob": 1.5}, "configuration error"),
+        ("hk", {"k_sob": True}, "configuration error"),
+        ("hk", {"k_sob": "1"}, "configuration error"),
+        ("hk", {"k_sob": 2, "hk_small": "0.1"}, "configuration error"),
+        ("stability", {"delta": "0.3"}, "configuration error"),
+        ("stability", {"delta": 0.3, "R": True}, "configuration error"),
+        ("stability", {"delta": 0.3, "stability_scale": "0.5"}, "configuration error"),
+        ("lambda", {"k": "3"}, "configuration error"),
+        ("lambda", {"k": 3.0, "delta": "0.3"}, "configuration error"),
+        # refused before the k warning and before any |Lap flux|^k
+        ("lambda", {"k": -2.0}, "error: exponent must lie in (1, inf), got -2.0"),
     ],
     ids=["fractional-k_sob", "bool-k_sob", "string-k_sob", "string-hk_small",
          "string-delta", "bool-R", "string-stability_scale", "string-k",
-         "lambda-string-delta"],
+         "lambda-string-delta", "lambda-k-below-one"],
 )
-def test_malformed_check_parameters_exit_code(tmp_path, capsys, check, params):
+def test_malformed_check_parameters_exit_code(tmp_path, capsys, check, params, message):
     cfg = write_json(tmp_path / "run.json", run_config(checks=params))
     code = run_cli(["verify", "--config", cfg, "--checks", check,
                     "--report", str(tmp_path / "r.json")])
     assert code == 2
     err = capsys.readouterr().err
-    assert "configuration error" in err
+    assert message in err
+    assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
 
 
@@ -646,6 +649,8 @@ FUZZ_CASES = {
     "p-nan-coefficient": _edit(["model", "p"], [[1, 0, math.nan]]),
     "p-inf-coefficient": _edit(["model", "q"], [[0, 1, math.inf]]),
     "p-constant": _edit(["model", "p"], [[0, 0, 1.0]]),
+    # a fine grid of 16 000 016 points: refused before it is allocated
+    "p-degree-1e6": _edit(["model", "p"], [[1000000, 0, 1.0]]),
     "eta-negative": _edit(["model", "eta"], -1.0),
     "initial-list": _edit(["initial"], [1]),
     "no-kind": _edit(["initial", "kind"], KeyError),

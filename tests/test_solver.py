@@ -64,6 +64,11 @@ def test_run_config_validation(grid32, cosine):
     bad = State(0.0, cosine(grid32), u)
     with pytest.raises(DomainError, match="nonnegative"):
         RunConfig(SKT, bad, dt=1e-4, t_end=1e-3)
+    with pytest.raises(ConfigError, match="t = 0"):
+        RunConfig(SKT, State(5.0, u, u), dt=1e-4, t_end=1e-3)
+    # the rk4 bound is a run check too, made before any integration
+    with pytest.raises(ConfigError, match="rk4 stability bound"):
+        RunConfig(SKT, st, dt=1e-3, t_end=1e-3, scheme="rk4")
     cfg = RunConfig(SKT, st, dt=1e-4, t_end=1e-3)
     assert cfg.n_steps == 10
 
@@ -116,6 +121,9 @@ def test_rk4_stability_bound(grid64):
     assert rk4_max_dt(SKT, st) == pytest.approx(expected, rel=1e-12)
     with pytest.raises(ConfigError, match="stability bound"):
         one_step(st, SKT, 10.0 * expected, "rk4")
+    # 2^1100 is past the float range: no dt is stable
+    steep = ModelSpec(1.0, 1.0, Poly2({(1100, 0): 1.0}), Poly2({}))
+    assert rk4_max_dt(steep, st) == 0.0
 
 
 def test_recording_grid(grid32, cosine):

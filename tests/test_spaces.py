@@ -16,6 +16,7 @@ from crossflux.spaces import (
     block_sequence_norm,
     dyadic_blocks,
     heat_decay_check,
+    interp_linear,
     lp_norm,
     maxreg_ratio,
     mean,
@@ -184,6 +185,17 @@ def test_time_series_from_stack_or_fields(rng):
         assert len(a) == len(b) == 3
         np.testing.assert_array_equal(a.values, b.values)
         np.testing.assert_array_equal(a.times, b.times)
+
+
+def test_interp_linear_at_an_array_of_times_is_each_scalar_call(rng):
+    # times at and outside either end, and a one-sample series
+    for T in (1, 2, 5):
+        times = np.cumsum(rng.uniform(0.1, 1.0, T))
+        stack = rng.standard_normal((T, 4, 4))
+        ts = np.concatenate([[times[0] - 1.0, times[0], times[-1], times[-1] + 1.0], times,
+                             rng.uniform(times[0] - 0.5, times[-1] + 0.5, 20)])
+        loop = np.stack([interp_linear(stack, times, float(t)) for t in ts])
+        assert np.array_equal(interp_linear(stack, times, ts), loop)
 
 
 def test_time_series_rejects_bad_stacks(grid32):

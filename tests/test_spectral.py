@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossflux import spectral
 from crossflux.errors import ConfigError, DomainError
 from crossflux.model import X, Y, Poly2Signed
 from crossflux.spectral import (
@@ -91,10 +92,27 @@ def test_round_trip(rng, grid64, grid2d):
         np.testing.assert_allclose(back.values, f.values, atol=1e-13)
 
 
-def test_parseval(rng, grid64):
+def test_parseval(rng, grid64, grid2d):
     f = Field(grid64, rng.standard_normal(64))
     c = transform(f).coeffs
     assert np.mean(f.values**2) == pytest.approx(np.sum(np.abs(c) ** 2), rel=1e-12)
+    for g in (grid64, grid2d):
+        plan = spectral_plan(g, g.N)
+        vals = rng.standard_normal(g.shape)
+        power = plan.power(plan.to_coeffs(vals))
+        assert np.sum(power) == pytest.approx(np.mean(vals**2), rel=1e-12)
+
+
+def test_plan_derivative(grid2d):
+    # d/dx of cos(6 pi x); the sine-type -N/2 mode (-1)^i along the
+    # second axis differentiates to 0 at the cell centers
+    g = grid2d
+    x = g.coords(0)
+    nyquist = (-1.0) ** np.arange(g.N)
+    plan = spectral_plan(g, g.N)
+    c = plan.to_coeffs(np.cos(6 * np.pi * x) + nyquist)
+    assert np.max(np.abs(plan.derivative(c, 0) + 6 * np.pi * np.sin(6 * np.pi * x))) < 1e-12
+    assert np.max(np.abs(plan.derivative(c, 1))) < 1e-12
 
 
 def test_inverse_rejects_non_hermitian(grid32):
@@ -265,6 +283,16 @@ def test_poly_plan_dealiases_random_degrees_exactly(grid, degree, seed):
     fine = spectral_plan(g, 2 * dealias_size(g.N, degree))
     c = plan.to_coeffs(vals)
     assert np.max(np.abs(plan.poly_coeffs((p,), c) - fine.poly_coeffs((p,), c))) <= 1e-12
+
+
+def test_poly_plan_refuses_a_fine_grid_above_the_limit(monkeypatch):
+    g = TorusGrid(1, 32)
+    # degree 14 needs M = 240 <= 8 N; degree 15 needs 258
+    assert poly_plan(g, (Poly2Signed({(14, 0): 1.0}),)).M == 240
+    monkeypatch.setattr(spectral, "spectral_plan", None)  # no plan is built
+    for degree, M in ((15, 258), (10 ** 6, 16000016)):
+        with pytest.raises(ConfigError, match=f"degree {degree} .* M = {M} .* N = 32"):
+            poly_plan(g, (X, Poly2Signed({(0, degree): 1.0})))
 
 
 @pytest.mark.parametrize("polys", [(X * Y,), (X, X * X * Y), (Y * Y * Y, X)])

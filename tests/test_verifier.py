@@ -46,9 +46,6 @@ def manual_trajectory(grid, times, u_fields, v_fields, spec=SKT):
     v = np.stack([f.values for f in v_fields])
     return Trajectory(
         spec=spec,
-        scheme="imex",
-        variant="plain",
-        dt=float(times[1] - times[0]),
         times=np.asarray(times, dtype=float),
         u=u,
         v=v,
