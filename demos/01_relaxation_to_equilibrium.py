@@ -12,7 +12,7 @@ import numpy as np
 
 from crossflux.model import ModelSpec, X, Y
 from crossflux.solver import RunConfig, State, simulate
-from crossflux.spectral import FOUR_PI_SQ, Field, TorusGrid
+from crossflux.spectral import Field, TorusGrid
 from crossflux.verifier import check_mass, fit_decay_rate
 
 grid = TorusGrid(1, 64)

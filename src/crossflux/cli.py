@@ -119,14 +119,6 @@ def _stability_inputs(obj, grid, cfg, checks):
     return delta, radius, dataclasses.replace(cfg, initial=State(0.0, u2, v2))
 
 
-def _whole(result):
-    """A batch member's trajectory; a member that blew up raises its
-    `BlowupError`."""
-    if isinstance(result, BlowupError):
-        raise result
-    return result
-
-
 def _run(obj, requested=()):
     """Parse a run config, integrate it and compute the requested reports
     in order: the one run path of every command.  A request with `lambda`
@@ -136,50 +128,48 @@ def _run(obj, requested=()):
     or None."""
     force = 1 if "lambda" in requested else None
     grid, spec, cfg, checks = _parse_run(obj, force_record_every=force)
+    configs = [cfg]
     if "stability" in requested:
         delta, radius, cfg2 = _stability_inputs(obj, grid, cfg, checks)
-    traj = None
+        configs.append(cfg2)
+    results = simulate(configs)
+    traj = results[0]
+    if isinstance(traj, BlowupError):
+        return traj.trajectory, [], traj.step
     reports: list[Report] = []
-    try:
-        if "stability" in requested:
-            first, second = simulate([cfg, cfg2])
-            traj = _whole(first)
-        else:
-            traj = simulate(cfg)
-        for name in requested:
-            if name == "mass":
-                reports.append(check_mass(traj))
-            elif name == "energy":
-                reports.append(check_energy_decay(traj, spec))
-            elif name == "duality":
-                zeros = TimeSeriesField(traj.times[[0, -1]], np.zeros((2,) + grid.shape))
-                for label, series, d_coef, poly, z_in in (
-                        ("duality_u", traj.series_u(), spec.d1, spec.p, cfg.initial.u),
-                        ("duality_v", traj.series_v(), spec.d2, spec.q, cfg.initial.v)):
-                    mu = TimeSeriesField(traj.times,
-                                         d_coef + poly.eval_arrays(traj.u, traj.v))
-                    rep = check_duality(series, mu, zeros, z_in)
-                    reports.append(dataclasses.replace(rep, name=label))
-            elif name == "rate":
-                reports.append(fit_decay_rate(traj))
-            elif name == "stability":
-                reports.append(check_stability_pair(traj, _whole(second), spec,
-                                                    radius, delta))
-            elif name == "lambda":
-                _, rep = track_lambda(traj, spec, config_number(checks, "k", 3.0),
-                                      delta=_optional_number(checks, "delta"))
-                reports.append(rep)
-            elif name == "hk":
-                if "k_sob" not in checks:
-                    raise ConfigError("hk check needs checks.k_sob")
-                _, rep = track_hk(traj, config_number(checks, "k_sob", integral=True),
-                                  small=_optional_number(checks, "hk_small"))
-                reports.append(rep)
-            elif name == "lyapunov":
-                reports.append(check_lyapunov_nonconvex(traj))
-    except BlowupError as exc:
-        # a blow-up in the stability check's second run leaves the first whole
-        return exc.trajectory if traj is None else traj, reports, exc.step
+    for name in requested:
+        if name == "mass":
+            reports.append(check_mass(traj))
+        elif name == "energy":
+            reports.append(check_energy_decay(traj, spec))
+        elif name == "duality":
+            zeros = TimeSeriesField(traj.times[[0, -1]], np.zeros((2,) + grid.shape))
+            for label, series, d_coef, poly, z_in in (
+                    ("duality_u", traj.series_u(), spec.d1, spec.p, cfg.initial.u),
+                    ("duality_v", traj.series_v(), spec.d2, spec.q, cfg.initial.v)):
+                mu = TimeSeriesField(traj.times,
+                                     d_coef + poly.eval_arrays(traj.u, traj.v))
+                rep = check_duality(series, mu, zeros, z_in)
+                reports.append(dataclasses.replace(rep, name=label))
+        elif name == "rate":
+            reports.append(fit_decay_rate(traj))
+        elif name == "stability":
+            # a blow-up in the second run leaves the first whole
+            if isinstance(results[1], BlowupError):
+                return traj, reports, results[1].step
+            reports.append(check_stability_pair(traj, results[1], spec, radius, delta))
+        elif name == "lambda":
+            _, rep = track_lambda(traj, spec, config_number(checks, "k", 3.0),
+                                  delta=_optional_number(checks, "delta"))
+            reports.append(rep)
+        elif name == "hk":
+            if "k_sob" not in checks:
+                raise ConfigError("hk check needs checks.k_sob")
+            _, rep = track_hk(traj, config_number(checks, "k_sob", integral=True),
+                              small=_optional_number(checks, "hk_small"))
+            reports.append(rep)
+        elif name == "lyapunov":
+            reports.append(check_lyapunov_nonconvex(traj))
     return traj, reports, None
 
 

@@ -16,13 +16,13 @@ class DomainError(CrossfluxError, ValueError):
 
 
 class BlowupError(CrossfluxError):
-    """Raised when a simulation produces NaN or Inf values.
+    """A run's state stopped being finite: raised by one run, returned by a batch member.
 
     Carries the step index at which the blow-up was detected and the
     partial trajectory recorded up to that point.
     """
 
-    def __init__(self, step: int, trajectory=None):
+    def __init__(self, step: int, trajectory):
         super().__init__(f"non-finite state detected at step {step}")
         self.step = step
         self.trajectory = trajectory

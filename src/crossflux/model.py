@@ -12,6 +12,7 @@ and stability constants, and the computable smallness thresholds.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -24,6 +25,24 @@ from .spaces import besov_Nk, lp_norm
 from .spectral import FRESH, Field, TorusGrid, Work, laplacian, poly_plan
 
 CAP = 1e3  # returned when a threshold is unbounded for the given model
+
+
+def inf_on_overflow(f):
+    """`f`, but inf where a Python float overflows: a bound too large to hold is unbounded."""
+    @functools.wraps(f)
+    def bounded(*args):
+        try:
+            return f(*args)
+        except OverflowError:
+            return math.inf
+    return bounded
+
+
+def require_nonnegative(u: Field, v: Field) -> None:
+    """Initial densities are nonnegative, up to a rounding of 1e-12."""
+    for name, f in (("u", u), ("v", v)):
+        if float(f.values.min()) < -1e-12:
+            raise DomainError(f"initial {name} must be nonnegative")
 
 
 def _clean_terms(terms) -> dict:
@@ -143,7 +162,9 @@ class Poly2Signed:
 
 
 class Poly2(Poly2Signed):
-    """Polynomial with nonnegative finite coefficients."""
+    """Polynomial with nonnegative finite coefficients; an overflowing `eval` is inf."""
+
+    eval = inf_on_overflow(Poly2Signed.eval)
 
     def __init__(self, terms=None):
         super().__init__(terms)
@@ -179,6 +200,7 @@ class Poly1:
             if c != 0:
                 self.terms[int(n)] = c
 
+    @inf_on_overflow
     def eval(self, x):
         return sum(c * x ** n for n, c in self.terms.items())
 
@@ -258,6 +280,7 @@ def derive_QR(spec: ModelSpec):
     return q1, r1, q2, r2
 
 
+@inf_on_overflow
 def lipschitz_LR(spec: ModelSpec, R: float) -> float:
     """Common Lipschitz bound of p and q on the square [0, R]^2."""
     if R < 0:
@@ -281,16 +304,18 @@ def stability_constants(spec: ModelSpec, R: float, delta: float):
 
 
 def _entropy_matrix_pd(spec: ModelSpec, delta: float) -> bool:
+    # an entry that overflows to inf or NaN reads as not positive definite
     a = np.linspace(0.0, delta, 64)
     A, B = np.meshgrid(a, a, indexing="ij")
-    dpx = spec.p.partial(0).eval_arrays(A, B)
-    dpy = spec.p.partial(1).eval_arrays(A, B)
-    dqx = spec.q.partial(0).eval_arrays(A, B)
-    dqy = spec.q.partial(1).eval_arrays(A, B)
-    m11 = 0.5 * spec.d1 - np.abs(A * dpx)
-    m22 = 0.5 * spec.d2 - np.abs(B * dqy)
-    off = 0.5 * (np.abs(A * dpy) + np.abs(B * dqx))
-    return bool(np.all(m11 > 0) and np.all(m22 > 0) and np.all(m11 * m22 - off ** 2 > 0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        dpx = spec.p.partial(0).eval_arrays(A, B)
+        dpy = spec.p.partial(1).eval_arrays(A, B)
+        dqx = spec.q.partial(0).eval_arrays(A, B)
+        dqy = spec.q.partial(1).eval_arrays(A, B)
+        m11 = 0.5 * spec.d1 - np.abs(A * dpx)
+        m22 = 0.5 * spec.d2 - np.abs(B * dqy)
+        off = 0.5 * (np.abs(A * dpy) + np.abs(B * dqx))
+        return bool(np.all(m11 > 0) and np.all(m22 > 0) and np.all(m11 * m22 - off ** 2 > 0))
 
 
 def bisect(holds, lo: float, hi: float, halvings: int) -> tuple:
@@ -356,9 +381,7 @@ def smallness_functional(u_in: Field, v_in: Field, spec: ModelSpec, k: float) ->
     if k <= 1 + d / 2:
         warnings.warn(f"smallness functional expects k > 1 + d/2 = {1 + d / 2}, got {k}",
                       stacklevel=2)
-    for name, f in (("u", u_in), ("v", v_in)):
-        if float(f.values.min()) < -1e-12:
-            raise DomainError(f"initial {name} must be nonnegative")
+    require_nonnegative(u_in, v_in)
     phi1, phi2 = flux(spec, u_in, v_in)
     return (lp_norm(u_in, math.inf) + lp_norm(v_in, math.inf)
             + besov_Nk(laplacian(phi1), k) + besov_Nk(laplacian(phi2), k))

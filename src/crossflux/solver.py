@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowupError, ConfigError, DomainError
-from .model import ModelSpec, X, Y, derive_QR
+from .model import ModelSpec, X, Y, derive_QR, require_nonnegative
 from .spaces import TimeSeriesField, interp_linear
 from .spectral import FOUR_PI_SQ, Field, TorusGrid, Work, poly_plan, spectral_plan
 
@@ -103,9 +103,7 @@ class RunConfig:
             raise ConfigError("regularized runs need eta and trunc_delta in the model")
         if self.initial.t != 0:
             raise ConfigError(f"the initial state must be at t = 0, got t = {self.initial.t}")
-        for name, f in (("u", self.initial.u), ("v", self.initial.v)):
-            if float(f.values.min()) < -1e-12:
-                raise DomainError(f"initial {name} must be nonnegative")
+        require_nonnegative(self.initial.u, self.initial.v)
         if self.scheme == "rk4":
             bound = rk4_max_dt(self.spec, self.initial)
             if self.dt > bound:
@@ -158,15 +156,12 @@ def amplitude(u: np.ndarray, v: np.ndarray) -> float:
 
 def rk4_max_dt(spec: ModelSpec, state: State) -> float:
     """Explicit stability bound for the rk4 stepper at this state; 0 when
-    the coupling polynomials overflow at its amplitude."""
+    the coupling polynomials overflow to inf at its amplitude."""
     g = state.grid
     amp = amplitude(state.u.values, state.v.values)
     q1, r1, q2, r2 = derive_QR(spec)
-    try:
-        s = max(spec.d1 + q1.eval(amp, amp) + r1.eval(amp, amp),
-                spec.d2 + q2.eval(amp, amp) + r2.eval(amp, amp))
-    except OverflowError:
-        return 0.0
+    s = max(spec.d1 + q1.eval(amp, amp) + r1.eval(amp, amp),
+            spec.d2 + q2.eval(amp, amp) + r2.eval(amp, amp))
     return RK4_STABILITY_CONSTANT / (FOUR_PI_SQ * (g.N / 2) ** 2 * s)
 
 
@@ -223,9 +218,8 @@ def simulate(config: RunConfig | Sequence[RunConfig]) -> Trajectory | list:
     `Trajectory`, or raises `BlowupError` with the partial trajectory.  A
     sequence gives a list with one `Trajectory` or `BlowupError` per
     member, in order.  Its members advance as one batch through one time
-    loop, and each member's arrays are bitwise those of its single run.
-    When any member blows up, the whole batch is rerun member by member,
-    so each member keeps its own blow-up step and partial trajectory.
+    loop, and each member's arrays, blow-up step included, are bitwise
+    those of its single run.
 
     u and v advance as one coefficient stack of shape (2, ...), so each
     step makes one stacked transform of each kind.  The regularized
@@ -234,7 +228,10 @@ def simulate(config: RunConfig | Sequence[RunConfig]) -> Trajectory | list:
     before multiplying the density.
     """
     if isinstance(config, RunConfig):
-        return _integrate((config,), ())[0]
+        result, = _integrate((config,))
+        if isinstance(result, BlowupError):
+            raise result
+        return result
     configs = tuple(config)
     if not configs:
         raise ConfigError("simulate needs at least one run config")
@@ -243,34 +240,25 @@ def simulate(config: RunConfig | Sequence[RunConfig]) -> Trajectory | list:
             raise ConfigError(f"simulate takes RunConfigs, got {type(member).__name__}")
         if _shared(member) != _shared(configs[0]):
             raise ConfigError("batched runs must differ only in their initial states")
-    try:
-        return _integrate(configs, (len(configs),))
-    except BlowupError:
-        pass
-    results = []
-    for member in configs:
-        try:
-            results.append(_integrate((member,), ())[0])
-        except BlowupError as exc:
-            results.append(exc)
-    return results
+    return _integrate(configs)
 
 
-def _integrate(configs: tuple, members: tuple) -> list:
+def _integrate(configs: tuple) -> list:
     """The time loop of `simulate` for configs that differ only in their
     initial states, with the state a stack of shape (2, *members,
-    *grid.shape): `members` is () for one run, so a single run carries no
-    batch axis, and (B,) for a batch of B.  Returns one `Trajectory` per
-    config.  A blow-up raises `BlowupError` at its step, with the partial
-    trajectory of a single run and none for a batch.
+    *grid.shape): `members` is () for one config, so a single run carries
+    no batch axis, and (B,) for a batch of B.  Returns one `Trajectory`,
+    or `BlowupError` with the partial trajectory, per config.
+
+    The one stop rule: a member ends at the first step whose samples are
+    not all finite.  It is then zeroed, a fixed point of every step, and
+    the loop stops once every member has ended.
 
     The loop owns one `Work`: every step writes its intermediates, the
     new coefficients and the new samples into the same arrays, so no
-    large array is allocated after the first step.  Overflow or an
-    invalid operation in a step raises at that step, as does a non-finite
-    sample.  Recorded samples and per-step diagnostics are kept by row,
-    u of each member then v of each member, so each member's records
-    are contiguous.
+    large array is allocated after the first step.  Recorded samples and
+    per-step diagnostics are kept by row, u of each member then v of
+    each member, so each member's records are contiguous.
     """
     config = configs[0]
     spec = config.spec
@@ -288,6 +276,7 @@ def _integrate(configs: tuple, members: tuple) -> list:
     # to_values rewrites, so the run holds one array of samples, and its
     # row views below stay valid for the whole run
     B = len(configs)
+    members = (B,) if B > 1 else ()
     work = Work()
     vals = work.array("values", (2,) + members + grid.shape)
     rows = vals.reshape((2 * B,) + grid.shape)
@@ -310,51 +299,51 @@ def _integrate(configs: tuple, members: tuple) -> list:
     rec = np.empty((2 * B, len(steps)) + grid.shape)
     mins = np.empty((2 * B, n_steps + 1))
     sums = np.empty((n_steps + 1, 2 * B))
+    ended = {}  # member: the step it ended at and its number of records
 
     def diagnose(n):
-        # every sample of a row is finite exactly when the row's sum is:
-        # an overflowing sum raises under the loop's errstate
+        # every sample of a row is finite exactly when the row's sum is
         np.minimum.reduce(flat, axis=1, out=mins[:, n])
-        row_sums = np.add.reduce(flat, axis=1, out=sums[n])
-        return all(map(math.isfinite, row_sums.tolist()))
+        return np.add.reduce(flat, axis=1, out=sums[n]).tolist()
 
-    def trajectories(n, r):
+    def result(b, n, r):
         # sum / size is bitwise what `mean` computes, without its Python layer
-        return [Trajectory(spec, times[:r], rec[b, :r], rec[B + b, :r], step_times[:n],
-                           mins[b, :n], mins[B + b, :n], sums[:n, b] / grid.size,
-                           sums[:n, B + b] / grid.size)
-                for b in range(B)]
-
-    def blowup(n, r):
-        return BlowupError(n, None if members else trajectories(n, r)[0])
+        traj = Trajectory(spec, times[:r], rec[b, :r], rec[B + b, :r], step_times[:n],
+                          mins[b, :n], mins[B + b, :n], sums[:n, b] / grid.size,
+                          sums[:n, B + b] / grid.size)
+        return BlowupError(n, traj) if b in ended else traj
 
     diagnose(0)
     rec[:, 0] = rows
     r = 1
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for n in range(1, n_steps + 1):
-                if config.scheme == "rk4":
-                    _rk4_update(plan, dt, c, d, fluxes, neg_lam, work)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, n_steps + 1):
+            if config.scheme == "rk4":
+                _rk4_update(plan, dt, c, d, fluxes, neg_lam, work)
+            else:
+                if regularized:
+                    cw = _regularized_coeffs(plan, spec, c, vals, moll, work)
                 else:
-                    if regularized:
-                        cw = _regularized_coeffs(plan, spec, c, vals, moll, work)
-                    else:
-                        cw = plan.poly_coeffs(fluxes, c, work=work)
-                    # c = (c - dt_lam * cw) / den, in place
-                    np.subtract(c, np.multiply(dt_lam, cw, out=cw), out=c)
-                    np.divide(c, den, out=c)
-                # rewrites vals, and so rows and flat
-                plan.to_values(c, work=work)
-                if not diagnose(n):
-                    raise blowup(n, r)
-                if n == steps[r]:
-                    rec[:, r] = rows
-                    r += 1
-    except FloatingPointError:
-        raise blowup(n, r) from None
+                    cw = plan.poly_coeffs(fluxes, c, work=work)
+                # c = (c - dt_lam * cw) / den, in place
+                np.subtract(c, np.multiply(dt_lam, cw, out=cw), out=c)
+                np.divide(c, den, out=c)
+            # rewrites vals, and so rows and flat
+            plan.to_values(c, work=work)
+            row_sums = diagnose(n)
+            if not all(map(math.isfinite, row_sums)):
+                # a member that ended earlier is zero, so its rows are finite
+                ended.update((i % B, (n, r)) for i, s in enumerate(row_sums)
+                             if not math.isfinite(s))
+                if len(ended) == B:
+                    break
+                for b in ended:
+                    c[:, b] = rows[b] = rows[B + b] = 0.0
+            if n == steps[r]:
+                rec[:, r] = rows
+                r += 1
 
-    return trajectories(n_steps + 1, len(steps))
+    return [result(b, *ended.get(b, (n_steps + 1, len(steps)))) for b in range(B)]
 
 
 def solve_kolmogorov(z_in: Field, mu: TimeSeriesField, f: TimeSeriesField,
@@ -365,9 +354,9 @@ def solve_kolmogorov(z_in: Field, mu: TimeSeriesField, f: TimeSeriesField,
     mu and f are interpolated piecewise-linearly in time.  Each step
     splits mu into its current spatial minimum (implicit, diagonal) plus
     the nonnegative remainder (explicit).  The forcing enters through the
-    Laplacian, so the mean of z is conserved exactly.  Overflow or an
-    invalid operation in a step raises `BlowupError` at that step, as
-    does a non-finite sample, with the series recorded so far.
+    Laplacian, so the mean of z is conserved exactly.  The first step
+    whose samples are not all finite raises `BlowupError` at that step,
+    with the series recorded so far.
     """
     grid = z_in.grid
     if mu.grid != grid or f.grid != grid:
@@ -384,21 +373,18 @@ def solve_kolmogorov(z_in: Field, mu: TimeSeriesField, f: TimeSeriesField,
     z_rec = np.empty((len(steps),) + grid.shape)
     z_rec[0] = z_vals
     r = 1
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for n in range(1, int(steps[-1]) + 1):
-                t = (n - 1) * dt
-                mu_n = interp_linear(mu.values, mu.times, t)
-                f_n = interp_linear(f.values, f.times, t)
-                mu_min = float(mu_n.min())
-                expl = plan.to_coeffs((mu_n - mu_min) * z_vals + f_n)
-                cz = (cz - dt_lam * expl) / (1.0 + dt_lam * mu_min)
-                z_vals = plan.to_values(cz)
-                if not np.all(np.isfinite(z_vals)):
-                    raise BlowupError(n, TimeSeriesField(times[:r], z_rec[:r]))
-                if n == steps[r]:
-                    z_rec[r] = z_vals
-                    r += 1
-    except FloatingPointError:
-        raise BlowupError(n, TimeSeriesField(times[:r], z_rec[:r])) from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, int(steps[-1]) + 1):
+            t = (n - 1) * dt
+            mu_n = interp_linear(mu.values, mu.times, t)
+            f_n = interp_linear(f.values, f.times, t)
+            mu_min = float(mu_n.min())
+            expl = plan.to_coeffs((mu_n - mu_min) * z_vals + f_n)
+            cz = (cz - dt_lam * expl) / (1.0 + dt_lam * mu_min)
+            z_vals = plan.to_values(cz)
+            if not np.all(np.isfinite(z_vals)):
+                raise BlowupError(n, TimeSeriesField(times[:r], z_rec[:r]))
+            if n == steps[r]:
+                z_rec[r] = z_vals
+                r += 1
     return TimeSeriesField(times, z_rec)

@@ -275,6 +275,39 @@ def test_thresholds_command(tmp_path, capsys):
         assert values[key] == pytest.approx(val, rel=1e-9)
 
 
+@pytest.mark.parametrize("p, radius", [
+    pytest.param([[110, 0, 1.0]], 1.0, id="p-degree-110"),
+    pytest.param([[90, 0, 1.0]], 1e4, id="p-degree-90-R-1e4"),
+])
+def test_thresholds_of_an_overflowing_model_are_values(tmp_path, capsys, p, radius):
+    # a bound that overflows a float is unbounded: the thresholds it
+    # limits come out as numbers, with no warning and no traceback
+    cfg = write_json(tmp_path / "model.json",
+                     {"model": dict(MODEL, p=p), "checks": {"R": radius}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["thresholds", "--config", cfg]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert [line.partition(" = ")[0] for line in lines] == [
+        "delta_A", "delta_stability", "delta_bootstrap", "delta_min"]
+    assert all(math.isfinite(float(line.partition(" = ")[2])) for line in lines)
+
+
+def test_stability_check_at_an_overflowing_radius_is_one_line(tmp_path, capsys):
+    # the Lipschitz bound of p = X^13 on [0, 1e30]^2 overflows, so the
+    # check is refused as not admissible, not with an OverflowError
+    cfg = run_config(dt=2e-4, t_end=2e-3)
+    cfg["model"]["p"] = [[13, 0, 1.0]]
+    cfg["checks"] = {"R": 1e30, "delta": 0.3}
+    code = run_cli(["verify", "--config", write_json(tmp_path / "run.json", cfg),
+                    "--checks", "stability", "--report", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: delta is not admissible") and err.count("\n") == 1
+
+
 def test_thresholds_rejects_checks_that_are_not_an_object(tmp_path, capsys):
     cfg = write_json(tmp_path / "model.json", {"model": dict(MODEL), "checks": [1]})
     assert run_cli(["thresholds", "--config", cfg]) == 2

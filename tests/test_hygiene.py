@@ -4,7 +4,8 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CHECKED = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+CHECKED = [path for tree in ("src", "tests", "demos")
+           for path in sorted((ROOT / tree).rglob("*.py"))]
 
 
 def unused_imports(source: str) -> list:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossflux import solver
 from crossflux.errors import BlowupError, ConfigError, DomainError
 from crossflux.model import ModelSpec, Poly2, X, Y
 from crossflux.solver import (
@@ -382,10 +383,12 @@ FFT_CASES = pytest.mark.parametrize("d, N, scheme, per_step, batch", [
 ])
 
 
-def fft_calls(d, N, scheme, steps, batch=1):
+def fft_calls(d, N, scheme, steps, batch=1, listed=False, shapes=False):
     """The `out` argument (None when not given) of each numpy FFT call
     that a run of the given number of steps makes; a batch of more than
-    one run integrates that many copies of the run in one call."""
+    one run, or a `listed` one, integrates a list of that many copies of
+    the run in one call.  With `shapes`, each call gives its name and the
+    shapes of its input and `out` instead."""
     grid = TorusGrid(d, N)
     wave = np.cos(2.0 * np.pi * grid.coords(0))
     init = State(0.0, Field(grid, 0.3 + 0.1 * wave), Field(grid, 0.4 + 0.1 * wave))
@@ -397,14 +400,16 @@ def fft_calls(d, N, scheme, steps, batch=1):
         original = getattr(np.fft, name)
 
         def spy(*args, **kwargs):
-            outs.append(kwargs.get("out"))
+            out = kwargs.get("out")
+            outs.append((name, args[0].shape, None if out is None else out.shape)
+                        if shapes else out)
             return original(*args, **kwargs)
         return spy
 
     with mock.patch.multiple(np.fft, **{name: counted(name) for name in
                                         ("fft", "ifft", "rfft", "irfft", "fftn",
                                          "ifftn", "rfftn", "irfftn")}):
-        simulate(cfg if batch == 1 else [cfg] * batch)
+        simulate([cfg] * batch if listed or batch > 1 else cfg)
     return outs
 
 
@@ -435,6 +440,14 @@ def test_fft_calls_write_into_the_run_work_arrays(d, N, scheme, per_step, batch)
             == len({id(owner(out)) for out in short}))
 
 
+@pytest.mark.parametrize("d, N, scheme", [(1, 64, "imex"), (1, 64, "rk4"), (2, 16, "imex")])
+def test_a_one_member_list_makes_the_single_runs_fft_calls(d, N, scheme):
+    # a one-member list carries no batch axis: the same transforms, of
+    # the same shapes, as the single run
+    assert (fft_calls(d, N, scheme, 3, listed=True, shapes=True)
+            == fft_calls(d, N, scheme, 3, shapes=True))
+
+
 RECORDED = ("u", "v", "times", "step_times", "min_u", "min_v", "mass_u", "mass_v")
 
 
@@ -462,23 +475,59 @@ def test_batch_members_are_their_single_runs_bitwise(rng, d, N, scheme, variant,
         assert_same_run(member, simulate(cfg))
 
 
-def test_batch_blowup_keeps_each_members_own_result(grid32, cosine):
-    # the data of the CLI's partial-report blow-up: amplitude 2.9 is
-    # unstable at dt = 1e-3 and blows up at step 13; the other members
-    # run to t_end
-    def state(mean, amp):
-        return State(0.0, cosine(grid32, mean=mean, amp=amp), cosine(grid32, mean=mean, amp=amp))
+REGULARIZED_SKT = ModelSpec(1.0, 1.0, X + Y, X + Y, eta=1e-4, trunc_delta=5.0)
 
-    configs = [RunConfig(SKT, st, dt=1e-3, t_end=2e-2, record_every=10)
-               for st in (state(0.5, 0.05), state(2.9, 2.9), state(0.6, 0.03))]
+
+def blowup_configs(d, N, variant, amplitudes, t_end=2e-2):
+    """SKT runs at dt = 1e-3 from cosine data of the given (mean, amp)
+    pairs, both species alike; amplitudes 1.5 and above blow up."""
+    grid = TorusGrid(d, N)
+    wave = np.cos(2.0 * np.pi * grid.coords(0))
+    spec = REGULARIZED_SKT if variant == "regularized" else SKT
+    return [RunConfig(spec, State(0.0, *[Field(grid, mean + amp * wave)] * 2), dt=1e-3,
+                      t_end=t_end, record_every=10, variant=variant)
+            for mean, amp in amplitudes]
+
+
+@pytest.mark.parametrize("d, N, variant, steps", [
+    pytest.param(1, 32, "plain", (13, 18), id="imex-plain"),
+    pytest.param(1, 32, "regularized", (11, 18), id="imex-regularized"),
+    pytest.param(2, 16, "plain", (14, 19), id="2d-16"),
+])
+def test_batch_blowup_keeps_each_members_own_result(d, N, variant, steps):
+    # the data of the CLI's partial-report blow-up: amplitude 2.9 is
+    # unstable at dt = 1e-3 and blows up first, amplitude 1.5 after it;
+    # the other members run to t_end
+    configs = blowup_configs(d, N, variant, ((0.5, 0.05), (2.9, 2.9), (0.6, 0.03), (1.5, 1.5)))
     members = simulate(configs)
-    with pytest.raises(BlowupError) as single:
-        simulate(configs[1])
-    assert isinstance(members[1], BlowupError)
-    assert members[1].step == single.value.step == 13
-    assert_same_run(members[1].trajectory, single.value.trajectory)
+    for i, step in zip((1, 3), steps):
+        with pytest.raises(BlowupError) as single:
+            simulate(configs[i])
+        assert isinstance(members[i], BlowupError)
+        assert members[i].step == single.value.step == step
+        assert_same_run(members[i].trajectory, single.value.trajectory)
     for i in (0, 2):
         assert_same_run(members[i], simulate(configs[i]))
+
+
+def test_a_batch_with_a_blowup_runs_one_loop():
+    configs = blowup_configs(1, 32, "plain", ((0.5, 0.05), (2.9, 2.9), (0.6, 0.03)))
+    with mock.patch.object(solver, "_integrate", side_effect=solver._integrate) as loop:
+        members = simulate(configs)
+    assert isinstance(members[1], BlowupError)
+    assert loop.call_count == 1
+    assert len(loop.call_args.args[0]) == 3
+
+
+def test_a_batch_that_blows_up_entirely_ends_at_its_last_blowup():
+    # 1000 steps are configured; the last member to blow up does so at
+    # step 18, and the loop makes no step after it: one to_values a step
+    configs = blowup_configs(1, 32, "plain", ((2.9, 2.9), (1.5, 1.5), (4.0, 4.0)), t_end=1.0)
+    with mock.patch.object(SpectralPlan, "to_values", autospec=True,
+                           side_effect=SpectralPlan.to_values) as to_values:
+        members = simulate(configs)
+    assert [m.step for m in members] == [13, 18, 12]
+    assert to_values.call_count == 18
 
 
 def test_batch_members_differ_only_in_their_initial_states(grid32, grid64, cosine):
