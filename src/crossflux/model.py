@@ -66,6 +66,8 @@ class Poly2Signed:
 
     def __init__(self, terms=None):
         self.terms = _clean_terms(terms or {})
+        # kept: a plan's bound calls are looked up by their polynomials
+        self._hash = hash(frozenset(self.terms.items()))
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -77,17 +79,28 @@ class Poly2Signed:
 
     def eval_arrays(self, X: np.ndarray, Y: np.ndarray, out=None,
                     work: Work = FRESH) -> np.ndarray:
-        """Sum of c * X**i * Y**j, multiplied in that order, written into
-        `out` (a new array when None); X and Y are only read.  A unit
-        coefficient and an exponent of 0 take no multiply, X**1 takes no
-        power, and the sum starts from its first term: all exact, so
-        every bit is that of the power form.  Terms after the first and
-        powers that cannot go into the term are built in arrays of
-        `work` (see `spectral.Work`)."""
+        """Sum of c * X**i * Y**j, written into `out` (a new array when
+        None) by running `operations` once; X and Y are only read."""
         if out is None:
             out = np.empty(np.broadcast(X, Y).shape)
+        for ufunc, args in self.operations(X, Y, out, work):
+            ufunc(*args)
+        return out
+
+    def operations(self, X: np.ndarray, Y: np.ndarray, out: np.ndarray,
+                   work: Work = FRESH) -> list:
+        """The calls that write the sum of c * X**i * Y**j into `out`, as
+        (ufunc, arguments) pairs to run in order, each term multiplied in
+        that order.  A unit coefficient and an exponent of 0 take no
+        multiply, X**1 takes no power, and the sum starts from its first
+        term: all exact, so every bit is that of the power form.  Terms
+        after the first and powers that cannot go into the term are built
+        in arrays of `work` (see `spectral.Work`).  The calls read X and Y
+        and write `out` whenever they run, so a caller that evaluates the
+        same arrays on every step builds them once."""
         if not self.terms:
-            out.fill(0.0)
+            return [(np.copyto, (out, 0.0))]
+        ops = []
         for n, ((i, j), c) in enumerate(self.terms.items()):
             dest = out if n == 0 else work.array("poly term", out.shape)
             term = None if c == 1 else float(c)
@@ -99,16 +112,17 @@ class Poly2Signed:
                 else:
                     # base ** 2 is np.square, any other power np.power
                     power = work.array("poly power", out.shape) if term is dest else dest
-                    if e == 2:
-                        np.square(base, out=power)
-                    else:
-                        np.power(base, e, out=power)
-                term = power if term is None else np.multiply(term, power, out=dest)
+                    ops.append((np.square, (base, power)) if e == 2
+                               else (np.power, (base, e, power)))
+                if term is not None:
+                    ops.append((np.multiply, (term, power, dest)))
+                    power = dest
+                term = power
             if n:
-                out += 1.0 if term is None else term
+                ops.append((np.add, (out, 1.0 if term is None else term, out)))
             elif term is not out:
-                out[...] = 1.0 if term is None else term
-        return out
+                ops.append((np.copyto, (out, 1.0 if term is None else term)))
+        return ops
 
     def partial(self, var: int) -> "Poly2Signed":
         """Partial derivative; var = 0 for X, 1 for Y."""
@@ -152,7 +166,7 @@ class Poly2Signed:
         return isinstance(other, Poly2Signed) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return self._hash
 
     def __repr__(self):
         if not self.terms:

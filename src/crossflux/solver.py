@@ -368,6 +368,10 @@ def solve_kolmogorov(z_in: Field, mu: TimeSeriesField, f: TimeSeriesField,
     plan = spectral_plan(grid, grid.N)
     dt_lam = dt * plan.lam
     cz = plan.to_coeffs(z_in.values)
+    # every step transforms through one work object: its explicit input
+    # is built before to_coeffs rewrites the work arrays, and z_rec
+    # copies the samples to_values returns in one of them
+    work = Work()
     z_vals = z_in.values
     times = steps * dt
     z_rec = np.empty((len(steps),) + grid.shape)
@@ -379,9 +383,9 @@ def solve_kolmogorov(z_in: Field, mu: TimeSeriesField, f: TimeSeriesField,
             mu_n = interp_linear(mu.values, mu.times, t)
             f_n = interp_linear(f.values, f.times, t)
             mu_min = float(mu_n.min())
-            expl = plan.to_coeffs((mu_n - mu_min) * z_vals + f_n)
+            expl = plan.to_coeffs((mu_n - mu_min) * z_vals + f_n, work=work)
             cz = (cz - dt_lam * expl) / (1.0 + dt_lam * mu_min)
-            z_vals = plan.to_values(cz)
+            z_vals = plan.to_values(cz, work=work)
             if not np.all(np.isfinite(z_vals)):
                 raise BlowupError(n, TimeSeriesField(times[:r], z_rec[:r]))
             if n == steps[r]:

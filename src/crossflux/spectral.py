@@ -213,7 +213,7 @@ def half_coeffs(grid: TorusGrid, full: np.ndarray) -> np.ndarray:
 
 
 class Work:
-    """Named work arrays for the `SpectralPlan` methods.
+    """Named work arrays, and the bound calls of `SpectralPlan` methods.
 
     `array(name, shape, dtype)` gives an array to write into, zero when
     made if `zero` is set.  A `Work()` makes each array on its first
@@ -221,15 +221,25 @@ class Work:
     name and shape, so a caller that passes one work object to every call
     allocates nothing large after its first call.  A result a method
     returns then lives in one of these arrays, and later calls with the
-    same work object overwrite it.  The caller owns the work object:
-    `simulate` makes one per time loop, shared by a batch of runs, and
-    the shared plans hold none.
-    `FRESH`, the default of every method, keeps nothing and makes new
-    arrays on every request.
+    same work object overwrite it.
+
+    `bound(bind, *args)` gives the call that `bind(*args, work)` builds
+    on the first request of those arguments, and the same call for every
+    later request: each plan method binds, per plan and input shape, its
+    work arrays, their views and its factors once, so a later call only
+    runs its ufunc and FFT calls.  Bound calls live here, per work
+    object, and never in a plan.
+
+    The caller owns the work object: `simulate` makes one per time loop,
+    shared by a batch of runs, and the shared plans hold none.  `FRESH`,
+    the default of every method, keeps nothing: it makes new arrays on
+    every request, and a method called with it binds into a new work
+    object that it then drops.
     """
 
     def __init__(self):
         self._arrays = {}
+        self._calls = {}
 
     def array(self, name: str, shape: tuple, dtype=np.float64, zero: bool = False):
         try:
@@ -238,27 +248,41 @@ class Work:
             a = self._arrays[name, shape] = (np.zeros if zero else np.empty)(shape, dtype)
             return a
 
+    def bound(self, bind, *args):
+        try:
+            return self._calls[bind, args]
+        except KeyError:
+            call = self._calls[bind, args] = bind(*args, self)
+            return call
+
 
 class _Fresh(Work):
     def array(self, name: str, shape: tuple, dtype=np.float64, zero: bool = False):
         return (np.zeros if zero else np.empty)(shape, dtype)
 
+    def bound(self, bind, *args):
+        return bind(*args, Work())
+
 
 FRESH = _Fresh()
 
 
-def _forward(vals: np.ndarray, d: int, h: int, work: Work) -> np.ndarray:
-    """The first h columns of the real FFT ("forward" norm) of samples
-    over the trailing d axes, a view into a work array: r2c on the last
-    axis, then in 2-d c2c in place on the first axis over those h
+def _forward(shape: tuple, d: int, h: int, work: Work):
+    """The forward transform of samples of the given shape, bound into
+    `work`: a call gives the first h columns of the real FFT ("forward"
+    norm) over the trailing d axes, a view into a work array.  r2c on the
+    last axis, then in 2-d c2c in place on the first axis over those h
     columns only.  numpy's `rfftn` makes the same per-axis calls, so the
     numbers are those of its columns :h."""
-    shape = vals.shape[:-1] + (vals.shape[-1] // 2 + 1,)
-    f = np.fft.rfft(vals, axis=-1, norm="forward",
-                    out=work.array("spectrum", shape, np.complex128))[..., :h]
-    if d == 2:
-        np.fft.fft(f, axis=-2, norm="forward", out=f)
-    return f
+    spectrum = work.array("spectrum", shape[:-1] + (shape[-1] // 2 + 1,), np.complex128)
+    f = spectrum[..., :h]
+
+    def run(vals):
+        np.fft.rfft(vals, axis=-1, norm="forward", out=spectrum)
+        if d == 2:
+            np.fft.fft(f, axis=-2, norm="forward", out=f)
+        return f
+    return run
 
 
 def _inverse(coeffs: np.ndarray, d: int, n: int, out: np.ndarray,
@@ -309,9 +333,15 @@ class SpectralPlan:
     of a `Work`, through `out=` on the FFT calls and the ufuncs.  The
     caller owns it: `simulate` passes one per time loop, so its steps
     reuse the same arrays, and the 2-d padding array is zeroed once, each
-    call rewriting only its N rows and the split row.  A plan holds no work
-    arrays, as plans are shared; without a work object a call gets fresh
-    arrays (`FRESH`).  Inputs are only read.
+    call rewriting only its N rows and the split row.  On its first call
+    with a work object, for this plan and input shape, a method binds its
+    work arrays, their views and its factors (in `poly_coeffs`, each
+    polynomial's ufunc calls too) into a call that the work object keeps
+    (`Work.bound`); later calls only look it up and run it.  The numpy FFT
+    functions are looked up when a call runs, not when it is bound.  A
+    plan holds no work arrays and no bound calls, as plans are shared;
+    without a work object a call binds into fresh arrays (`FRESH`).
+    Inputs are only read, and in 2-d their row blocks are sliced per call.
 
     Every method acts on the trailing d axes and maps over any leading
     axes, so a stack of fields of shape (T, *grid.shape) is transformed
@@ -367,67 +397,120 @@ class SpectralPlan:
         return self.to_values(coeffs * mult)
 
     def to_coeffs(self, vals: np.ndarray, work: Work = FRESH) -> np.ndarray:
-        g = self.grid
-        c = _forward(vals, g.d, g.N // 2 + 1, work)
-        return np.multiply(c, self._fwd, out=c)
+        return work.bound(self._to_coeffs, vals.shape)(vals)
 
     def to_values(self, coeffs: np.ndarray, work: Work = FRESH) -> np.ndarray:
-        N = self.grid.N
-        c = np.multiply(coeffs, self._inv, out=work.array("coeffs", coeffs.shape, np.complex128))
-        return _inverse(c, self.grid.d, N, work.array("values", coeffs.shape[:-1] + (N,)))
+        return work.bound(self._to_values, coeffs.shape)(coeffs)
 
     def fine_values(self, coeffs: np.ndarray, work: Work = FRESH) -> np.ndarray:
-        g = self.grid
-        N, M = g.N, self.M
-        if M == N or g.d == 1:
-            # no padding, or padding that irfft(n=M) does
-            c = np.multiply(coeffs, self._inv if M == N else self._pad,
-                            out=work.array("coeffs", coeffs.shape, np.complex128))
-            return _inverse(c, g.d, M, work.array("fine", coeffs.shape[:-1] + (M,)))
-        # the first axis is padded in the middle: rows N/2..M-N/2 stay
-        # zero but for the split -N/2 row, so only those rows are written
-        lead, h = coeffs.shape[:-2], N // 2 + 1
-        c = work.array("pad", lead + (M, h), np.complex128, zero=True)
-        np.multiply(coeffs[..., :N // 2, :], self._pad[:N // 2], out=c[..., :N // 2, :])
-        np.multiply(coeffs[..., N // 2:, :], self._pad[N // 2:], out=c[..., M - N // 2:, :])
-        np.multiply(coeffs[..., N // 2, :], self._pad_split, out=c[..., N // 2, :])
-        # the c2c pass goes into the projection's spectrum, idle until then
-        mid = work.array("spectrum", lead + (M, M // 2 + 1), np.complex128)[..., :h]
-        return _inverse(c, 2, M, work.array("fine", lead + (M, M)), mid)
+        return work.bound(self._fine_values, coeffs.shape)(coeffs)
 
     def project_fine(self, vals: np.ndarray, work: Work = FRESH) -> np.ndarray:
-        g = self.grid
-        N, M, h = g.N, self.M, g.N // 2 + 1
-        if M == N:
-            return self.to_coeffs(vals, work=work)
-        fine = _forward(vals, g.d, h, work)
-        out = work.array("coeffs", vals.shape[:-g.d] + self.lam.shape, np.complex128)
-        if g.d == 1:
-            np.multiply(fine, self._proj, out=out)
-            col = out[..., N // 2]
-            np.subtract(np.conj(col), col, out=col)
-            return out
-        col = fine[..., N // 2] * self._proj_col
-        col = np.conj(col[..., self._rev]) - col
-        np.multiply(fine[..., :N // 2, :], self._proj[:N // 2], out=out[..., :N // 2, :])
-        np.multiply(fine[..., M - N // 2:, :], self._proj[N // 2:], out=out[..., N // 2:, :])
-        out[..., :N // 2, N // 2] = col[..., :N // 2]
-        out[..., N // 2:, N // 2] = col[..., M - N // 2:]
-        split = fine[..., N // 2, :] * self._proj_split
-        split[..., N // 2] = col[..., N // 2]
-        out[..., N // 2, :] -= split
-        return out
+        return work.bound(self._project_fine, vals.shape)(vals)
 
     def poly_coeffs(self, polys, c: np.ndarray, work: Work = FRESH) -> np.ndarray:
         """Coefficients of each polynomial of (u, v), stacked along a new
         first axis, given the stack c = (coefficients of u, of v).  u and
         v are sampled on the fine grid in one call, and the polynomials
         are projected back in one call."""
-        uf, vf = self.fine_values(c, work=work)
+        return work.bound(self._poly_coeffs, tuple(polys), c.shape)(c)
+
+    # Each method above runs the call that one of these binders builds,
+    # through `Work.bound`, from the shape of its input: a binder takes
+    # its work arrays, their views and its factors once.
+
+    def _to_coeffs(self, shape, work):
+        forward, fwd = _forward(shape, self.grid.d, self.grid.N // 2 + 1, work), self._fwd
+
+        def run(vals):
+            c = forward(vals)
+            return np.multiply(c, fwd, out=c)
+        return run
+
+    def _scaled_inverse(self, shape, factor, n, name, work):
+        # samples on the n-point grid, in the work array `name`, of the
+        # coefficients times `factor`, padded by irfft(n=n) alone
+        c = work.array("coeffs", shape, np.complex128)
+        out, d = work.array(name, shape[:-1] + (n,)), self.grid.d
+
+        def run(coeffs):
+            return _inverse(np.multiply(coeffs, factor, out=c), d, n, out)
+        return run
+
+    def _to_values(self, shape, work):
+        return self._scaled_inverse(shape, self._inv, self.grid.N, "values", work)
+
+    def _fine_values(self, shape, work):
+        d, N, M = self.grid.d, self.grid.N, self.M
+        if M == N or d == 1:
+            # no padding, or padding that irfft(n=M) does
+            return self._scaled_inverse(shape, self._inv if M == N else self._pad, M,
+                                        "fine", work)
+        # the first axis is padded in the middle: rows N/2..M-N/2 stay
+        # zero but for the split -N/2 row, so only those rows are written
+        lead, h = shape[:-2], N // 2 + 1
+        c = work.array("pad", lead + (M, h), np.complex128, zero=True)
+        low, high, split = c[..., :N // 2, :], c[..., M - N // 2:, :], c[..., N // 2, :]
+        pad_low, pad_high, pad_split = self._pad[:N // 2], self._pad[N // 2:], self._pad_split
+        # the c2c pass goes into the projection's spectrum, idle until then
+        mid = work.array("spectrum", lead + (M, M // 2 + 1), np.complex128)[..., :h]
+        fine = work.array("fine", lead + (M, M))
+
+        def run(coeffs):
+            np.multiply(coeffs[..., :N // 2, :], pad_low, out=low)
+            np.multiply(coeffs[..., N // 2:, :], pad_high, out=high)
+            np.multiply(coeffs[..., N // 2, :], pad_split, out=split)
+            return _inverse(c, 2, M, fine, mid)
+        return run
+
+    def _project_fine(self, shape, work):
+        d, N, M, h = self.grid.d, self.grid.N, self.M, self.grid.N // 2 + 1
+        if M == N:
+            return self._to_coeffs(shape, work)
+        forward, proj = _forward(shape, d, h, work), self._proj
+        out = work.array("coeffs", shape[:-d] + self.lam.shape, np.complex128)
+        if d == 1:
+            col = out[..., N // 2]
+
+            def run(vals):
+                np.multiply(forward(vals), proj, out=out)
+                np.subtract(np.conj(col), col, out=col)
+                return out
+            return run
+        rev, proj_col, proj_split = self._rev, self._proj_col, self._proj_split
+        proj_low, proj_high = proj[:N // 2], proj[N // 2:]
+        low, high, split = out[..., :N // 2, :], out[..., N // 2:, :], out[..., N // 2, :]
+        col_low, col_high = out[..., :N // 2, N // 2], out[..., N // 2:, N // 2]
+
+        def run(vals):
+            fine = forward(vals)
+            col = fine[..., N // 2] * proj_col
+            col = np.conj(col[..., rev]) - col
+            np.multiply(fine[..., :N // 2, :], proj_low, out=low)
+            np.multiply(fine[..., M - N // 2:, :], proj_high, out=high)
+            col_low[...] = col[..., :N // 2]
+            col_high[...] = col[..., M - N // 2:]
+            row = fine[..., N // 2, :] * proj_split
+            row[..., N // 2] = col[..., N // 2]
+            np.subtract(split, row, out=split)
+            return out
+        return run
+
+    def _poly_coeffs(self, polys, shape, work):
+        d, M = self.grid.d, self.M
+        fine_values = self._fine_values(shape, work)
+        # the array that fine_values writes, and a row per polynomial
+        uf, vf = work.array("fine", shape[:-d] + (M,) * d)
         fine = work.array("polys", (len(polys),) + uf.shape)
-        for p, row in zip(polys, fine):
-            p.eval_arrays(uf, vf, out=row, work=work)
-        return self.project_fine(fine, work=work)
+        ops = [op for p, row in zip(polys, fine) for op in p.operations(uf, vf, row, work)]
+        project_fine = self._project_fine(fine.shape, work)
+
+        def run(c):
+            fine_values(c)
+            for ufunc, args in ops:
+                ufunc(*args)
+            return project_fine(fine)
+        return run
 
 
 @lru_cache(maxsize=64)

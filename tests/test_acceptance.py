@@ -216,19 +216,18 @@ def test_c07_stability_estimate():
     t0 = time.time()
     grid = TorusGrid(1, 64)
 
-    def run(um, ua, vm, va):
-        return simulate(
-            RunConfig(
-                SKT,
-                State(0.0, cos_field(grid, um, ua), cos_field(grid, vm, va)),
-                dt=1e-4,
-                t_end=0.5,
-                record_every=1,
-            )
+    def config(um, ua, vm, va):
+        return RunConfig(
+            SKT,
+            State(0.0, cos_field(grid, um, ua), cos_field(grid, vm, va)),
+            dt=1e-4,
+            t_end=0.5,
+            record_every=1,
         )
 
-    traj1 = run(0.10, 0.02, 0.12, 0.03)
-    traj2 = run(0.13, 0.01, 0.09, 0.015)
+    # both runs advance as one batch; each is bitwise its own single run
+    traj1, traj2 = simulate([config(0.10, 0.02, 0.12, 0.03),
+                             config(0.13, 0.01, 0.09, 0.015)])
     rep = check_stability_pair(traj1, traj2, SKT, R=1.0, delta=0.3)
     slope_formula = (0.13 - 0.10) ** 2 * (1.0 + SKT.p.eval(1.0, 1.0)) + (
         0.09 - 0.12

@@ -1,6 +1,7 @@
 """Transform conventions and exactness of the band-limited operations."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -198,6 +199,64 @@ def test_plan_maps_over_leading_axes(rng, d, N, M):
 grids = st.sampled_from([(1, 8), (1, 16), (1, 32), (2, 8), (2, 16)])
 
 
+@settings(max_examples=30, deadline=None)
+@given(grid=grids, extra=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
+def test_bound_calls_on_one_work_are_the_fresh_calls_bitwise(grid, extra, seed):
+    # one work object serves two plans (M == N and M > N) and inputs of
+    # three leading shapes, so it holds a bound call of each method per
+    # plan and shape; each call, run again on new data, gives the bits
+    # of the same call with fresh arrays
+    g = TorusGrid(*grid)
+    rng = np.random.default_rng(seed)
+    polys = (X * X - 0.5 * Y, Y * Y * X + 2.0, X * Y + 1.0 + Y)
+    work = spectral.Work()
+    plans = (spectral_plan(g, g.N), spectral_plan(g, g.N + 2 * extra))
+    for _ in range(2):
+        for plan in plans:
+            for lead in ((), (2,), (2, 3)):
+                vals = rng.standard_normal(lead + g.shape)
+                fine = rng.standard_normal(lead + (plan.M,) * g.d)
+                coeffs = plan.to_coeffs(vals)
+                pair = plan.to_coeffs(rng.standard_normal((2,) + lead + g.shape))
+                for method, args in ((plan.to_coeffs, (vals,)), (plan.to_values, (coeffs,)),
+                                     (plan.fine_values, (coeffs,)),
+                                     (plan.project_fine, (fine,)),
+                                     (plan.poly_coeffs, (polys, pair))):
+                    assert np.array_equal(method(*args, work=work), method(*args))
+
+
+@pytest.mark.parametrize("d, N, M", [(1, 16, 24), (2, 8, 12)])
+def test_bound_calls_look_up_numpy_fft_when_they_run(rng, d, N, M):
+    # calls bound before numpy.fft is patched go through the patched
+    # functions, which a tracer of numpy.fft relies on
+    plan = spectral_plan(TorusGrid(d, N), M)
+    work = spectral.Work()
+    coeffs = plan.to_coeffs(rng.standard_normal((2,) + (N,) * d))
+    calls = ((plan.to_coeffs, (rng.standard_normal((N,) * d),)), (plan.to_values, (coeffs,)),
+             (plan.fine_values, (coeffs,)),
+             (plan.project_fine, (rng.standard_normal((M,) * d),)),
+             (plan.poly_coeffs, ((X * Y,), coeffs)))
+    expected = [method(*args).copy() for method, args in calls]
+    for method, args in calls:
+        method(*args, work=work)
+    seen = []
+
+    def counted(name):
+        original = getattr(np.fft, name)
+
+        def spy(*args, **kwargs):
+            seen.append(name)
+            return original(*args, **kwargs)
+        return spy
+
+    with mock.patch.multiple(np.fft, **{name: counted(name)
+                                        for name in ("rfft", "irfft", "fft", "ifft")}):
+        for (method, args), fresh in zip(calls, expected):
+            assert np.array_equal(method(*args, work=work), fresh)
+    forward, inverse = ["rfft", "fft"][:d], ["ifft", "irfft"][2 - d:]
+    assert seen == forward + inverse + inverse + forward + inverse + forward
+
+
 @settings(max_examples=40, deadline=None)
 @given(grid=grids, extra=st.integers(1, 20), seed=st.integers(0, 2 ** 32 - 1))
 def test_half_layout_pad_project_round_trip(grid, extra, seed):
@@ -221,7 +280,7 @@ def test_per_axis_transforms_are_rfftn_and_irfftn_bitwise(d, N, data, seed):
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal((2,) + (M,) * d)
     full = np.fft.rfftn(vals, axes=axes, norm="forward")
-    assert np.array_equal(_forward(vals, d, h, FRESH), full[..., :h])
+    assert np.array_equal(_forward(vals.shape, d, h, FRESH)(vals), full[..., :h])
     shape = (2,) + (M,) * (d - 1)
     c = rng.standard_normal(shape + (h,)) + 1j * rng.standard_normal(shape + (h,))
     padded = np.zeros(shape + (M // 2 + 1,), dtype=np.complex128)
