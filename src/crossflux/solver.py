@@ -30,6 +30,9 @@ from .spectral import FOUR_PI_SQ, Field, TorusGrid, Work, poly_plan, spectral_pl
 RK4_STABILITY_CONSTANT = 0.4
 # every step is diagnosed into preallocated arrays, so the count is capped
 MAX_STEPS = 10 ** 7
+# the recorded states of a run, u and v in float64, are one preallocated
+# array of 16 * N^d bytes per state, so its size is capped too
+MAX_RECORD_BYTES = 2 ** 31
 
 
 @dataclass(frozen=True)
@@ -80,7 +83,8 @@ def _recorded_steps(dt: float, t_end: float, record_every: int) -> np.ndarray:
 class RunConfig:
     """Complete description of one simulation run, validated here: every
     run check is made at construction.  The initial state is at t = 0,
-    and an rk4 run's dt is at most the `rk4_max_dt` of its initial state."""
+    an rk4 run's dt is at most the `rk4_max_dt` of its initial state, and
+    its recording takes at most MAX_RECORD_BYTES."""
 
     spec: ModelSpec
     initial: State
@@ -91,7 +95,12 @@ class RunConfig:
     variant: str = "plain"
 
     def __post_init__(self):
-        _recorded_steps(self.dt, self.t_end, self.record_every)
+        states = len(_recorded_steps(self.dt, self.t_end, self.record_every))
+        size = 16 * self.initial.grid.size * states
+        if size > MAX_RECORD_BYTES:
+            raise ConfigError(
+                f"recording {states} states of {self.initial.grid} takes {size / 2 ** 30:.3g} "
+                f"GiB, above the limit of {MAX_RECORD_BYTES / 2 ** 30:g} GiB")
         if self.scheme not in ("imex", "rk4"):
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if self.variant not in ("plain", "regularized"):

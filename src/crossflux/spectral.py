@@ -19,9 +19,17 @@ conjugate half of the last axis.  `full_coeffs`/`half_coeffs` convert.
 Every transform goes through a `SpectralPlan`, which alone knows the
 phase factors; `poly_plan` alone applies the dealiasing rule
 (`dealias_size`) to the polynomials a caller evaluates.  The plan makes
-one numpy FFT call per axis: r2c on the last axis, then in 2-d c2c on
-the first axis over the stored N/2+1 columns only, and the reverse for
-the inverse, whose `irfft(n=M)` pads the columns of a finer grid.
+one FFT call per axis: r2c on the last axis, then in 2-d c2c on the
+first axis over the stored N/2+1 columns only, and the reverse for the
+inverse, whose c2r to M points pads the columns of a finer grid.
+
+Those calls are the FFT seam, `_r2c`, `_c2c`, `_ic2c` and `_c2r`, the
+only FFT calls of the package.  Each calls numpy's pocketfft gufunc
+directly, with the factor and output array that `np.fft`'s wrapper
+would pass, so the bits are those of `np.fft` without its per-call cost,
+which exceeds the transform's on small grids.  If `np.fft.<name>` has
+been replaced (a tracer or a test counting transforms), the seam calls
+the replacement instead.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.fft import _pocketfft, _pocketfft_umath as _pfu
 
 from .errors import ConfigError, DomainError
 
@@ -267,6 +276,49 @@ class _Fresh(Work):
 FRESH = _Fresh()
 
 
+# The FFT seam (see the module docstring).  A seam function looks up
+# `np.fft.<name>` on every call and compares it with numpy's own function,
+# not with one taken at import, so an import made under a tracer does not
+# lock later runs onto the replacement.  Its gufunc gets the factor that
+# numpy's `_raw_fft` passes: 1/n forward, 1 inverse.  The gufuncs are
+# private to numpy 2.x; `test_fft_seam_is_numpy_fft_bitwise` pins them.
+_AXIS_2 = [(-2,), (), (-2,)]
+
+
+def _r2c(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """r2c of the last axis (even length n, as on every grid), "forward"
+    norm, into out."""
+    rfft = np.fft.rfft
+    if rfft is _pocketfft.rfft:
+        return _pfu.rfft_n_even(a, 1 / a.shape[-1], out=out)
+    return rfft(a, axis=-1, norm="forward", out=out)
+
+
+def _c2c(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Forward c2c of axis -2, "forward" norm, into out (may be a)."""
+    fft = np.fft.fft
+    if fft is _pocketfft.fft:
+        return _pfu.fft(a, 1 / a.shape[-2], axes=_AXIS_2, out=out)
+    return fft(a, axis=-2, norm="forward", out=out)
+
+
+def _ic2c(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Inverse c2c of axis -2, "forward" norm, into out (may be a)."""
+    ifft = np.fft.ifft
+    if ifft is _pocketfft.ifft:
+        return _pfu.ifft(a, 1.0, axes=_AXIS_2, out=out)
+    return ifft(a, axis=-2, norm="forward", out=out)
+
+
+def _c2r(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """c2r of the last axis to n = out.shape[-1] samples, "forward" norm,
+    into out; columns past those of a are taken as zero."""
+    irfft = np.fft.irfft
+    if irfft is _pocketfft.irfft:
+        return _pfu.irfft(a, 1.0, out=out)
+    return irfft(a, n=out.shape[-1], axis=-1, norm="forward", out=out)
+
+
 def _forward(shape: tuple, d: int, h: int, work: Work):
     """The forward transform of samples of the given shape, bound into
     `work`: a call gives the first h columns of the real FFT ("forward"
@@ -278,9 +330,9 @@ def _forward(shape: tuple, d: int, h: int, work: Work):
     f = spectrum[..., :h]
 
     def run(vals):
-        np.fft.rfft(vals, axis=-1, norm="forward", out=spectrum)
+        _r2c(vals, spectrum)
         if d == 2:
-            np.fft.fft(f, axis=-2, norm="forward", out=f)
+            _c2c(f, f)
         return f
     return run
 
@@ -290,13 +342,12 @@ def _inverse(coeffs: np.ndarray, d: int, n: int, out: np.ndarray,
     """Samples on the n^d grid, written into `out`, of half-layout
     coefficients (all n rows in 2-d) whose columns past the given ones
     are zero: in 2-d c2c on the first axis, into `mid` or else in place
-    in `coeffs`, then `irfft(n=n)` on the last axis, which pads the
+    in `coeffs`, then c2r to n points on the last axis, which pads the
     missing columns with zeros.  The numbers are those of `irfftn` of
     the explicitly zero-padded array."""
     if d == 2:
-        coeffs = np.fft.ifft(coeffs, axis=-2, norm="forward",
-                             out=coeffs if mid is None else mid)
-    return np.fft.irfft(coeffs, n=n, axis=-1, norm="forward", out=out)
+        coeffs = _ic2c(coeffs, coeffs if mid is None else mid)
+    return _c2r(coeffs, out)
 
 
 class SpectralPlan:
@@ -322,10 +373,10 @@ class SpectralPlan:
     c(xi0, -N/2) = conj(F(-xi0, N/2)) - F(xi0, N/2), then the first axis
     is folded row by row.  So project_fine(fine_values(c)) == c.
 
-    Transforms go through `_forward`/`_inverse`, one numpy call per
-    axis.  `irfft(n=M)` pads the columns past N/2, so 1-d padding builds
-    no zero array and 2-d padding an (M, N/2+1) one for the rows; the
-    first-axis passes skip the columns that are all zero (inverse) or
+    Transforms go through `_forward`/`_inverse`, one call of the FFT
+    seam per axis.  The c2r to M points pads the columns past N/2, so
+    1-d padding builds no zero array and 2-d padding an (M, N/2+1) one
+    for the rows; the first-axis passes skip the columns that are all zero (inverse) or
     thrown away (forward).  The numbers are bitwise those of
     `rfftn`/`irfftn` on the full M-grid.
 
@@ -337,10 +388,11 @@ class SpectralPlan:
     with a work object, for this plan and input shape, a method binds its
     work arrays, their views and its factors (in `poly_coeffs`, each
     polynomial's ufunc calls too) into a call that the work object keeps
-    (`Work.bound`); later calls only look it up and run it.  The numpy FFT
-    functions are looked up when a call runs, not when it is bound.  A
-    plan holds no work arrays and no bound calls, as plans are shared;
-    without a work object a call binds into fresh arrays (`FRESH`).
+    (`Work.bound`); later calls only look it up and run it.  The seam
+    looks up `np.fft` when a call runs, not when it is bound, and calls
+    numpy's gufuncs unless a `np.fft` function has been replaced.  A plan
+    holds no work arrays and no bound calls, as plans are shared; without
+    a work object a call binds into fresh arrays (`FRESH`).
     Inputs are only read, and in 2-d their row blocks are sliced per call.
 
     Every method acts on the trailing d axes and maps over any leading

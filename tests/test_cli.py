@@ -489,6 +489,21 @@ def test_malformed_run_parameters_exit_code(tmp_path, capsys, overrides):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, record_every", [("simulate", 1), ("verify", 10 ** 6)])
+def test_oversized_recording_exit_code(tmp_path, capsys, command, record_every):
+    # 2-d N=256 states at each of 10^6 steps take 977 GiB; verify's lambda
+    # check records every step whatever the config's record_every
+    cfg = write_json(tmp_path / "run.json",
+                     run_config(model=dict(MODEL, d=2, N=256), dt=1e-6, t_end=1.0,
+                                record_every=record_every))
+    out = (["--out", str(tmp_path / "t.csv")] if command == "simulate"
+           else ["--checks", "lambda", "--report", str(tmp_path / "r.json")])
+    assert run_cli([command, "--config", cfg] + out) == 2
+    err = capsys.readouterr().err
+    assert "977 GiB, above the limit of 2 GiB" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "check, params, message",
     [

@@ -1,11 +1,17 @@
-"""Source hygiene: every imported name is used (no linter is installed)."""
+"""Source hygiene: every imported name is used (no linter is installed),
+and the package makes its FFT calls in one place."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CHECKED = [path for tree in ("src", "tests", "demos")
            for path in sorted((ROOT / tree).rglob("*.py"))]
+# the functions of spectral.py that alone run FFTs, and the names of
+# numpy.fft's transforms and pocketfft's gufuncs (fftfreq is not one)
+FFT_SEAM = {"_r2c", "_c2c", "_ic2c", "_c2r"}
+FFT_TRANSFORM = re.compile(r"i?[rh]?fft([2n]|_n_even|_n_odd)?")
 
 
 def unused_imports(source: str) -> list:
@@ -42,3 +48,35 @@ def test_no_unused_imports():
              for path in CHECKED if path.name != "__init__.py"
              for line, name in unused_imports(path.read_text())]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def fft_uses_outside_seam(source: str) -> list:
+    """Lines that use an FFT transform outside the seam functions: an
+    attribute named like one (`np.fft.rfft`, a gufunc; not the module
+    `np.fft` in `np.fft.fftfreq`) or a transform imported by name from
+    numpy.fft."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.fft")
+                for alias in node.names if FFT_TRANSFORM.fullmatch(alias.name)}
+    skipped = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    skipped.update(id(node) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef) and fn.name in FFT_SEAM
+                   for node in ast.walk(fn))
+    return sorted(node.lineno for node in ast.walk(tree) if id(node) not in skipped and (
+        isinstance(node, ast.Attribute) and FFT_TRANSFORM.fullmatch(node.attr)
+        or isinstance(node, ast.Name) and node.id in imported))
+
+
+def test_fft_uses_outside_the_seam_are_flagged():
+    src = ("import numpy as np\nfrom numpy.fft import irfft as inv\n"
+           "def _r2c(a):\n    return np.fft.rfft(a)\n"
+           "def f(a):\n    return np.fft.fftfreq(8), np.fft.fft2(a), inv(a)\n")
+    assert fft_uses_outside_seam(src) == [6, 6]
+
+
+def test_fft_calls_go_through_the_seam():
+    found = [f"{path.relative_to(ROOT)}:{line}"
+             for path in sorted((ROOT / "src" / "crossflux").rglob("*.py"))
+             for line in fft_uses_outside_seam(path.read_text())]
+    assert not found, "FFT transforms outside spectral.py's seam:\n" + "\n".join(found)

@@ -46,6 +46,21 @@ def test_state_validation(grid32, grid64):
         State(0.0, u, w)
 
 
+def test_run_config_refuses_a_recording_above_its_byte_limit():
+    # 2-d N=256 recording every one of 10^6 steps: 977 GiB, refused at
+    # construction rather than failing to allocate in the run
+    g = TorusGrid(2, 256)
+    st = State(0.0, Field(g, np.full(g.shape, 0.5)), Field(g, np.full(g.shape, 0.6)))
+    with pytest.raises(ConfigError, match=r"recording 1000001 states .* takes 977 GiB, "
+                                          r"above the limit of 2 GiB"):
+        RunConfig(SKT, st, dt=1e-6, t_end=1.0)
+    # the limit in states of this grid, then one state more
+    most = solver.MAX_RECORD_BYTES // (16 * g.size)
+    RunConfig(SKT, st, dt=1e-3, t_end=(most - 1) * 1e-3)
+    with pytest.raises(ConfigError, match="GiB"):
+        RunConfig(SKT, st, dt=1e-3, t_end=most * 1e-3)
+
+
 def test_run_config_validation(grid32, cosine):
     u = cosine(grid32, mean=0.5, amp=0.1)
     st = State(0.0, u, u)
@@ -444,8 +459,26 @@ def test_fft_calls_write_into_the_run_work_arrays(d, N, scheme, per_step, batch)
 def test_a_one_member_list_makes_the_single_runs_fft_calls(d, N, scheme):
     # a one-member list carries no batch axis: the same transforms, of
     # the same shapes, as the single run
-    assert (fft_calls(d, N, scheme, 3, listed=True, shapes=True)
-            == fft_calls(d, N, scheme, 3, shapes=True))
+    listed, single = (fft_calls(d, N, scheme, 3, listed=True, shapes=True),
+                      fft_calls(d, N, scheme, 3, shapes=True))
+    assert listed and listed == single
+
+
+@pytest.mark.parametrize("d, N, scheme", [(1, 32, "imex"), (1, 32, "rk4"), (2, 16, "imex")])
+def test_runs_skip_numpys_fft_wrapper(d, N, scheme):
+    # on small grids numpy's FFT wrapper costs more than the transform:
+    # a run's transforms go to the pocketfft gufuncs without it
+    from numpy.fft import _pocketfft
+    grid = TorusGrid(d, N)
+    wave = np.cos(2.0 * np.pi * grid.coords(0))
+    init = State(0.0, Field(grid, 0.3 + 0.1 * wave), Field(grid, 0.4 + 0.1 * wave))
+    dt = 0.5 * rk4_max_dt(SKT, init)
+    cfg = RunConfig(SKT, init, dt=dt, t_end=4 * dt, scheme=scheme)
+    with mock.patch.object(_pocketfft, "_raw_fft", wraps=_pocketfft._raw_fft) as wrapper:
+        np.fft.rfft(wave)  # the patch sees numpy's own calls
+        assert wrapper.call_count == 1
+        simulate(cfg)
+    assert wrapper.call_count == 1
 
 
 RECORDED = ("u", "v", "times", "step_times", "min_u", "min_v", "mass_u", "mass_v")

@@ -257,6 +257,47 @@ def test_bound_calls_look_up_numpy_fft_when_they_run(rng, d, N, M):
     assert seen == forward + inverse + inverse + forward + inverse + forward
 
 
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["no-lead", "lead-3", "lead-2x3"])
+@pytest.mark.parametrize("rows", [(), (12,)], ids=["1d", "2d"])
+def test_fft_seam_is_numpy_fft_bitwise(rng, lead, rows):
+    # the seam calls numpy's private pocketfft gufuncs: each of its four
+    # functions gives the bits of its np.fft counterpart, on 1-d (no
+    # rows) and 2-d shapes with leading axes, so a numpy that changes
+    # the private module fails here
+    from numpy.fft import _pocketfft
+    assert all(getattr(np.fft, name) is getattr(_pocketfft, name)
+               for name in ("rfft", "fft", "ifft", "irfft"))
+    n, h = 16, 9
+    shape = lead + rows
+
+    def cplx(cols):
+        return (rng.standard_normal(shape + (cols,))
+                + 1j * rng.standard_normal(shape + (cols,)))
+
+    vals = rng.standard_normal(shape + (n,))
+    out = np.empty(shape + (h,), np.complex128)
+    assert spectral._r2c(vals, out) is out
+    assert np.array_equal(out, np.fft.rfft(vals, axis=-1, norm="forward"))
+    for cols in (h, n // 2 - 3):
+        # c2r to n points, from n/2+1 columns and, padding, from fewer
+        c, real = cplx(cols), np.empty(shape + (n,))
+        assert spectral._c2r(c, real) is real
+        assert np.array_equal(real, np.fft.irfft(c, n=n, axis=-1, norm="forward"))
+    if not rows:
+        return
+    for seam, numpy_fft in ((spectral._c2c, np.fft.fft), (spectral._ic2c, np.fft.ifft)):
+        c = cplx(h)
+        expected = numpy_fft(c, axis=-2, norm="forward")
+        into = np.empty_like(c)
+        assert seam(c, into) is into and np.array_equal(into, expected)
+        # in place, on the first h columns of a wider array, as the plan calls it
+        wide = np.zeros(shape + (h + 4,), np.complex128)
+        view = wide[..., :h]
+        view[...] = c
+        assert seam(view, view) is view and np.array_equal(view, expected)
+        assert not wide[..., h:].any()
+
+
 @settings(max_examples=40, deadline=None)
 @given(grid=grids, extra=st.integers(1, 20), seed=st.integers(0, 2 ** 32 - 1))
 def test_half_layout_pad_project_round_trip(grid, extra, seed):
