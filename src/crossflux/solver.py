@@ -30,8 +30,8 @@ from .spectral import FOUR_PI_SQ, Field, TorusGrid, Work, poly_plan, spectral_pl
 RK4_STABILITY_CONSTANT = 0.4
 # every step is diagnosed into preallocated arrays, so the count is capped
 MAX_STEPS = 10 ** 7
-# the recorded states of a run, u and v in float64, are one preallocated
-# array of 16 * N^d bytes per state, so its size is capped too
+# the recorded samples of a run, every field of every batch member in
+# float64, are one preallocated array, so its size is capped too
 MAX_RECORD_BYTES = 2 ** 31
 
 
@@ -81,10 +81,10 @@ def _recorded_steps(dt: float, t_end: float, record_every: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Complete description of one simulation run, validated here: every
-    run check is made at construction.  The initial state is at t = 0,
-    an rk4 run's dt is at most the `rk4_max_dt` of its initial state, and
-    its recording takes at most MAX_RECORD_BYTES."""
+    """Complete description of one simulation run, validated here: the
+    initial state is at t = 0, and an rk4 run's dt is at most the
+    `rk4_max_dt` of its initial state.  The recording limit is checked
+    when the run starts, over all members of its batch."""
 
     spec: ModelSpec
     initial: State
@@ -95,12 +95,7 @@ class RunConfig:
     variant: str = "plain"
 
     def __post_init__(self):
-        states = len(_recorded_steps(self.dt, self.t_end, self.record_every))
-        size = 16 * self.initial.grid.size * states
-        if size > MAX_RECORD_BYTES:
-            raise ConfigError(
-                f"recording {states} states of {self.initial.grid} takes {size / 2 ** 30:.3g} "
-                f"GiB, above the limit of {MAX_RECORD_BYTES / 2 ** 30:g} GiB")
+        _recorded_steps(self.dt, self.t_end, self.record_every)
         if self.scheme not in ("imex", "rk4"):
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if self.variant not in ("plain", "regularized"):
@@ -228,7 +223,8 @@ def simulate(config: RunConfig | Sequence[RunConfig]) -> Trajectory | list:
     sequence gives a list with one `Trajectory` or `BlowupError` per
     member, in order.  Its members advance as one batch through one time
     loop, and each member's arrays, blow-up step included, are bitwise
-    those of its single run.
+    those of its single run.  A recording above MAX_RECORD_BYTES, over
+    all members, is a `ConfigError` before the run starts.
 
     u and v advance as one coefficient stack of shape (2, ...), so each
     step makes one stacked transform of each kind.  The regularized
@@ -253,27 +249,13 @@ def simulate(config: RunConfig | Sequence[RunConfig]) -> Trajectory | list:
 
 
 def _integrate(configs: tuple) -> list:
-    """The time loop of `simulate` for configs that differ only in their
-    initial states, with the state a stack of shape (2, *members,
-    *grid.shape): `members` is () for one config, so a single run carries
-    no batch axis, and (B,) for a batch of B.  Returns one `Trajectory`,
-    or `BlowupError` with the partial trajectory, per config.
-
-    The one stop rule: a member ends at the first step whose samples are
-    not all finite.  It is then zeroed, a fixed point of every step, and
-    the loop stops once every member has ended.
-
-    The loop owns one `Work`: every step writes its intermediates, the
-    new coefficients and the new samples into the same arrays, so no
-    large array is allocated after the first step.  Recorded samples and
-    per-step diagnostics are kept by row, u of each member then v of
-    each member, so each member's records are contiguous.
-    """
+    """`simulate` of configs that differ only in their initial states: one
+    `Trajectory` or `BlowupError` per config.  The state is a stack of
+    shape (2, *grid.shape) for one config, and (2, B, *grid.shape) for B."""
     config = configs[0]
     spec = config.spec
     grid = config.initial.grid
     dt = config.dt
-    n_steps = config.n_steps
     steps = _recorded_steps(dt, config.t_end, config.record_every)
     regularized = config.variant == "regularized"
     # p(u,v)*u and q(u,v)*v; the regularized flux multiplies two fields,
@@ -281,63 +263,93 @@ def _integrate(configs: tuple) -> list:
     fluxes = (X * spec.p, Y * spec.q)
     plan = poly_plan(grid, fluxes + (X * Y,) if regularized else fluxes)
 
-    # the initial samples go into the work array that each step's
-    # to_values rewrites, so the run holds one array of samples, and its
-    # row views below stay valid for the whole run
     B = len(configs)
-    members = (B,) if B > 1 else ()
-    work = Work()
-    vals = work.array("values", (2,) + members + grid.shape)
-    rows = vals.reshape((2 * B,) + grid.shape)
-    flat = vals.reshape(2 * B, -1)
-    for b, member in enumerate(configs):
-        rows[b], rows[B + b] = member.initial.u.values, member.initial.v.values
-    c = plan.to_coeffs(vals)
-    # the diffusivities, and dt * lam and the implicit denominators of
-    # both species, broadcast against the stack
-    d = np.reshape([spec.d1, spec.d2], (2,) + (1,) * (len(members) + grid.d))
-    dt_lam = dt * plan.lam
-    den = 1.0 + dt_lam * d
+    initial = np.reshape([[member.initial.u.values for member in configs],
+                          [member.initial.v.values for member in configs]],
+                         ((2, B) if B > 1 else (2,)) + grid.shape)
+    # the diffusivities and the implicit denominators of both species,
+    # broadcast against the stack
+    d = np.reshape([spec.d1, spec.d2], (2,) + (1,) * (initial.ndim - 1))
+    den = 1.0 + dt * plan.lam * d
     if config.scheme == "rk4":
         neg_lam = -plan.lam
     if regularized:
         moll = np.exp(-spec.eta * plan.lam)
 
-    step_times = np.arange(n_steps + 1) * dt
-    times = step_times[steps]
-    rec = np.empty((2 * B, len(steps)) + grid.shape)
-    mins = np.empty((2 * B, n_steps + 1))
-    sums = np.empty((n_steps + 1, 2 * B))
+    def step(n, c, vals, work):
+        if config.scheme == "rk4":
+            return _rk4_update(plan, dt, c, d, fluxes, neg_lam, work)  # None: in place
+        if regularized:
+            return _regularized_coeffs(plan, spec, c, vals, moll, work), den
+        return plan.poly_coeffs(fluxes, c, work=work), den
+
+    rec, mins, sums, ended = _loop(plan, initial, dt, steps, step)
+    step_times = np.arange(config.n_steps + 1) * dt
+
+    def result(b, n, r):
+        # sum / size is bitwise what `mean` computes, without its Python layer
+        traj = Trajectory(spec, step_times[steps[:r]], rec[b, :r], rec[B + b, :r],
+                          step_times[:n], mins[b, :n], mins[B + b, :n],
+                          sums[:n, b] / grid.size, sums[:n, B + b] / grid.size)
+        return BlowupError(n, traj) if b in ended else traj
+
+    return [result(b, *ended.get(b, (config.n_steps + 1, len(steps)))) for b in range(B)]
+
+
+def _loop(plan, initial: np.ndarray, dt: float, steps: np.ndarray, step) -> tuple:
+    """The time loop of `simulate` and `solve_kolmogorov`.  `initial` is
+    the samples of one field, of fields (S, *grid.shape) or of a batch (S,
+    B, *grid.shape).  Step n calls `step(n, c, vals, work)` on the
+    coefficients and samples of step n - 1: it advances c and returns
+    None, or returns (cw, den) for c = (c - dt * lam * cw) / den.
+
+    A recording above MAX_RECORD_BYTES is refused before it is allocated.
+    The one stop rule: a member ends at its first step with a non-finite
+    sample.  It is then zeroed, a fixed point of every step, and the loop
+    stops once every member has ended.  Returns the records and every
+    step's row minima and (time first) row sums, rows field by field so
+    each member's are contiguous, and `ended`: member -> (step, records)."""
+    grid = plan.grid
+    n_rows = initial.size // grid.size
+    B = initial.shape[1] if initial.ndim == grid.d + 2 else 1
+    size = 8 * initial.size * len(steps)
+    if size > MAX_RECORD_BYTES:
+        raise ConfigError(
+            f"recording {B * len(steps)} states of {grid} takes {size / 2 ** 30:.3g} GiB, "
+            f"above the limit of {MAX_RECORD_BYTES / 2 ** 30:g} GiB")
+    n_steps = int(steps[-1])
+    rec = np.empty((n_rows, len(steps), grid.size))
+    mins = np.empty((n_rows, n_steps + 1))
+    sums = np.empty((n_steps + 1, n_rows))
     ended = {}  # member: the step it ended at and its number of records
+
+    # the initial samples go into the work array that each step's
+    # to_values rewrites, so the run holds one array of samples, and its
+    # row view below stays valid for the whole run
+    work = Work()
+    vals = work.array("values", initial.shape)
+    vals[...] = initial
+    flat = vals.reshape(n_rows, -1)
+    dt_lam = dt * plan.lam
 
     def diagnose(n):
         # every sample of a row is finite exactly when the row's sum is
         np.minimum.reduce(flat, axis=1, out=mins[:, n])
         return np.add.reduce(flat, axis=1, out=sums[n]).tolist()
 
-    def result(b, n, r):
-        # sum / size is bitwise what `mean` computes, without its Python layer
-        traj = Trajectory(spec, times[:r], rec[b, :r], rec[B + b, :r], step_times[:n],
-                          mins[b, :n], mins[B + b, :n], sums[:n, b] / grid.size,
-                          sums[:n, B + b] / grid.size)
-        return BlowupError(n, traj) if b in ended else traj
-
-    diagnose(0)
-    rec[:, 0] = rows
-    r = 1
     with np.errstate(over="ignore", invalid="ignore"):
+        c = plan.to_coeffs(vals)
+        diagnose(0)
+        rec[:, 0] = flat
+        r = 1
         for n in range(1, n_steps + 1):
-            if config.scheme == "rk4":
-                _rk4_update(plan, dt, c, d, fluxes, neg_lam, work)
-            else:
-                if regularized:
-                    cw = _regularized_coeffs(plan, spec, c, vals, moll, work)
-                else:
-                    cw = plan.poly_coeffs(fluxes, c, work=work)
+            update = step(n, c, vals, work)
+            if update is not None:
+                cw, den = update
                 # c = (c - dt_lam * cw) / den, in place
                 np.subtract(c, np.multiply(dt_lam, cw, out=cw), out=c)
                 np.divide(c, den, out=c)
-            # rewrites vals, and so rows and flat
+            # rewrites vals, and so flat
             plan.to_values(c, work=work)
             row_sums = diagnose(n)
             if not all(map(math.isfinite, row_sums)):
@@ -347,12 +359,11 @@ def _integrate(configs: tuple) -> list:
                 if len(ended) == B:
                     break
                 for b in ended:
-                    c[:, b] = rows[b] = rows[B + b] = 0.0
+                    c[:, b] = vals[:, b] = 0.0
             if n == steps[r]:
-                rec[:, r] = rows
+                rec[:, r] = flat
                 r += 1
-
-    return [result(b, *ended.get(b, (n_steps + 1, len(steps)))) for b in range(B)]
+    return rec.reshape((n_rows, len(steps)) + grid.shape), mins, sums, ended
 
 
 def solve_kolmogorov(z_in: Field, mu: TimeSeriesField, f: TimeSeriesField,
@@ -363,9 +374,9 @@ def solve_kolmogorov(z_in: Field, mu: TimeSeriesField, f: TimeSeriesField,
     mu and f are interpolated piecewise-linearly in time.  Each step
     splits mu into its current spatial minimum (implicit, diagonal) plus
     the nonnegative remainder (explicit).  The forcing enters through the
-    Laplacian, so the mean of z is conserved exactly.  The first step
-    whose samples are not all finite raises `BlowupError` at that step,
-    with the series recorded so far.
+    Laplacian, so the mean of z is conserved exactly.  z runs through
+    `_loop` with its stop rule: the first step whose samples are not all
+    finite raises `BlowupError`, with the series recorded so far.
     """
     grid = z_in.grid
     if mu.grid != grid or f.grid != grid:
@@ -376,28 +387,16 @@ def solve_kolmogorov(z_in: Field, mu: TimeSeriesField, f: TimeSeriesField,
 
     plan = spectral_plan(grid, grid.N)
     dt_lam = dt * plan.lam
-    cz = plan.to_coeffs(z_in.values)
-    # every step transforms through one work object: its explicit input
-    # is built before to_coeffs rewrites the work arrays, and z_rec
-    # copies the samples to_values returns in one of them
-    work = Work()
-    z_vals = z_in.values
-    times = steps * dt
-    z_rec = np.empty((len(steps),) + grid.shape)
-    z_rec[0] = z_vals
-    r = 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, int(steps[-1]) + 1):
-            t = (n - 1) * dt
-            mu_n = interp_linear(mu.values, mu.times, t)
-            f_n = interp_linear(f.values, f.times, t)
-            mu_min = float(mu_n.min())
-            expl = plan.to_coeffs((mu_n - mu_min) * z_vals + f_n, work=work)
-            cz = (cz - dt_lam * expl) / (1.0 + dt_lam * mu_min)
-            z_vals = plan.to_values(cz, work=work)
-            if not np.all(np.isfinite(z_vals)):
-                raise BlowupError(n, TimeSeriesField(times[:r], z_rec[:r]))
-            if n == steps[r]:
-                z_rec[r] = z_vals
-                r += 1
-    return TimeSeriesField(times, z_rec)
+
+    def step(n, c, z, work):
+        t = (n - 1) * dt
+        mu_n = interp_linear(mu.values, mu.times, t)
+        f_n = interp_linear(f.values, f.times, t)
+        mu_min = float(mu_n.min())
+        return plan.to_coeffs((mu_n - mu_min) * z + f_n, work=work), 1.0 + dt_lam * mu_min
+
+    rec, _, _, ended = _loop(plan, z_in.values, dt, steps, step)
+    if ended:
+        n, r = ended[0]
+        raise BlowupError(n, TimeSeriesField(steps[:r] * dt, rec[0, :r]))
+    return TimeSeriesField(steps * dt, rec[0])

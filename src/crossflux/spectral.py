@@ -239,7 +239,7 @@ class Work:
     runs its ufunc and FFT calls.  Bound calls live here, per work
     object, and never in a plan.
 
-    The caller owns the work object: `simulate` makes one per time loop,
+    The caller owns the work object: the time loop makes one per run,
     shared by a batch of runs, and the shared plans hold none.  `FRESH`,
     the default of every method, keeps nothing: it makes new arrays on
     every request, and a method called with it binds into a new work
@@ -337,9 +337,9 @@ def _forward(shape: tuple, d: int, h: int, work: Work):
     return run
 
 
-def _inverse(coeffs: np.ndarray, d: int, n: int, out: np.ndarray,
+def _inverse(coeffs: np.ndarray, d: int, out: np.ndarray,
              mid: np.ndarray | None = None) -> np.ndarray:
-    """Samples on the n^d grid, written into `out`, of half-layout
+    """Samples on the n^d grid of `out`, written into it, of half-layout
     coefficients (all n rows in 2-d) whose columns past the given ones
     are zero: in 2-d c2c on the first axis, into `mid` or else in place
     in `coeffs`, then c2r to n points on the last axis, which pads the
@@ -382,7 +382,7 @@ class SpectralPlan:
 
     Every method writes its intermediates and its result into the arrays
     of a `Work`, through `out=` on the FFT calls and the ufuncs.  The
-    caller owns it: `simulate` passes one per time loop, so its steps
+    caller owns it: the time loop passes one per run, so its steps
     reuse the same arrays, and the 2-d padding array is zeroed once, each
     call rewriting only its N rows and the split row.  On its first call
     with a work object, for this plan and input shape, a method binds its
@@ -486,7 +486,7 @@ class SpectralPlan:
         out, d = work.array(name, shape[:-1] + (n,)), self.grid.d
 
         def run(coeffs):
-            return _inverse(np.multiply(coeffs, factor, out=c), d, n, out)
+            return _inverse(np.multiply(coeffs, factor, out=c), d, out)
         return run
 
     def _to_values(self, shape, work):
@@ -512,7 +512,7 @@ class SpectralPlan:
             np.multiply(coeffs[..., :N // 2, :], pad_low, out=low)
             np.multiply(coeffs[..., N // 2:, :], pad_high, out=high)
             np.multiply(coeffs[..., N // 2, :], pad_split, out=split)
-            return _inverse(c, 2, M, fine, mid)
+            return _inverse(c, 2, fine, mid)
         return run
 
     def _project_fine(self, shape, work):

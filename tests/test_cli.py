@@ -504,6 +504,23 @@ def test_oversized_recording_exit_code(tmp_path, capsys, command, record_every):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_stability_batch_recording_exit_code(tmp_path, capsys):
+    # each run records 1536 states of 2-d N=256, 1.5 GiB; the stability
+    # pair integrates both as one batch, whose 3 GiB are refused.  The
+    # data blow up within ten steps, so a batch that was not refused
+    # would end there rather than fill its recording
+    big = dict(run_config()["initial"], u_mean=10.0, u_amp=8.0, v_mean=10.0, v_amp=8.0)
+    cfg = write_json(tmp_path / "run.json",
+                     run_config(model=dict(MODEL, d=2, N=256), initial=big, dt=1.0,
+                                t_end=1535.0, record_every=1, checks={"delta": 0.3}))
+    code = run_cli(["verify", "--config", cfg, "--checks", "mass,stability",
+                    "--report", str(tmp_path / "r.json")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "configuration error: recording 3072 states of TorusGrid(d=2, N=256) takes 3 GiB, "
+        "above the limit of 2 GiB"]
+
+
 @pytest.mark.parametrize(
     "check, params, message",
     [

@@ -6,7 +6,7 @@ import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CHECKED = [path for tree in ("src", "tests", "demos")
+CHECKED = [path for tree in ("src", "tests", "demos", "perfbench")
            for path in sorted((ROOT / tree).rglob("*.py"))]
 # the functions of spectral.py that alone run FFTs, and the names of
 # numpy.fft's transforms and pocketfft's gufuncs (fftfreq is not one)

@@ -1,6 +1,7 @@
 """Stepper exactness, conservation, blowup handling, and the scalar solver."""
 
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -46,19 +47,49 @@ def test_state_validation(grid32, grid64):
         State(0.0, u, w)
 
 
-def test_run_config_refuses_a_recording_above_its_byte_limit():
-    # 2-d N=256 recording every one of 10^6 steps: 977 GiB, refused at
-    # construction rather than failing to allocate in the run
+def test_run_config_refuses_a_recording_above_its_byte_limit(monkeypatch):
+    # 2-d N=256 recording every one of 10^6 steps: 977 GiB.  The config is
+    # valid; the run refuses it when it starts, before allocating
     g = TorusGrid(2, 256)
     st = State(0.0, Field(g, np.full(g.shape, 0.5)), Field(g, np.full(g.shape, 0.6)))
-    with pytest.raises(ConfigError, match=r"recording 1000001 states .* takes 977 GiB, "
-                                          r"above the limit of 2 GiB"):
-        RunConfig(SKT, st, dt=1e-6, t_end=1.0)
-    # the limit in states of this grid, then one state more
-    most = solver.MAX_RECORD_BYTES // (16 * g.size)
-    RunConfig(SKT, st, dt=1e-3, t_end=(most - 1) * 1e-3)
-    with pytest.raises(ConfigError, match="GiB"):
-        RunConfig(SKT, st, dt=1e-3, t_end=most * 1e-3)
+    cfg = RunConfig(SKT, st, dt=1e-6, t_end=1.0)
+    with pytest.raises(ConfigError, match=r"^recording 1000001 states of TorusGrid\(d=2, "
+                                          r"N=256\) takes 977 GiB, above the limit of 2 GiB$"):
+        simulate(cfg)
+    # a limit of 11 states of 1-d N=32: 11 run, 12 are refused
+    g = TorusGrid(1, 32)
+    st = State(0.0, Field(g, np.full(g.shape, 0.5)), Field(g, np.full(g.shape, 0.6)))
+    monkeypatch.setattr(solver, "MAX_RECORD_BYTES", 11 * 16 * g.size)
+    assert len(simulate(RunConfig(SKT, st, dt=1e-3, t_end=10e-3)).times) == 11
+    with pytest.raises(ConfigError, match="above the limit"):
+        simulate(RunConfig(SKT, st, dt=1e-3, t_end=11e-3))
+
+
+def refused(call):
+    """The `ConfigError` that `call` raises, and the peak of the memory
+    traced while it ran (numpy traces its array allocations)."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as exc:
+            call()
+        return str(exc.value), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_batch_is_refused_on_its_whole_recording():
+    # 1536 states of 2-d N=256 take 1.5 GiB, under the limit; two such
+    # members take 3 GiB in one array, refused before anything large is
+    # allocated.  The data blow up within ten steps, so a batch that was
+    # not refused would end there rather than fill its recording
+    g = TorusGrid(2, 256)
+    wave = np.cos(2 * np.pi * g.coords(0))
+    a, b = (RunConfig(SKT, State(0.0, *[Field(g, 10.0 + amp * wave)] * 2), dt=1.0,
+                      t_end=1535.0) for amp in (8.0, 4.0))
+    message, peak = refused(lambda: simulate([a, b]))
+    assert message == ("recording 3072 states of TorusGrid(d=2, N=256) takes 3 GiB, "
+                        "above the limit of 2 GiB")
+    assert peak < 2 ** 26
 
 
 def test_run_config_validation(grid32, cosine):
@@ -272,6 +303,30 @@ def test_kolmogorov_rejects_bad_run_parameters(grid32, cosine, kwargs, match):
     f = constant_series(grid32, 0.0, 0.01)
     with pytest.raises(ConfigError, match=match):
         solve_kolmogorov(cosine(grid32), mu, f, **{"dt": 1e-4, "t_end": 0.01, **kwargs})
+
+
+def test_an_overflow_in_the_first_transform_is_a_blowup_without_warnings(grid32):
+    # samples of 1e307 overflow the forward transform of the initial state
+    # already; both solvers end at step 1 and numpy warns of nothing
+    big = Field(grid32, np.full(32, 1e307))
+    one, zero = constant_series(grid32, 1.0, 1e-2), constant_series(grid32, 0.0, 1e-2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowupError) as kolmogorov:
+            solve_kolmogorov(big, one, zero, dt=1e-3, t_end=1e-2)
+        with pytest.raises(BlowupError) as system:
+            simulate(RunConfig(HEAT, State(0.0, big, big), dt=1e-3, t_end=1e-2))
+    assert kolmogorov.value.step == system.value.step == 1
+
+
+def test_kolmogorov_refuses_a_recording_above_the_byte_limit():
+    g = TorusGrid(2, 256)
+    mu, f = constant_series(g, 1.0, 1.0), constant_series(g, 0.0, 1.0)
+    z0 = Field(g, np.cos(2 * np.pi * g.coords(0)))
+    message, peak = refused(lambda: solve_kolmogorov(z0, mu, f, dt=1e-6, t_end=1.0))
+    assert message == ("recording 1000001 states of TorusGrid(d=2, N=256) takes 488 GiB, "
+                        "above the limit of 2 GiB")
+    assert peak < 2 ** 26
 
 
 def test_kolmogorov_recording_grid(grid32, cosine):
@@ -550,6 +605,17 @@ def test_a_batch_with_a_blowup_runs_one_loop():
     assert isinstance(members[1], BlowupError)
     assert loop.call_count == 1
     assert len(loop.call_args.args[0]) == 3
+
+
+def test_simulate_and_solve_kolmogorov_share_one_loop(grid32, cosine):
+    configs = blowup_configs(1, 32, "plain", ((0.5, 0.05), (2.9, 2.9), (0.6, 0.03)))
+    with mock.patch.object(solver, "_loop", side_effect=solver._loop) as loop:
+        simulate(configs)
+    assert loop.call_count == 1
+    mu, f = constant_series(grid32, 1.0, 1e-3), constant_series(grid32, 0.0, 1e-3)
+    with mock.patch.object(solver, "_loop", side_effect=solver._loop) as loop:
+        solve_kolmogorov(cosine(grid32), mu, f, dt=1e-4, t_end=1e-3)
+    assert loop.call_count == 1
 
 
 def test_a_batch_that_blows_up_entirely_ends_at_its_last_blowup():

@@ -327,7 +327,7 @@ def test_per_axis_transforms_are_rfftn_and_irfftn_bitwise(d, N, data, seed):
     padded = np.zeros(shape + (M // 2 + 1,), dtype=np.complex128)
     padded[..., :h] = c
     # the 2-d c2c pass runs in place, so the inverse gets a copy of c
-    assert np.array_equal(_inverse(c.copy(), d, M, np.empty(shape + (M,))),
+    assert np.array_equal(_inverse(c.copy(), d, np.empty(shape + (M,))),
                           np.fft.irfftn(padded, s=(M,) * d, axes=axes, norm="forward"))
 
 
