@@ -66,8 +66,6 @@ class Poly2Signed:
 
     def __init__(self, terms=None):
         self.terms = _clean_terms(terms or {})
-        # kept: a plan's bound calls are looked up by their polynomials
-        self._hash = hash(frozenset(self.terms.items()))
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -166,7 +164,7 @@ class Poly2Signed:
         return isinstance(other, Poly2Signed) and self.terms == other.terms
 
     def __hash__(self):
-        return self._hash
+        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         if not self.terms:

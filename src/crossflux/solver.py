@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -140,17 +141,32 @@ class Trajectory:
         return TorusGrid(self.u.ndim - 1, self.u.shape[-1])
 
     @property
-    def states(self) -> list:
-        """The recorded states; their fields are views into u and v."""
-        g = self.grid
-        return [State(float(t), Field(g, a), Field(g, b))
-                for t, a, b in zip(self.times, self.u, self.v)]
+    def states(self) -> "_States":
+        """The recorded states, each built when it is indexed; their
+        fields are views into u and v."""
+        return _States(self)
 
     def series_u(self) -> TimeSeriesField:
         return TimeSeriesField(self.times, self.u)
 
     def series_v(self) -> TimeSeriesField:
         return TimeSeriesField(self.times, self.v)
+
+
+class _States(Sequence):
+    """The read-only sequence of a trajectory's recorded states."""
+
+    def __init__(self, traj: Trajectory):
+        self._traj = traj
+
+    def __len__(self) -> int:
+        return len(self._traj.times)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        traj, g = self._traj, self._traj.grid
+        return State(float(traj.times[i]), Field(g, traj.u[i]), Field(g, traj.v[i]))
 
 
 def amplitude(u: np.ndarray, v: np.ndarray) -> float:
@@ -169,42 +185,48 @@ def rk4_max_dt(spec: ModelSpec, state: State) -> float:
     return RK4_STABILITY_CONSTANT / (FOUR_PI_SQ * (g.N / 2) ** 2 * s)
 
 
-def _rk4_update(plan, dt, c, d, fluxes, neg_lam, work):
-    """One classical RK4 step of c, in place, with the arithmetic of
-    c + dt/6 * (k1 + 2*k2 + 2*k3 + k4) in that order."""
+def _imex_update(c, cw, dt_lam, den) -> list:
+    """The calls of the IMEX update c = (c - dt_lam * cw) / den, in place."""
+    return [(np.multiply, (dt_lam, cw, cw)), (np.subtract, (c, cw, c)),
+            (np.divide, (c, den, c))]
+
+
+def _rk4_step(plan, dt, c, d, fluxes, neg_lam, work) -> list:
+    """The calls of one classical RK4 step of c, in place, with the
+    arithmetic of c + dt/6 * (k1 + 2*k2 + 2*k3 + k4) in that order."""
     k, total, stage = (work.array(name, c.shape, np.complex128)
                        for name in ("rk4 k", "rk4 total", "rk4 stage"))
 
     def rhs(a, out):
         # -lam * (d * a + flux coefficients), into out
-        np.multiply(d, a, out=out)
-        np.add(out, plan.poly_coeffs(fluxes, a, work=work), out=out)
-        return np.multiply(neg_lam, out, out=out)
+        poly, cw = plan._poly_coeffs(fluxes, a, work)
+        return ([(np.multiply, (d, a, out))] + poly
+                + [(np.add, (out, cw, out)), (np.multiply, (neg_lam, out, out))])
 
-    rhs(c, total)
-    np.add(c, np.multiply(0.5 * dt, total, out=stage), out=stage)
+    calls = rhs(c, total) + [(np.multiply, (0.5 * dt, total, stage)), (np.add, (c, stage, stage))]
+    stage_rhs = rhs(stage, k)
     for step in (0.5 * dt, dt):
-        rhs(stage, k)
-        np.add(c, np.multiply(step, k, out=stage), out=stage)
-        np.add(total, np.multiply(2, k, out=k), out=total)
-    rhs(stage, k)
-    np.add(total, k, out=total)
-    np.add(c, np.multiply(dt / 6.0, total, out=total), out=c)
+        calls += stage_rhs + [(np.multiply, (step, k, stage)), (np.add, (c, stage, stage)),
+                              (np.multiply, (2, k, k)), (np.add, (total, k, total))]
+    return calls + stage_rhs + [(np.add, (total, k, total)),
+                                (np.multiply, (dt / 6.0, total, total)), (np.add, (c, total, c))]
 
 
-def _regularized_coeffs(plan, spec, c, vals, moll, work):
-    """Explicit-part coefficients for the truncated, mollified flux.  The
-    smoothed flux polynomials and the densities are sampled on the fine
-    grid as one stack of four."""
-    capped = np.minimum(vals, spec.trunc_delta, out=work.array("capped", vals.shape))
-    pq = work.array("pq", vals.shape)
-    spec.p.eval_arrays(*capped, out=pq[0], work=work)
-    spec.q.eval_arrays(*capped, out=pq[1], work=work)
+def _regularized_coeffs(plan, spec, c, vals, moll, work) -> tuple:
+    """The calls of the explicit-part coefficients for the truncated,
+    mollified flux, and their array.  The smoothed flux polynomials and
+    the densities are sampled on the fine grid as one stack of four."""
+    capped, pq = work.array("capped", vals.shape), work.array("pq", vals.shape)
+    # np.minimum deprecates a positional out
+    calls = [(partial(np.minimum, out=capped), (vals, spec.trunc_delta)),
+             *spec.p.operations(*capped, pq[0], work), *spec.q.operations(*capped, pq[1], work)]
+    transform, pq_coeffs = plan._to_coeffs(pq, work)
     both = work.array("factors", (4,) + c.shape[1:], np.complex128)
-    np.multiply(plan.to_coeffs(pq, work=work), moll, out=both[:2])
-    both[2:] = c
-    fine = plan.fine_values(both, work=work)
-    return plan.project_fine(np.multiply(fine[:2], fine[2:], out=fine[2:]), work=work)
+    fine_values, fine = plan._fine_values(both, work)
+    project, cw = plan._project_fine(fine[2:], work)
+    return (calls + transform + [(np.multiply, (pq_coeffs, moll, both[:2])),
+                                 (np.copyto, (both[2:], c))]
+            + fine_values + [(np.multiply, (fine[:2], fine[2:], fine[2:]))] + project), cw
 
 
 def _shared(config: RunConfig) -> tuple:
@@ -264,26 +286,26 @@ def _integrate(configs: tuple) -> list:
     plan = poly_plan(grid, fluxes + (X * Y,) if regularized else fluxes)
 
     B = len(configs)
-    initial = np.reshape([[member.initial.u.values for member in configs],
-                          [member.initial.v.values for member in configs]],
-                         ((2, B) if B > 1 else (2,)) + grid.shape)
+    stack = ((2, B) if B > 1 else (2,)) + grid.shape
     # the diffusivities and the implicit denominators of both species,
     # broadcast against the stack
-    d = np.reshape([spec.d1, spec.d2], (2,) + (1,) * (initial.ndim - 1))
-    den = 1.0 + dt * plan.lam * d
-    if config.scheme == "rk4":
-        neg_lam = -plan.lam
-    if regularized:
-        moll = np.exp(-spec.eta * plan.lam)
+    d = np.reshape([spec.d1, spec.d2], (2,) + (1,) * (len(stack) - 1))
+    dt_lam = dt * plan.lam
+    den = 1.0 + dt_lam * d
 
-    def step(n, c, vals, work):
+    def step(c, vals, work):
         if config.scheme == "rk4":
-            return _rk4_update(plan, dt, c, d, fluxes, neg_lam, work)  # None: in place
+            return _rk4_step(plan, dt, c, d, fluxes, -plan.lam, work)
         if regularized:
-            return _regularized_coeffs(plan, spec, c, vals, moll, work), den
-        return plan.poly_coeffs(fluxes, c, work=work), den
+            calls, cw = _regularized_coeffs(plan, spec, c, vals,
+                                            np.exp(-spec.eta * plan.lam), work)
+        else:
+            calls, cw = plan._poly_coeffs(fluxes, c, work)
+        return calls + _imex_update(c, cw, dt_lam, den)
 
-    rec, mins, sums, ended = _loop(plan, initial, dt, steps, step)
+    rec, mins, sums, ended = _loop(plan, [member.initial.u.values for member in configs]
+                                   + [member.initial.v.values for member in configs],
+                                   stack, dt, steps, step)
     step_times = np.arange(config.n_steps + 1) * dt
 
     def result(b, n, r):
@@ -296,12 +318,15 @@ def _integrate(configs: tuple) -> list:
     return [result(b, *ended.get(b, (config.n_steps + 1, len(steps)))) for b in range(B)]
 
 
-def _loop(plan, initial: np.ndarray, dt: float, steps: np.ndarray, step) -> tuple:
+def _loop(plan, initial: list, shape: tuple, dt: float, steps: np.ndarray, step) -> tuple:
     """The time loop of `simulate` and `solve_kolmogorov`.  `initial` is
-    the samples of one field, of fields (S, *grid.shape) or of a batch (S,
-    B, *grid.shape).  Step n calls `step(n, c, vals, work)` on the
-    coefficients and samples of step n - 1: it advances c and returns
-    None, or returns (cw, den) for c = (c - dt * lam * cw) / den.
+    the samples of each row, field by field, of the stack of the given
+    shape: one field, fields (S, *grid.shape) or a batch (S, B,
+    *grid.shape).  `step(c, vals, work)` gives the calls, (function,
+    arguments) pairs, that advance the coefficients c from the samples
+    vals of the step before, both fixed arrays; the loop builds them once,
+    followed by the calls of vals = to_values(c), and runs that one list
+    on every step.
 
     A recording above MAX_RECORD_BYTES is refused before it is allocated.
     The one stop rule: a member ends at its first step with a non-finite
@@ -310,27 +335,22 @@ def _loop(plan, initial: np.ndarray, dt: float, steps: np.ndarray, step) -> tupl
     step's row minima and (time first) row sums, rows field by field so
     each member's are contiguous, and `ended`: member -> (step, records)."""
     grid = plan.grid
-    n_rows = initial.size // grid.size
-    B = initial.shape[1] if initial.ndim == grid.d + 2 else 1
-    size = 8 * initial.size * len(steps)
+    n_rows = len(initial)
+    B = shape[1] if len(shape) == grid.d + 2 else 1
+    size = 8 * n_rows * grid.size * len(steps)
     if size > MAX_RECORD_BYTES:
         raise ConfigError(
             f"recording {B * len(steps)} states of {grid} takes {size / 2 ** 30:.3g} GiB, "
             f"above the limit of {MAX_RECORD_BYTES / 2 ** 30:g} GiB")
-    n_steps = int(steps[-1])
-    rec = np.empty((n_rows, len(steps), grid.size))
-    mins = np.empty((n_rows, n_steps + 1))
-    sums = np.empty((n_steps + 1, n_rows))
+    steps = steps.tolist()
+    n_steps = steps[-1]
     ended = {}  # member: the step it ended at and its number of records
-
-    # the initial samples go into the work array that each step's
-    # to_values rewrites, so the run holds one array of samples, and its
-    # row view below stays valid for the whole run
+    # the initial samples are stacked straight into the work array that
+    # each step's to_values rewrites, so the run holds one array of
+    # samples, and its row view below stays valid for the whole run
     work = Work()
-    vals = work.array("values", initial.shape)
-    vals[...] = initial
-    flat = vals.reshape(n_rows, -1)
-    dt_lam = dt * plan.lam
+    vals = work.array("values", shape)
+    np.stack(initial, out=vals.reshape((n_rows,) + grid.shape))
 
     def diagnose(n):
         # every sample of a row is finite exactly when the row's sum is
@@ -339,18 +359,18 @@ def _loop(plan, initial: np.ndarray, dt: float, steps: np.ndarray, step) -> tupl
 
     with np.errstate(over="ignore", invalid="ignore"):
         c = plan.to_coeffs(vals)
+        to_values, _ = plan._to_values(c, work)
+        flat = vals.reshape(n_rows, -1)
+        rec = np.empty((n_rows, len(steps), grid.size))
+        mins = np.empty((n_rows, n_steps + 1))
+        sums = np.empty((n_steps + 1, n_rows))
         diagnose(0)
         rec[:, 0] = flat
         r = 1
+        calls = step(c, vals, work) + to_values
         for n in range(1, n_steps + 1):
-            update = step(n, c, vals, work)
-            if update is not None:
-                cw, den = update
-                # c = (c - dt_lam * cw) / den, in place
-                np.subtract(c, np.multiply(dt_lam, cw, out=cw), out=c)
-                np.divide(c, den, out=c)
-            # rewrites vals, and so flat
-            plan.to_values(c, work=work)
+            for f, args in calls:
+                f(*args)
             row_sums = diagnose(n)
             if not all(map(math.isfinite, row_sums)):
                 # a member that ended earlier is zero, so its rows are finite
@@ -388,14 +408,27 @@ def solve_kolmogorov(z_in: Field, mu: TimeSeriesField, f: TimeSeriesField,
     plan = spectral_plan(grid, grid.N)
     dt_lam = dt * plan.lam
 
-    def step(n, c, z, work):
-        t = (n - 1) * dt
-        mu_n = interp_linear(mu.values, mu.times, t)
-        f_n = interp_linear(f.values, f.times, t)
-        mu_min = float(mu_n.min())
-        return plan.to_coeffs((mu_n - mu_min) * z + f_n, work=work), 1.0 + dt_lam * mu_min
+    def step(c, z, work):
+        forcing, den = work.array("forcing", z.shape), work.array("den", dt_lam.shape)
+        done = 0  # steps made
 
-    rec, _, _, ended = _loop(plan, z_in.values, dt, steps, step)
+        def coefficients():
+            # (mu_n - min mu_n) * z + f_n and 1 + dt_lam * min mu_n at the
+            # start of the step
+            nonlocal done
+            t = done * dt
+            done += 1
+            mu_n = interp_linear(mu.values, mu.times, t)
+            mu_min = float(mu_n.min())
+            np.subtract(mu_n, mu_min, out=forcing)
+            np.multiply(forcing, z, out=forcing)
+            np.add(forcing, interp_linear(f.values, f.times, t), out=forcing)
+            np.add(1.0, np.multiply(dt_lam, mu_min, out=den), out=den)
+
+        transform, cw = plan._to_coeffs(forcing, work)
+        return [(coefficients, ())] + transform + _imex_update(c, cw, dt_lam, den)
+
+    rec, _, _, ended = _loop(plan, [z_in.values], grid.shape, dt, steps, step)
     if ended:
         n, r = ended[0]
         raise BlowupError(n, TimeSeriesField(steps[:r] * dt, rec[0, :r]))

@@ -29,7 +29,9 @@ directly, with the factor and output array that `np.fft`'s wrapper
 would pass, so the bits are those of `np.fft` without its per-call cost,
 which exceeds the transform's on small grids.  If `np.fft.<name>` has
 been replaced (a tracer or a test counting transforms), the seam calls
-the replacement instead.
+the replacement instead.  A plan's methods are built as lists of seam
+and ufunc calls on work arrays (see `SpectralPlan`), so a time loop can
+build its step once and run it as one flat list.
 """
 
 from __future__ import annotations
@@ -222,33 +224,26 @@ def half_coeffs(grid: TorusGrid, full: np.ndarray) -> np.ndarray:
 
 
 class Work:
-    """Named work arrays, and the bound calls of `SpectralPlan` methods.
+    """Named work arrays.
 
     `array(name, shape, dtype)` gives an array to write into, zero when
     made if `zero` is set.  A `Work()` makes each array on its first
     request and hands the same one back for every later request of that
-    name and shape, so a caller that passes one work object to every call
-    allocates nothing large after its first call.  A result a method
-    returns then lives in one of these arrays, and later calls with the
-    same work object overwrite it.
-
-    `bound(bind, *args)` gives the call that `bind(*args, work)` builds
-    on the first request of those arguments, and the same call for every
-    later request: each plan method binds, per plan and input shape, its
-    work arrays, their views and its factors once, so a later call only
-    runs its ufunc and FFT calls.  Bound calls live here, per work
-    object, and never in a plan.
+    name and shape.  The calls of a `SpectralPlan` method are built on
+    these arrays, so a caller that builds a step's calls once and runs
+    them on every step allocates nothing after building them.  A result
+    then lives in one of these arrays, and later calls with the same work
+    object overwrite it.
 
     The caller owns the work object: the time loop makes one per run,
     shared by a batch of runs, and the shared plans hold none.  `FRESH`,
-    the default of every method, keeps nothing: it makes new arrays on
-    every request, and a method called with it binds into a new work
-    object that it then drops.
+    the default of every method, keeps nothing: it makes a new array on
+    every request, and a plan method called with it builds its calls on a
+    new work object that it then drops.
     """
 
     def __init__(self):
         self._arrays = {}
-        self._calls = {}
 
     def array(self, name: str, shape: tuple, dtype=np.float64, zero: bool = False):
         try:
@@ -257,20 +252,10 @@ class Work:
             a = self._arrays[name, shape] = (np.zeros if zero else np.empty)(shape, dtype)
             return a
 
-    def bound(self, bind, *args):
-        try:
-            return self._calls[bind, args]
-        except KeyError:
-            call = self._calls[bind, args] = bind(*args, self)
-            return call
-
 
 class _Fresh(Work):
     def array(self, name: str, shape: tuple, dtype=np.float64, zero: bool = False):
         return (np.zeros if zero else np.empty)(shape, dtype)
-
-    def bound(self, bind, *args):
-        return bind(*args, Work())
 
 
 FRESH = _Fresh()
@@ -319,35 +304,44 @@ def _c2r(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return irfft(a, n=out.shape[-1], axis=-1, norm="forward", out=out)
 
 
-def _forward(shape: tuple, d: int, h: int, work: Work):
-    """The forward transform of samples of the given shape, bound into
-    `work`: a call gives the first h columns of the real FFT ("forward"
-    norm) over the trailing d axes, a view into a work array.  r2c on the
-    last axis, then in 2-d c2c in place on the first axis over those h
-    columns only.  numpy's `rfftn` makes the same per-axis calls, so the
-    numbers are those of its columns :h."""
-    spectrum = work.array("spectrum", shape[:-1] + (shape[-1] // 2 + 1,), np.complex128)
-    f = spectrum[..., :h]
+def _run(binder, *args, work: Work):
+    """Builds the calls of `binder(*args, work)` (on a new `Work()` for
+    `FRESH`, so the calls share their arrays), runs them in order, and
+    gives the array of their result."""
+    calls, result = binder(*args, Work() if work is FRESH else work)
+    for f, a in calls:
+        f(*a)
+    return result
 
-    def run(vals):
-        _r2c(vals, spectrum)
-        if d == 2:
-            _c2c(f, f)
-        return f
-    return run
+
+def _forward(vals: np.ndarray, d: int, h: int, work: Work) -> tuple:
+    """The calls of the forward transform of `vals` into `work`, and the
+    array they give: the first h columns of the real FFT ("forward" norm)
+    over the trailing d axes, a view into a work array.  r2c on the last
+    axis, then in 2-d c2c in place on the first axis over those h columns
+    only.  numpy's `rfftn` makes the same per-axis calls, so the numbers
+    are those of its columns :h."""
+    spectrum = work.array("spectrum", vals.shape[:-1] + (vals.shape[-1] // 2 + 1,),
+                          np.complex128)
+    f = spectrum[..., :h]
+    calls = [(_r2c, (vals, spectrum))]
+    if d == 2:
+        calls.append((_c2c, (f, f)))
+    return calls, f
 
 
 def _inverse(coeffs: np.ndarray, d: int, out: np.ndarray,
-             mid: np.ndarray | None = None) -> np.ndarray:
-    """Samples on the n^d grid of `out`, written into it, of half-layout
-    coefficients (all n rows in 2-d) whose columns past the given ones
-    are zero: in 2-d c2c on the first axis, into `mid` or else in place
-    in `coeffs`, then c2r to n points on the last axis, which pads the
-    missing columns with zeros.  The numbers are those of `irfftn` of
-    the explicitly zero-padded array."""
-    if d == 2:
-        coeffs = _ic2c(coeffs, coeffs if mid is None else mid)
-    return _c2r(coeffs, out)
+             mid: np.ndarray | None = None) -> list:
+    """The calls that write into `out` the samples on its n^d grid of
+    half-layout coefficients (all n rows in 2-d) whose columns past the
+    given ones are zero: in 2-d c2c on the first axis, into `mid` or else
+    in place in `coeffs`, then c2r to n points on the last axis, which
+    pads the missing columns with zeros.  The numbers are those of
+    `irfftn` of the explicitly zero-padded array."""
+    if d == 1:
+        return [(_c2r, (coeffs, out))]
+    mid = coeffs if mid is None else mid
+    return [(_ic2c, (coeffs, mid)), (_c2r, (mid, out))]
 
 
 class SpectralPlan:
@@ -381,19 +375,20 @@ class SpectralPlan:
     `rfftn`/`irfftn` on the full M-grid.
 
     Every method writes its intermediates and its result into the arrays
-    of a `Work`, through `out=` on the FFT calls and the ufuncs.  The
-    caller owns it: the time loop passes one per run, so its steps
-    reuse the same arrays, and the 2-d padding array is zeroed once, each
-    call rewriting only its N rows and the split row.  On its first call
-    with a work object, for this plan and input shape, a method binds its
-    work arrays, their views and its factors (in `poly_coeffs`, each
-    polynomial's ufunc calls too) into a call that the work object keeps
-    (`Work.bound`); later calls only look it up and run it.  The seam
-    looks up `np.fft` when a call runs, not when it is bound, and calls
-    numpy's gufuncs unless a `np.fft` function has been replaced.  A plan
-    holds no work arrays and no bound calls, as plans are shared; without
-    a work object a call binds into fresh arrays (`FRESH`).
-    Inputs are only read, and in 2-d their row blocks are sliced per call.
+    of a `Work`, through `out=` on the FFT calls and the ufuncs.  Its
+    binder (`_to_coeffs`, ...) builds, for one input array, the list of
+    calls that take it to the result: (function, arguments) pairs on the
+    work arrays, their views and the plan's factors (in `poly_coeffs`,
+    each polynomial's `operations` too), with the FFT entries calls of
+    the seam, which looks up `np.fft` when it runs.  A method builds the
+    calls for its input and runs them once.  The time loop builds a
+    step's calls once, on one work object per run, and runs them on every
+    step, so its steps reuse the same arrays, and the 2-d padding array
+    is zeroed once, each step rewriting only its N rows and the split
+    row.  A plan holds no work arrays and no calls, as plans are shared;
+    without a work object a method builds on fresh arrays (`FRESH`).
+    Inputs are only read, and in 2-d their row blocks are sliced when the
+    calls are built.
 
     Every method acts on the trailing d axes and maps over any leading
     axes, so a stack of fields of shape (T, *grid.shape) is transformed
@@ -428,7 +423,6 @@ class SpectralPlan:
             self._pad_split = -0.5 * pad[N // 2]
             pad = pad[rows]
             pad[N // 2] *= 0.5
-            self._rev = -np.arange(M) % M
             self._proj_col = fine_fwd[:, N // 2]
             self._proj_split = fine_fwd[N // 2, :h]
             self._proj = fine_fwd[rows, :h]
@@ -449,120 +443,100 @@ class SpectralPlan:
         return self.to_values(coeffs * mult)
 
     def to_coeffs(self, vals: np.ndarray, work: Work = FRESH) -> np.ndarray:
-        return work.bound(self._to_coeffs, vals.shape)(vals)
+        return _run(self._to_coeffs, vals, work=work)
 
     def to_values(self, coeffs: np.ndarray, work: Work = FRESH) -> np.ndarray:
-        return work.bound(self._to_values, coeffs.shape)(coeffs)
+        return _run(self._to_values, coeffs, work=work)
 
     def fine_values(self, coeffs: np.ndarray, work: Work = FRESH) -> np.ndarray:
-        return work.bound(self._fine_values, coeffs.shape)(coeffs)
+        return _run(self._fine_values, coeffs, work=work)
 
     def project_fine(self, vals: np.ndarray, work: Work = FRESH) -> np.ndarray:
-        return work.bound(self._project_fine, vals.shape)(vals)
+        return _run(self._project_fine, vals, work=work)
 
     def poly_coeffs(self, polys, c: np.ndarray, work: Work = FRESH) -> np.ndarray:
         """Coefficients of each polynomial of (u, v), stacked along a new
         first axis, given the stack c = (coefficients of u, of v).  u and
         v are sampled on the fine grid in one call, and the polynomials
         are projected back in one call."""
-        return work.bound(self._poly_coeffs, tuple(polys), c.shape)(c)
+        return _run(self._poly_coeffs, polys, c, work=work)
 
-    # Each method above runs the call that one of these binders builds,
-    # through `Work.bound`, from the shape of its input: a binder takes
-    # its work arrays, their views and its factors once.
+    # Each method above runs the calls that one of these binders builds
+    # for its input: (function, arguments) pairs on the arrays of `work`,
+    # their views and the plan's factors, and the array of the result.
 
-    def _to_coeffs(self, shape, work):
-        forward, fwd = _forward(shape, self.grid.d, self.grid.N // 2 + 1, work), self._fwd
+    def _to_coeffs(self, vals, work):
+        calls, c = _forward(vals, self.grid.d, self.grid.N // 2 + 1, work)
+        return calls + [(np.multiply, (c, self._fwd, c))], c
 
-        def run(vals):
-            c = forward(vals)
-            return np.multiply(c, fwd, out=c)
-        return run
-
-    def _scaled_inverse(self, shape, factor, n, name, work):
+    def _scaled_inverse(self, coeffs, factor, n, name, work):
         # samples on the n-point grid, in the work array `name`, of the
         # coefficients times `factor`, padded by irfft(n=n) alone
-        c = work.array("coeffs", shape, np.complex128)
-        out, d = work.array(name, shape[:-1] + (n,)), self.grid.d
+        c = work.array("coeffs", coeffs.shape, np.complex128)
+        out = work.array(name, coeffs.shape[:-1] + (n,))
+        return [(np.multiply, (coeffs, factor, c))] + _inverse(c, self.grid.d, out), out
 
-        def run(coeffs):
-            return _inverse(np.multiply(coeffs, factor, out=c), d, out)
-        return run
+    def _to_values(self, coeffs, work):
+        return self._scaled_inverse(coeffs, self._inv, self.grid.N, "values", work)
 
-    def _to_values(self, shape, work):
-        return self._scaled_inverse(shape, self._inv, self.grid.N, "values", work)
-
-    def _fine_values(self, shape, work):
+    def _fine_values(self, coeffs, work):
         d, N, M = self.grid.d, self.grid.N, self.M
         if M == N or d == 1:
             # no padding, or padding that irfft(n=M) does
-            return self._scaled_inverse(shape, self._inv if M == N else self._pad, M,
+            return self._scaled_inverse(coeffs, self._inv if M == N else self._pad, M,
                                         "fine", work)
         # the first axis is padded in the middle: rows N/2..M-N/2 stay
         # zero but for the split -N/2 row, so only those rows are written
-        lead, h = shape[:-2], N // 2 + 1
+        lead, h = coeffs.shape[:-2], N // 2 + 1
         c = work.array("pad", lead + (M, h), np.complex128, zero=True)
-        low, high, split = c[..., :N // 2, :], c[..., M - N // 2:, :], c[..., N // 2, :]
-        pad_low, pad_high, pad_split = self._pad[:N // 2], self._pad[N // 2:], self._pad_split
         # the c2c pass goes into the projection's spectrum, idle until then
         mid = work.array("spectrum", lead + (M, M // 2 + 1), np.complex128)[..., :h]
         fine = work.array("fine", lead + (M, M))
+        return [(np.multiply, (coeffs[..., :N // 2, :], self._pad[:N // 2], c[..., :N // 2, :])),
+                (np.multiply, (coeffs[..., N // 2:, :], self._pad[N // 2:],
+                               c[..., M - N // 2:, :])),
+                (np.multiply, (coeffs[..., N // 2, :], self._pad_split, c[..., N // 2, :])),
+                ] + _inverse(c, 2, fine, mid), fine
 
-        def run(coeffs):
-            np.multiply(coeffs[..., :N // 2, :], pad_low, out=low)
-            np.multiply(coeffs[..., N // 2:, :], pad_high, out=high)
-            np.multiply(coeffs[..., N // 2, :], pad_split, out=split)
-            return _inverse(c, 2, fine, mid)
-        return run
-
-    def _project_fine(self, shape, work):
+    def _project_fine(self, vals, work):
         d, N, M, h = self.grid.d, self.grid.N, self.M, self.grid.N // 2 + 1
         if M == N:
-            return self._to_coeffs(shape, work)
-        forward, proj = _forward(shape, d, h, work), self._proj
-        out = work.array("coeffs", shape[:-d] + self.lam.shape, np.complex128)
+            return self._to_coeffs(vals, work)
+        calls, fine = _forward(vals, d, h, work)
+        out = work.array("coeffs", vals.shape[:-d] + self.lam.shape, np.complex128)
         if d == 1:
             col = out[..., N // 2]
-
-            def run(vals):
-                np.multiply(forward(vals), proj, out=out)
-                np.subtract(np.conj(col), col, out=col)
-                return out
-            return run
-        rev, proj_col, proj_split = self._rev, self._proj_col, self._proj_split
-        proj_low, proj_high = proj[:N // 2], proj[N // 2:]
+            conj = work.array("column", col.shape, np.complex128)
+            return calls + [(np.multiply, (fine, self._proj, out)), (np.conjugate, (col, conj)),
+                            (np.subtract, (conj, col, col))], out
+        # col = conj(col(-k)) - col(k) for col = the fine N/2 column times
+        # proj_col, and row = the fine N/2 row times proj_split
+        lead = vals.shape[:-2]
+        col = work.array("column", lead + (M,), np.complex128)
+        rev = work.array("reversed column", lead + (M,), np.complex128)
+        row = work.array("row", lead + (h,), np.complex128)
         low, high, split = out[..., :N // 2, :], out[..., N // 2:, :], out[..., N // 2, :]
-        col_low, col_high = out[..., :N // 2, N // 2], out[..., N // 2:, N // 2]
+        return calls + [
+            (np.multiply, (fine[..., N // 2], self._proj_col, col)),
+            (np.conjugate, (col[..., :1], rev[..., :1])),
+            (np.conjugate, (col[..., :0:-1], rev[..., 1:])),
+            (np.subtract, (rev, col, col)),
+            (np.multiply, (fine[..., :N // 2, :], self._proj[:N // 2], low)),
+            (np.multiply, (fine[..., M - N // 2:, :], self._proj[N // 2:], high)),
+            (np.copyto, (out[..., :N // 2, N // 2], col[..., :N // 2])),
+            (np.copyto, (out[..., N // 2:, N // 2], col[..., M - N // 2:])),
+            (np.multiply, (fine[..., N // 2, :], self._proj_split, row)),
+            (np.copyto, (row[..., N // 2], col[..., N // 2])),
+            (np.subtract, (split, row, split)),
+        ], out
 
-        def run(vals):
-            fine = forward(vals)
-            col = fine[..., N // 2] * proj_col
-            col = np.conj(col[..., rev]) - col
-            np.multiply(fine[..., :N // 2, :], proj_low, out=low)
-            np.multiply(fine[..., M - N // 2:, :], proj_high, out=high)
-            col_low[...] = col[..., :N // 2]
-            col_high[...] = col[..., M - N // 2:]
-            row = fine[..., N // 2, :] * proj_split
-            row[..., N // 2] = col[..., N // 2]
-            np.subtract(split, row, out=split)
-            return out
-        return run
-
-    def _poly_coeffs(self, polys, shape, work):
-        d, M = self.grid.d, self.M
-        fine_values = self._fine_values(shape, work)
-        # the array that fine_values writes, and a row per polynomial
-        uf, vf = work.array("fine", shape[:-d] + (M,) * d)
+    def _poly_coeffs(self, polys, c, work):
+        calls, (uf, vf) = self._fine_values(c, work)
+        # a row per polynomial
         fine = work.array("polys", (len(polys),) + uf.shape)
-        ops = [op for p, row in zip(polys, fine) for op in p.operations(uf, vf, row, work)]
-        project_fine = self._project_fine(fine.shape, work)
-
-        def run(c):
-            fine_values(c)
-            for ufunc, args in ops:
-                ufunc(*args)
-            return project_fine(fine)
-        return run
+        calls += [op for p, row in zip(polys, fine) for op in p.operations(uf, vf, row, work)]
+        project, out = self._project_fine(fine, work)
+        return calls + project, out
 
 
 @lru_cache(maxsize=64)

@@ -1,5 +1,6 @@
 """Stepper exactness, conservation, blowup handling, and the scalar solver."""
 
+import contextlib
 import math
 import tracemalloc
 import warnings
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossflux import solver
+from crossflux import solver, spectral
 from crossflux.errors import BlowupError, ConfigError, DomainError
 from crossflux.model import ModelSpec, Poly2, X, Y
 from crossflux.solver import (
@@ -430,14 +431,17 @@ def test_simulate_keeps_zero_coefficients_bitwise(d, seed, scheme):
                     variant="regularized" if scheme == "regularized" else "plain")
     zero = (slice(None),) + (0,) * d
     seen = []
-    original = SpectralPlan.to_values
+    original = SpectralPlan._to_values
 
-    def spy(plan, coeffs, **kwargs):
+    def spy(plan, coeffs, work):
+        # the to_values calls of the step, each run led by a copy of the
+        # zero coefficients it reads
+        calls, out = original(plan, coeffs, work)
         if coeffs.shape[:1] == (2,) and coeffs.ndim == d + 1:
-            seen.append(coeffs[zero].copy())
-        return original(plan, coeffs, **kwargs)
+            calls = [(lambda: seen.append(coeffs[zero].copy()), ())] + calls
+        return calls, out
 
-    with mock.patch.object(SpectralPlan, "to_values", spy):
+    with mock.patch.object(SpectralPlan, "_to_values", spy):
         simulate(cfg)
     initial = spectral_plan(grid, grid.N).to_coeffs(np.stack([u0, v0]))[zero]
     assert len(seen) >= 5
@@ -536,6 +540,84 @@ def test_runs_skip_numpys_fft_wrapper(d, N, scheme):
     assert wrapper.call_count == 1
 
 
+PLAN_METHODS = ("to_coeffs", "to_values", "fine_values", "project_fine", "poly_coeffs")
+
+
+def plan_and_array_calls(case, steps):
+    """The calls of each public `SpectralPlan` method and of `Work.array`
+    that a run of the given case and number of steps makes."""
+    grid = TorusGrid(2 if case == "2d-16" else 1, 16 if case == "2d-16" else 32)
+    wave = np.cos(2.0 * np.pi * grid.coords(0))
+    init = State(0.0, Field(grid, 0.3 + 0.1 * wave), Field(grid, 0.4 + 0.1 * wave))
+    dt = 0.5 * rk4_max_dt(REGULARIZED_SKT, init)
+    cfg = RunConfig(REGULARIZED_SKT, init, dt=dt, t_end=steps * dt,
+                    scheme="rk4" if case == "rk4" else "imex",
+                    variant="regularized" if case == "imex-regularized" else "plain")
+    spies = [mock.patch.object(SpectralPlan, name, autospec=True,
+                               side_effect=getattr(SpectralPlan, name)) for name in PLAN_METHODS]
+    spies.append(mock.patch.object(spectral.Work, "array", autospec=True,
+                                   side_effect=spectral.Work.array))
+    with contextlib.ExitStack() as stack:
+        mocks = [stack.enter_context(spy) for spy in spies]
+        if case == "kolmogorov":
+            mu = TimeSeriesField(np.array([0.0, 1.0]), [Field(grid, 1.0 + 0.5 * wave)] * 2)
+            solve_kolmogorov(init.u, mu, constant_series(grid, 0.1, 1.0), dt=1e-4,
+                             t_end=steps * 1e-4)
+        else:
+            simulate([cfg] * 3 if case == "batch-3" else cfg)
+    return [m.call_count for m in mocks]
+
+
+@pytest.mark.parametrize("case", ["imex-plain", "imex-regularized", "rk4", "batch-3", "2d-16",
+                                  "kolmogorov"])
+def test_a_step_is_one_prebuilt_list_of_calls(case):
+    # the loop builds a step's calls once, on the run's work arrays: from
+    # step 2 on, a step calls no plan method and requests no work array
+    assert plan_and_array_calls(case, 6) == plan_and_array_calls(case, 2)
+
+
+def test_a_run_holds_no_initial_stack():
+    # 2-d N=256: a (2, 256, 256) stack of the initial fields is 1 MiB.
+    # The fields are stacked straight into the run's samples, so an 8-step
+    # run peaks at 22.3 MiB (a 9 MiB recording, 11.4 MiB of work arrays,
+    # the coefficients and the denominators), not at the 23.3 MiB of a
+    # run that holds a separate initial stack throughout
+    g = TorusGrid(2, 256)
+    wave = np.cos(2.0 * np.pi * g.coords(0))
+    cfg = RunConfig(SKT, State(0.0, Field(g, 0.3 + 0.1 * wave), Field(g, 0.4 + 0.1 * wave)),
+                    dt=1e-6, t_end=8e-6)
+    simulate(cfg)
+    tracemalloc.start()
+    try:
+        simulate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 22.8 * 2 ** 20
+
+
+def test_states_are_built_when_indexed(grid32, cosine):
+    init = State(0.0, cosine(grid32, mean=0.5, amp=0.1), cosine(grid32, mean=0.6, amp=0.1))
+    traj = simulate(RunConfig(SKT, init, dt=1e-4, t_end=4e-3, record_every=3))
+    with mock.patch.object(solver, "State", wraps=State) as built:
+        states = traj.states
+        last = states[-1]
+    assert built.call_count == 1
+    assert len(states) == len(traj.times) == 15
+    eager = [State(float(t), Field(grid32, a), Field(grid32, b))
+             for t, a, b in zip(traj.times, traj.u, traj.v)]
+    for seen in (list(states), states[:], [states[i] for i in range(-15, 0)]):
+        assert len(seen) == len(eager)
+        for a, b in zip(seen, eager):
+            assert a.t == b.t
+            assert np.array_equal(a.u.values, b.u.values)
+            assert np.array_equal(a.v.values, b.v.values)
+    assert np.array_equal(last.u.values, traj.u[-1]) and last.t == traj.times[-1]
+    assert [s.t for s in states[2:9:3]] == list(traj.times[2:9:3])
+    with pytest.raises(IndexError):
+        states[15]
+
+
 RECORDED = ("u", "v", "times", "step_times", "min_u", "min_v", "mass_u", "mass_v")
 
 
@@ -620,13 +702,13 @@ def test_simulate_and_solve_kolmogorov_share_one_loop(grid32, cosine):
 
 def test_a_batch_that_blows_up_entirely_ends_at_its_last_blowup():
     # 1000 steps are configured; the last member to blow up does so at
-    # step 18, and the loop makes no step after it: one to_values a step
+    # step 18, and the loop makes no step after it: after the initial
+    # transform, one r2c a step (the flux projection's)
     configs = blowup_configs(1, 32, "plain", ((2.9, 2.9), (1.5, 1.5), (4.0, 4.0)), t_end=1.0)
-    with mock.patch.object(SpectralPlan, "to_values", autospec=True,
-                           side_effect=SpectralPlan.to_values) as to_values:
+    with mock.patch.object(spectral, "_r2c", wraps=spectral._r2c) as r2c:
         members = simulate(configs)
     assert [m.step for m in members] == [13, 18, 12]
-    assert to_values.call_count == 18
+    assert r2c.call_count == 1 + 18
 
 
 def test_batch_members_differ_only_in_their_initial_states(grid32, grid64, cosine):

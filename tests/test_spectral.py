@@ -33,6 +33,13 @@ from crossflux.spectral import (
 )
 
 
+def run(calls, result):
+    """Runs (function, arguments) calls in order; gives result."""
+    for f, args in calls:
+        f(*args)
+    return result
+
+
 def padded_poly(p, u, v, M):
     """p(u, v) evaluated on the M-point grid and projected back."""
     plan = spectral_plan(u.grid, M)
@@ -201,11 +208,11 @@ grids = st.sampled_from([(1, 8), (1, 16), (1, 32), (2, 8), (2, 16)])
 
 @settings(max_examples=30, deadline=None)
 @given(grid=grids, extra=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
-def test_bound_calls_on_one_work_are_the_fresh_calls_bitwise(grid, extra, seed):
+def test_calls_built_on_one_work_are_the_fresh_calls_bitwise(grid, extra, seed):
     # one work object serves two plans (M == N and M > N) and inputs of
-    # three leading shapes, so it holds a bound call of each method per
-    # plan and shape; each call, run again on new data, gives the bits
-    # of the same call with fresh arrays
+    # three leading shapes, so each method builds its calls on arrays it
+    # shares with the others; each call, run again on new data, gives the
+    # bits of the same call with fresh arrays
     g = TorusGrid(*grid)
     rng = np.random.default_rng(seed)
     polys = (X * X - 0.5 * Y, Y * Y * X + 2.0, X * Y + 1.0 + Y)
@@ -226,9 +233,10 @@ def test_bound_calls_on_one_work_are_the_fresh_calls_bitwise(grid, extra, seed):
 
 
 @pytest.mark.parametrize("d, N, M", [(1, 16, 24), (2, 8, 12)])
-def test_bound_calls_look_up_numpy_fft_when_they_run(rng, d, N, M):
-    # calls bound before numpy.fft is patched go through the patched
-    # functions, which a tracer of numpy.fft relies on
+def test_step_lists_look_up_numpy_fft_when_they_run(rng, d, N, M):
+    # calls built before numpy.fft is patched, as a time loop builds its
+    # step, go through the patched functions, which a tracer of numpy.fft
+    # relies on
     plan = spectral_plan(TorusGrid(d, N), M)
     work = spectral.Work()
     coeffs = plan.to_coeffs(rng.standard_normal((2,) + (N,) * d))
@@ -237,8 +245,7 @@ def test_bound_calls_look_up_numpy_fft_when_they_run(rng, d, N, M):
              (plan.project_fine, (rng.standard_normal((M,) * d),)),
              (plan.poly_coeffs, ((X * Y,), coeffs)))
     expected = [method(*args).copy() for method, args in calls]
-    for method, args in calls:
-        method(*args, work=work)
+    built = [getattr(plan, "_" + method.__name__)(*args, work) for method, args in calls]
     seen = []
 
     def counted(name):
@@ -251,8 +258,8 @@ def test_bound_calls_look_up_numpy_fft_when_they_run(rng, d, N, M):
 
     with mock.patch.multiple(np.fft, **{name: counted(name)
                                         for name in ("rfft", "irfft", "fft", "ifft")}):
-        for (method, args), fresh in zip(calls, expected):
-            assert np.array_equal(method(*args, work=work), fresh)
+        for (steps, out), fresh in zip(built, expected):
+            assert np.array_equal(run(steps, out), fresh)
     forward, inverse = ["rfft", "fft"][:d], ["ifft", "irfft"][2 - d:]
     assert seen == forward + inverse + inverse + forward + inverse + forward
 
@@ -321,13 +328,14 @@ def test_per_axis_transforms_are_rfftn_and_irfftn_bitwise(d, N, data, seed):
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal((2,) + (M,) * d)
     full = np.fft.rfftn(vals, axes=axes, norm="forward")
-    assert np.array_equal(_forward(vals.shape, d, h, FRESH)(vals), full[..., :h])
+    assert np.array_equal(run(*_forward(vals, d, h, FRESH)), full[..., :h])
     shape = (2,) + (M,) * (d - 1)
     c = rng.standard_normal(shape + (h,)) + 1j * rng.standard_normal(shape + (h,))
     padded = np.zeros(shape + (M // 2 + 1,), dtype=np.complex128)
     padded[..., :h] = c
     # the 2-d c2c pass runs in place, so the inverse gets a copy of c
-    assert np.array_equal(_inverse(c.copy(), d, np.empty(shape + (M,))),
+    out = np.empty(shape + (M,))
+    assert np.array_equal(run(_inverse(c.copy(), d, out), out),
                           np.fft.irfftn(padded, s=(M,) * d, axes=axes, norm="forward"))
 
 
