@@ -2,8 +2,9 @@
 
 Exit codes: 0 when everything requested succeeded and every check
 passed, 1 when a run blew up or some check failed, 2 for configuration
-problems (bad flags, malformed JSON, inconsistent parameters). All file
-outputs are written atomically.
+problems (bad flags, malformed JSON, inconsistent parameters) and for
+a grid whose arrays do not fit in memory. All file outputs are written
+atomically.
 """
 
 from __future__ import annotations
@@ -409,7 +410,7 @@ def run_cli(argv) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except CrossfluxError as exc:
+    except (CrossfluxError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

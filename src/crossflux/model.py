@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .spaces import besov_Nk, lp_norm
-from .spectral import FRESH, Field, TorusGrid, Work, laplacian, poly_plan
+from .spectral import Field, TorusGrid, Work, laplacian, poly_fields
 
 CAP = 1e3  # returned when a threshold is unbounded for the given model
 
@@ -75,18 +75,15 @@ class Poly2Signed:
     def eval(self, x, y):
         return sum(c * x ** i * y ** j for (i, j), c in self.terms.items())
 
-    def eval_arrays(self, X: np.ndarray, Y: np.ndarray, out=None,
-                    work: Work = FRESH) -> np.ndarray:
-        """Sum of c * X**i * Y**j, written into `out` (a new array when
-        None) by running `operations` once; X and Y are only read."""
-        if out is None:
-            out = np.empty(np.broadcast(X, Y).shape)
-        for ufunc, args in self.operations(X, Y, out, work):
+    def eval_arrays(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Sum of c * X**i * Y**j in a new array, by running `operations`
+        once on a new `Work`; X and Y are only read."""
+        out = np.empty(np.broadcast(X, Y).shape)
+        for ufunc, args in self.operations(X, Y, out, Work()):
             ufunc(*args)
         return out
 
-    def operations(self, X: np.ndarray, Y: np.ndarray, out: np.ndarray,
-                   work: Work = FRESH) -> list:
+    def operations(self, X: np.ndarray, Y: np.ndarray, out: np.ndarray, work: Work) -> list:
         """The calls that write the sum of c * X**i * Y**j into `out`, as
         (ufunc, arguments) pairs to run in order, each term multiplied in
         that order.  A unit coefficient and an exponent of 0 take no
@@ -266,13 +263,7 @@ def poly_eval(p: Poly2Signed, u: Field, v: Field) -> Field:
 def flux(spec: ModelSpec, u: Field, v: Field):
     """Dealiased flux fields ((d1 + p(u,v))u, (d2 + q(u,v))v), both
     evaluated on one fine grid."""
-    if u.grid != v.grid:
-        raise ConfigError("fields live on different grids")
-    polys = flux_polys(spec)
-    plan = poly_plan(u.grid, polys)
-    c = plan.to_coeffs(np.stack([u.values, v.values]))
-    w1, w2 = plan.to_values(plan.poly_coeffs(polys, c))
-    return Field(u.grid, w1), Field(u.grid, w2)
+    return poly_fields(flux_polys(spec), u, v)
 
 
 def derive_QR(spec: ModelSpec):

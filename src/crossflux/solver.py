@@ -214,19 +214,18 @@ def _rk4_step(plan, dt, c, d, fluxes, neg_lam, work) -> list:
 
 def _regularized_coeffs(plan, spec, c, vals, moll, work) -> tuple:
     """The calls of the explicit-part coefficients for the truncated,
-    mollified flux, and their array.  The smoothed flux polynomials and
-    the densities are sampled on the fine grid as one stack of four."""
+    mollified flux, and their array.  The densities and the smoothed flux
+    polynomials are stacked as `both`, so the dealiased product X * Y of
+    `_poly_coeffs` gives u * P and v * Q."""
     capped, pq = work.array("capped", vals.shape), work.array("pq", vals.shape)
     # np.minimum deprecates a positional out
     calls = [(partial(np.minimum, out=capped), (vals, spec.trunc_delta)),
              *spec.p.operations(*capped, pq[0], work), *spec.q.operations(*capped, pq[1], work)]
     transform, pq_coeffs = plan._to_coeffs(pq, work)
-    both = work.array("factors", (4,) + c.shape[1:], np.complex128)
-    fine_values, fine = plan._fine_values(both, work)
-    project, cw = plan._project_fine(fine[2:], work)
-    return (calls + transform + [(np.multiply, (pq_coeffs, moll, both[:2])),
-                                 (np.copyto, (both[2:], c))]
-            + fine_values + [(np.multiply, (fine[:2], fine[2:], fine[2:]))] + project), cw
+    both = work.array("factors", (2,) + c.shape, np.complex128)
+    product, cw = plan._poly_coeffs((X * Y,), both, work)
+    return (calls + transform + [(np.copyto, (both[0], c)),
+                                 (np.multiply, (pq_coeffs, moll, both[1]))] + product), cw[0]
 
 
 def _shared(config: RunConfig) -> tuple:

@@ -29,9 +29,10 @@ directly, with the factor and output array that `np.fft`'s wrapper
 would pass, so the bits are those of `np.fft` without its per-call cost,
 which exceeds the transform's on small grids.  If `np.fft.<name>` has
 been replaced (a tracer or a test counting transforms), the seam calls
-the replacement instead.  A plan's methods are built as lists of seam
-and ufunc calls on work arrays (see `SpectralPlan`), so a time loop can
-build its step once and run it as one flat list.
+the replacement instead.  A plan's binders build its operations as
+lists of seam and ufunc calls on work arrays (see `SpectralPlan`): a
+public method runs such a list once, and a time loop builds its step
+once and runs it as one flat list.
 """
 
 from __future__ import annotations
@@ -236,10 +237,9 @@ class Work:
     object overwrite it.
 
     The caller owns the work object: the time loop makes one per run,
-    shared by a batch of runs, and the shared plans hold none.  `FRESH`,
-    the default of every method, keeps nothing: it makes a new array on
-    every request, and a plan method called with it builds its calls on a
-    new work object that it then drops.
+    shared by a batch of runs, and the shared plans hold none.  A one-shot
+    call (a public plan method, `Poly2Signed.eval_arrays`) builds its
+    calls on a new work object that it then drops.
     """
 
     def __init__(self):
@@ -251,14 +251,6 @@ class Work:
         except KeyError:
             a = self._arrays[name, shape] = (np.zeros if zero else np.empty)(shape, dtype)
             return a
-
-
-class _Fresh(Work):
-    def array(self, name: str, shape: tuple, dtype=np.float64, zero: bool = False):
-        return (np.zeros if zero else np.empty)(shape, dtype)
-
-
-FRESH = _Fresh()
 
 
 # The FFT seam (see the module docstring).  A seam function looks up
@@ -304,11 +296,11 @@ def _c2r(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return irfft(a, n=out.shape[-1], axis=-1, norm="forward", out=out)
 
 
-def _run(binder, *args, work: Work):
-    """Builds the calls of `binder(*args, work)` (on a new `Work()` for
-    `FRESH`, so the calls share their arrays), runs them in order, and
-    gives the array of their result."""
-    calls, result = binder(*args, Work() if work is FRESH else work)
+def _run(binder, *args):
+    """Builds the calls of `binder(*args, work)` on a new `Work()`, so the
+    calls share their arrays, runs them in order, and gives the array of
+    their result."""
+    calls, result = binder(*args, Work())
     for f, a in calls:
         f(*a)
     return result
@@ -380,15 +372,15 @@ class SpectralPlan:
     calls that take it to the result: (function, arguments) pairs on the
     work arrays, their views and the plan's factors (in `poly_coeffs`,
     each polynomial's `operations` too), with the FFT entries calls of
-    the seam, which looks up `np.fft` when it runs.  A method builds the
-    calls for its input and runs them once.  The time loop builds a
-    step's calls once, on one work object per run, and runs them on every
-    step, so its steps reuse the same arrays, and the 2-d padding array
-    is zeroed once, each step rewriting only its N rows and the split
-    row.  A plan holds no work arrays and no calls, as plans are shared;
-    without a work object a method builds on fresh arrays (`FRESH`).
-    Inputs are only read, and in 2-d their row blocks are sliced when the
-    calls are built.
+    the seam, which looks up `np.fft` when it runs.  These are the two
+    ways to run an operation.  A method runs it once: it builds the calls
+    for its input on a new work object and runs them.  The time loop
+    builds a step from the binders, once, on one work object per run, and
+    runs it on every step, so its steps reuse the same arrays, and the
+    2-d padding array is zeroed once, each step rewriting only its N rows
+    and the split row.  A plan holds no work arrays and no calls, as
+    plans are shared.  Inputs are only read, and in 2-d their row blocks
+    are sliced when the calls are built.
 
     Every method acts on the trailing d axes and maps over any leading
     axes, so a stack of fields of shape (T, *grid.shape) is transformed
@@ -442,24 +434,24 @@ class SpectralPlan:
         mult = 2j * np.pi * np.where(freq == -self.grid.N // 2, 0.0, freq)
         return self.to_values(coeffs * mult)
 
-    def to_coeffs(self, vals: np.ndarray, work: Work = FRESH) -> np.ndarray:
-        return _run(self._to_coeffs, vals, work=work)
+    def to_coeffs(self, vals: np.ndarray) -> np.ndarray:
+        return _run(self._to_coeffs, vals)
 
-    def to_values(self, coeffs: np.ndarray, work: Work = FRESH) -> np.ndarray:
-        return _run(self._to_values, coeffs, work=work)
+    def to_values(self, coeffs: np.ndarray) -> np.ndarray:
+        return _run(self._to_values, coeffs)
 
-    def fine_values(self, coeffs: np.ndarray, work: Work = FRESH) -> np.ndarray:
-        return _run(self._fine_values, coeffs, work=work)
+    def fine_values(self, coeffs: np.ndarray) -> np.ndarray:
+        return _run(self._fine_values, coeffs)
 
-    def project_fine(self, vals: np.ndarray, work: Work = FRESH) -> np.ndarray:
-        return _run(self._project_fine, vals, work=work)
+    def project_fine(self, vals: np.ndarray) -> np.ndarray:
+        return _run(self._project_fine, vals)
 
-    def poly_coeffs(self, polys, c: np.ndarray, work: Work = FRESH) -> np.ndarray:
+    def poly_coeffs(self, polys, c: np.ndarray) -> np.ndarray:
         """Coefficients of each polynomial of (u, v), stacked along a new
         first axis, given the stack c = (coefficients of u, of v).  u and
         v are sampled on the fine grid in one call, and the polynomials
         are projected back in one call."""
-        return _run(self._poly_coeffs, polys, c, work=work)
+        return _run(self._poly_coeffs, polys, c)
 
     # Each method above runs the calls that one of these binders builds
     # for its input: (function, arguments) pairs on the arrays of `work`,
@@ -602,11 +594,17 @@ def poly_plan(grid: TorusGrid, polys) -> SpectralPlan:
     return spectral_plan(grid, M)
 
 
-def poly_field(p, u: Field, v: Field) -> Field:
-    """Dealiased evaluation of a bivariate polynomial p at fields (u, v),
-    exact up to roundoff (see `poly_plan`)."""
+def poly_fields(polys, u: Field, v: Field) -> tuple:
+    """Dealiased evaluation of each bivariate polynomial of `polys` at
+    fields (u, v), all on one fine grid (see `poly_plan`): their fields,
+    exact up to roundoff."""
     if u.grid != v.grid:
         raise ConfigError("fields live on different grids")
-    plan = poly_plan(u.grid, (p,))
-    (c,) = plan.poly_coeffs((p,), plan.to_coeffs(np.stack([u.values, v.values])))
-    return Field(u.grid, plan.to_values(c))
+    plan = poly_plan(u.grid, polys)
+    c = plan.to_coeffs(np.stack([u.values, v.values]))
+    return tuple(Field(u.grid, w) for w in plan.to_values(plan.poly_coeffs(polys, c)))
+
+
+def poly_field(p, u: Field, v: Field) -> Field:
+    """Dealiased evaluation of a bivariate polynomial p at fields (u, v)."""
+    return poly_fields((p,), u, v)[0]

@@ -171,7 +171,7 @@ def test_verify_unknown_check(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-def test_initial_from_files(tmp_path):
+def test_initial_from_files(tmp_path, capsys):
     grid = TorusGrid(1, 32)
     x = grid.coords(0)
     u = Field(grid, 0.5 + 0.05 * np.cos(2 * np.pi * x))
@@ -193,6 +193,11 @@ def test_initial_from_files(tmp_path):
     # same run as the cosine config: identical first row masses
     rows = list(csv.DictReader(out.open()))
     assert float(rows[0]["mass_v"]) == pytest.approx(0.6, abs=1e-12)
+    # files on another grid than the model's are refused in one line
+    write_field(tmp_path / "v0.csv", Field(TorusGrid(1, 16), np.full(16, 0.6)))
+    assert run_cli(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: initial field files do not match the model grid\n")
 
 
 def test_norms_match_library(tmp_path, capsys):
@@ -308,6 +313,12 @@ def test_stability_check_at_an_overflowing_radius_is_one_line(tmp_path, capsys):
     assert err.startswith("error: delta is not admissible") and err.count("\n") == 1
 
 
+def test_thresholds_without_a_model_is_one_line(tmp_path, capsys):
+    cfg = write_json(tmp_path / "model.json", {"checks": {"R": 2.0}})
+    assert run_cli(["thresholds", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "configuration error: config is missing 'model'\n"
+
+
 def test_thresholds_rejects_checks_that_are_not_an_object(tmp_path, capsys):
     cfg = write_json(tmp_path / "model.json", {"model": dict(MODEL), "checks": [1]})
     assert run_cli(["thresholds", "--config", cfg]) == 2
@@ -403,15 +414,22 @@ def test_sweep_dotted_axis(tmp_path):
     assert rows["model.d1"][0] != rows["model.d1"][1]
 
 
-@pytest.mark.parametrize("axis, base, message", [
-    ("model.nothing.x", run_config(), "sweep axis 'model.nothing.x' not found"),
-    ("amplitude", run_config(checks=[]), "checks must be an object"),
-    ("amplitude", [1], "the amplitude axis needs cosine initial data"),
-    ("amplitude", run_config(initial=[1]), "the amplitude axis needs cosine initial data"),
-], ids=["missing-axis", "checks-list", "base-list", "initial-list"])
-def test_sweep_config_errors_print_one_line(tmp_path, capsys, axis, base, message):
+@pytest.mark.parametrize("edits, message", [
+    ({"axis": "model.nothing.x"}, "sweep axis 'model.nothing.x' not found"),
+    ({"base": run_config(checks=[])}, "checks must be an object"),
+    ({"base": [1]}, "the amplitude axis needs cosine initial data"),
+    ({"base": run_config(initial=[1])}, "the amplitude axis needs cosine initial data"),
+    ({"axis": "model.nope"}, "sweep axis 'model.nope' not found"),
+    ({"axis": None}, "sweep config is missing 'axis'"),
+    # written as Infinity, which json.loads reads
+    ({"values": [math.inf]}, "sweep value inf is not a finite number"),
+], ids=["missing-axis", "checks-list", "base-list", "initial-list", "missing-leaf", "no-axis",
+        "infinite-value"])
+def test_sweep_config_errors_print_one_line(tmp_path, capsys, edits, message):
+    # an amplitude sweep of one value, edited; an entry set to None is dropped
+    sweep = dict({"base": run_config(), "axis": "amplitude", "values": [1.0]}, **edits)
     cfg = write_json(tmp_path / "sweep.json",
-                     {"base": base, "axis": axis, "values": [1.0]})
+                     {key: value for key, value in sweep.items() if value is not None})
     assert run_cli(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
@@ -535,10 +553,14 @@ def test_stability_batch_recording_exit_code(tmp_path, capsys):
         ("lambda", {"k": 3.0, "delta": "0.3"}, "configuration error"),
         # refused before the k warning and before any |Lap flux|^k
         ("lambda", {"k": -2.0}, "error: exponent must lie in (1, inf), got -2.0"),
+        ("hk", {}, "configuration error: hk check needs checks.k_sob"),
+        ("stability", {}, "configuration error: stability check needs checks.delta"),
+        (" , ", {}, "configuration error: no checks requested"),
     ],
     ids=["fractional-k_sob", "bool-k_sob", "string-k_sob", "string-hk_small",
          "string-delta", "bool-R", "string-stability_scale", "string-k",
-         "lambda-string-delta", "lambda-k-below-one"],
+         "lambda-string-delta", "lambda-k-below-one", "hk-without-k_sob",
+         "stability-without-delta", "no-checks"],
 )
 def test_malformed_check_parameters_exit_code(tmp_path, capsys, check, params, message):
     cfg = write_json(tmp_path / "run.json", run_config(checks=params))
@@ -739,6 +761,8 @@ FUZZ_CASES = {
     "checks-list": _edit(["checks"], [1]),
     "negative-mode": _edit(["initial", "mode"], -3),
     "cosine-2d": _edit(["model"], dict(MODEL, d=2, N=16)),
+    # an 8 TiB field, which numpy refuses at once
+    "grid-too-large": _edit(["model"], dict(MODEL, d=2, N=2 ** 20)),
 }
 
 

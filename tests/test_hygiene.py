@@ -1,5 +1,6 @@
 """Source hygiene: every imported name is used (no linter is installed),
-and the package makes its FFT calls in one place."""
+the package makes its FFT calls in one place, and only the plan and the
+time loop build calls on work arrays."""
 
 import ast
 import re
@@ -12,6 +13,13 @@ CHECKED = [path for tree in ("src", "tests", "demos", "perfbench")
 # numpy.fft's transforms and pocketfft's gufuncs (fftfreq is not one)
 FFT_SEAM = {"_r2c", "_c2c", "_ic2c", "_c2r"}
 FFT_TRANSFORM = re.compile(r"i?[rh]?fft([2n]|_n_even|_n_odd)?")
+# the binders of `SpectralPlan`, which build calls on a caller's work
+# arrays, and the modules that may read them: the plan's own and the
+# time loop's; every other module runs an operation through the public
+# methods
+BINDERS = {"_to_coeffs", "_to_values", "_scaled_inverse", "_fine_values", "_project_fine",
+           "_poly_coeffs"}
+BINDER_MODULES = {"spectral.py", "solver.py"}
 
 
 def unused_imports(source: str) -> list:
@@ -80,3 +88,23 @@ def test_fft_calls_go_through_the_seam():
              for path in sorted((ROOT / "src" / "crossflux").rglob("*.py"))
              for line in fft_uses_outside_seam(path.read_text())]
     assert not found, "FFT transforms outside spectral.py's seam:\n" + "\n".join(found)
+
+
+def binder_reads(source: str) -> list:
+    """Lines that read an attribute named like a binder (`plan._to_coeffs`)."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in BINDERS)
+
+
+def test_binder_reads_are_flagged():
+    src = ("def _to_coeffs(vals):\n    return vals\n"
+           "def f(plan, c, work):\n    return plan.to_coeffs(c), plan._poly_coeffs((), c, work)\n")
+    assert binder_reads(src) == [4]
+
+
+def test_binders_are_read_by_the_plan_and_the_time_loop_alone():
+    found = [f"{path.relative_to(ROOT)}:{line}"
+             for path in sorted((ROOT / "src" / "crossflux").rglob("*.py"))
+             if path.name not in BINDER_MODULES
+             for line in binder_reads(path.read_text())]
+    assert not found, "binders read outside spectral.py and solver.py:\n" + "\n".join(found)

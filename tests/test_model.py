@@ -31,6 +31,12 @@ from crossflux.model import (
 from crossflux.spectral import Field, TorusGrid, Work, poly_field
 
 
+def run(calls):
+    """Runs (ufunc, arguments) calls in order."""
+    for ufunc, args in calls:
+        ufunc(*args)
+
+
 def skt(a=1.0, d1=1.0, d2=1.0):
     p = Poly2({(1, 0): a, (0, 1): a})
     return ModelSpec(d1, d2, p, p)
@@ -87,8 +93,8 @@ def test_poly_eval_arrays_is_the_power_form_bitwise(rng):
         "powers"])
 def test_poly_eval_arrays_skips_unit_factors_bitwise(rng, terms):
     # unit coefficients and constant terms take no multiply, and the sum
-    # starts from the first term; with or without `out=` every bit is
-    # that of the power form, and X and Y are left as they were
+    # starts from the first term; in a new array or run into a given one,
+    # every bit is that of the power form, and X and Y are left as they were
     x, y = rng.uniform(-2.0, 2.0, size=(2, 3, 40))
     x0, y0 = x.copy(), y.copy()
     p = Poly2Signed(terms)
@@ -97,13 +103,14 @@ def test_poly_eval_arrays_skips_unit_factors_bitwise(rng, terms):
         power_form += float(c) * x ** i * y ** j
     assert np.array_equal(p.eval_arrays(x, y), power_form)
     out = np.full(x.shape, np.nan)
-    assert p.eval_arrays(x, y, out=out) is out
+    run(p.operations(x, y, out, Work()))
     assert np.array_equal(out, power_form)
     assert np.array_equal(x, x0) and np.array_equal(y, y0)
-    # a kept work object hands the same term and power arrays to both calls
+    # a kept work object hands the same term and power arrays to both runs
     work = Work()
     for _ in range(2):
-        assert np.array_equal(p.eval_arrays(x, y, out=out, work=work), power_form)
+        run(p.operations(x, y, out, work))
+        assert np.array_equal(out, power_form)
     # the first term may be X itself: the result is a copy, not a view
     first = p.eval_arrays(x, y)
     first += 1.0
@@ -115,8 +122,9 @@ def test_poly_eval_arrays_broadcasts_into_out(rng):
     y = rng.uniform(0.0, 1.0, size=(3, 8))
     p = X + X * Y + 0.5
     out = np.empty((3, 8))
-    p.eval_arrays(x, y, out=out)
+    run(p.operations(x, y, out, Work()))
     assert np.array_equal(out, p.eval_arrays(np.broadcast_to(x, y.shape), y))
+    assert np.array_equal(out, p.eval_arrays(x, y))
 
 
 def test_poly2_rejects_negative():
@@ -261,6 +269,17 @@ def test_smallness_closed_form(grid64, cosine):
         smallness_functional(cosine(grid64, mean=0.0, amp=1.0), u, spec, 2.0)
     with pytest.warns(UserWarning, match="k >"):
         smallness_functional(u, u, spec, 1.2)
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda u, v: flux(skt(), u, v),
+    lambda u, v: poly_field(X * Y, u, v),
+    lambda u, v: poly_eval(X * Y, u, v),
+    lambda u, v: smallness_functional(u, v, skt(), 3.0),
+], ids=["flux", "poly_field", "poly_eval", "smallness_functional"])
+def test_fields_on_different_grids_are_refused(grid32, grid64, evaluate):
+    with pytest.raises(ConfigError, match="different grids"):
+        evaluate(Field(grid32, np.full(32, 0.5)), Field(grid64, np.full(64, 0.5)))
 
 
 def test_model_json_round_trip():

@@ -46,6 +46,9 @@ def test_state_validation(grid32, grid64):
     w = Field(grid64, np.ones(64))
     with pytest.raises(ConfigError, match="grid"):
         State(0.0, u, w)
+    with pytest.raises(ConfigError, match="share one grid"):
+        solve_kolmogorov(u, constant_series(grid64, 1.0, 0.01),
+                         constant_series(grid32, 0.0, 0.01), dt=1e-3, t_end=0.01)
 
 
 def test_run_config_refuses_a_recording_above_its_byte_limit(monkeypatch):

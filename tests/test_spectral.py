@@ -13,7 +13,6 @@ from crossflux.errors import ConfigError, DomainError
 from crossflux.model import X, Y, Poly2Signed
 from crossflux.spectral import (
     FOUR_PI_SQ,
-    FRESH,
     _forward,
     _inverse,
     Field,
@@ -85,6 +84,8 @@ def test_coefficients_2d(grid2d):
         assert abs(c.get(xi) - 0.25) < 1e-14
     with pytest.raises(DomainError, match="pairs"):
         c.get(1)
+    with pytest.raises(DomainError, match="pairs"):
+        c.get((1, 2, 3))
 
 
 def test_get_out_of_band(grid32):
@@ -210,9 +211,9 @@ grids = st.sampled_from([(1, 8), (1, 16), (1, 32), (2, 8), (2, 16)])
 @given(grid=grids, extra=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
 def test_calls_built_on_one_work_are_the_fresh_calls_bitwise(grid, extra, seed):
     # one work object serves two plans (M == N and M > N) and inputs of
-    # three leading shapes, so each method builds its calls on arrays it
+    # three leading shapes, so each binder builds its calls on arrays it
     # shares with the others; each call, run again on new data, gives the
-    # bits of the same call with fresh arrays
+    # bits of the one-shot method, which builds on a new work object
     g = TorusGrid(*grid)
     rng = np.random.default_rng(seed)
     polys = (X * X - 0.5 * Y, Y * Y * X + 2.0, X * Y + 1.0 + Y)
@@ -229,7 +230,8 @@ def test_calls_built_on_one_work_are_the_fresh_calls_bitwise(grid, extra, seed):
                                      (plan.fine_values, (coeffs,)),
                                      (plan.project_fine, (fine,)),
                                      (plan.poly_coeffs, (polys, pair))):
-                    assert np.array_equal(method(*args, work=work), method(*args))
+                    binder = getattr(plan, "_" + method.__name__)
+                    assert np.array_equal(run(*binder(*args, work)), method(*args))
 
 
 @pytest.mark.parametrize("d, N, M", [(1, 16, 24), (2, 8, 12)])
@@ -328,7 +330,7 @@ def test_per_axis_transforms_are_rfftn_and_irfftn_bitwise(d, N, data, seed):
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal((2,) + (M,) * d)
     full = np.fft.rfftn(vals, axes=axes, norm="forward")
-    assert np.array_equal(run(*_forward(vals, d, h, FRESH)), full[..., :h])
+    assert np.array_equal(run(*_forward(vals, d, h, spectral.Work())), full[..., :h])
     shape = (2,) + (M,) * (d - 1)
     c = rng.standard_normal(shape + (h,)) + 1j * rng.standard_normal(shape + (h,))
     padded = np.zeros(shape + (M // 2 + 1,), dtype=np.complex128)
@@ -440,6 +442,8 @@ def test_field_arithmetic(grid32, grid64):
     np.testing.assert_array_equal((a - b).values, -1.0)
     np.testing.assert_array_equal((2.0 * b).values, 4.0)
     np.testing.assert_array_equal((b / 2.0).values, 1.0)
+    np.testing.assert_array_equal((3.0 - b).values, 1.0)
+    np.testing.assert_array_equal((a / b).values, 0.5)
     np.testing.assert_array_equal((-a).values, -1.0)
     c = Field(grid64, np.ones(64))
     with pytest.raises(ConfigError, match="different grids"):
@@ -451,3 +455,5 @@ def test_field_rejects_bad_values(grid32):
         Field(grid32, np.full(32, np.nan))
     with pytest.raises(ConfigError):
         Field(grid32, np.ones(16))
+    with pytest.raises(ConfigError, match="coefficient shape"):
+        SpectralField(grid32, np.ones(16))
