@@ -26,7 +26,7 @@ from .counterexample import build_pair, verify_counterexample
 from .errors import BlowupError, ConfigError, CrossfluxError
 from .model import config_number, parse_model_json, thresholds
 from .report import Report
-from .solver import RunConfig, State, simulate
+from .solver import RunConfig, State, _check_recording, _recorded_steps, simulate
 from .spaces import TimeSeriesField, besov_Nk, lp_norm, sobolev_norm
 from .spectral import Field, TorusGrid
 from .verifier import (check_duality, check_energy_decay, check_lyapunov_nonconvex,
@@ -65,11 +65,13 @@ def _parse_run(obj, force_record_every: int | None = None):
         if key not in obj:
             raise ConfigError(f"run config is missing {key!r}")
     grid, spec = parse_model_json(obj["model"])
-    u0, v0 = _build_initial(grid, obj["initial"])
     record_every = config_number(obj, "record_every", 1, integral=True)
     dt, t_end = config_number(obj, "dt"), config_number(obj, "t_end")
     if force_record_every is not None:
         record_every = force_record_every
+    # a recording too large for one run is refused before any field is made
+    _check_recording(grid, 2, 1, len(_recorded_steps(dt, t_end, record_every)))
+    u0, v0 = _build_initial(grid, obj["initial"])
     cfg = RunConfig(spec, State(0.0, u0, v0), dt=dt, t_end=t_end,
                     record_every=record_every,
                     scheme=str(obj.get("scheme", "imex")),

@@ -11,11 +11,14 @@ dealiased polynomial fluxes):
 
 States are advanced as coefficient arrays; the zero mode is never
 touched by either scheme, so masses are conserved to the last bit.
+Most steps read only the coefficients, so the time loop turns them into
+samples, diagnoses, records and stop-checks them in blocks of steps.
 Recorded states are stacked into arrays with time as the leading axis.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -34,6 +37,9 @@ MAX_STEPS = 10 ** 7
 # the recorded samples of a run, every field of every batch member in
 # float64, are one preallocated array, so its size is capped too
 MAX_RECORD_BYTES = 2 ** 31
+# `_loop` turns the coefficients of a run's steps into samples, diagnoses
+# and records them in blocks of at most this many bytes of coefficients
+_BLOCK_BYTES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -304,7 +310,7 @@ def _integrate(configs: tuple) -> list:
 
     rec, mins, sums, ended = _loop(plan, [member.initial.u.values for member in configs]
                                    + [member.initial.v.values for member in configs],
-                                   stack, dt, steps, step)
+                                   stack, dt, steps, step, reads_values=regularized)
     step_times = np.arange(config.n_steps + 1) * dt
 
     def result(b, n, r):
@@ -317,71 +323,101 @@ def _integrate(configs: tuple) -> list:
     return [result(b, *ended.get(b, (config.n_steps + 1, len(steps)))) for b in range(B)]
 
 
-def _loop(plan, initial: list, shape: tuple, dt: float, steps: np.ndarray, step) -> tuple:
+def _check_recording(grid: TorusGrid, n_rows: int, members: int, n_records: int) -> None:
+    """Refuses a recording of n_records samples of n_rows fields of
+    `grid`, `members` runs in all, above MAX_RECORD_BYTES."""
+    size = 8 * n_rows * grid.size * n_records
+    if size > MAX_RECORD_BYTES:
+        raise ConfigError(
+            f"recording {members * n_records} states of {grid} takes {size / 2 ** 30:.3g} GiB, "
+            f"above the limit of {MAX_RECORD_BYTES / 2 ** 30:g} GiB")
+
+
+def _loop(plan, initial: list, shape: tuple, dt: float, steps: np.ndarray, step,
+          reads_values: bool = False) -> tuple:
     """The time loop of `simulate` and `solve_kolmogorov`.  `initial` is
     the samples of each row, field by field, of the stack of the given
     shape: one field, fields (S, *grid.shape) or a batch (S, B,
     *grid.shape).  `step(c, vals, work)` gives the calls, (function,
-    arguments) pairs, that advance the coefficients c from the samples
-    vals of the step before, both fixed arrays; the loop builds them once,
-    followed by the calls of vals = to_values(c), and runs that one list
-    on every step.
+    arguments) pairs, that advance the coefficients c, a fixed array; the
+    loop builds them once and runs that one list on every step.
+
+    Steps are diagnosed in blocks of K: each step copies c into its slot
+    of a block of K coefficient stacks, and after every K steps and the
+    last one, one to_values call turns the block into samples, two
+    reductions give their row minima and sums, the recorded steps among
+    them are copied, and the stop rule reads the sums.  K is
+    _BLOCK_BYTES // c.nbytes, at least 1 and at most the number of steps.
+    At K = 1 the block is c itself and its samples are vals, the array of
+    the initial samples, so a step that reads the samples vals of the
+    step before (`reads_values`) runs with K = 1, and a large grid gets
+    no new array.
 
     A recording above MAX_RECORD_BYTES is refused before it is allocated.
     The one stop rule: a member ends at its first step with a non-finite
-    sample.  It is then zeroed, a fixed point of every step, and the loop
-    stops once every member has ended.  Returns the records and every
-    step's row minima and (time first) row sums, rows field by field so
-    each member's are contiguous, and `ended`: member -> (step, records)."""
+    sample.  It is zeroed at the end of that block, a fixed point of every
+    step, and the loop stops at the end of the block in which every
+    member has ended, up to K - 1 steps after the last one ends.  Returns
+    the records and every step's row minima and (time first) row sums,
+    rows field by field so each member's are contiguous, and `ended`:
+    member -> (step, records)."""
     grid = plan.grid
     n_rows = len(initial)
     B = shape[1] if len(shape) == grid.d + 2 else 1
-    size = 8 * n_rows * grid.size * len(steps)
-    if size > MAX_RECORD_BYTES:
-        raise ConfigError(
-            f"recording {B * len(steps)} states of {grid} takes {size / 2 ** 30:.3g} GiB, "
-            f"above the limit of {MAX_RECORD_BYTES / 2 ** 30:g} GiB")
+    _check_recording(grid, n_rows, B, len(steps))
     steps = steps.tolist()
     n_steps = steps[-1]
     ended = {}  # member: the step it ended at and its number of records
     # the initial samples are stacked straight into the work array that
-    # each step's to_values rewrites, so the run holds one array of
-    # samples, and its row view below stays valid for the whole run
+    # to_values rewrites at K = 1, so the run holds one array of samples
     work = Work()
     vals = work.array("values", shape)
     np.stack(initial, out=vals.reshape((n_rows,) + grid.shape))
 
-    def diagnose(n):
-        # every sample of a row is finite exactly when the row's sum is
-        np.minimum.reduce(flat, axis=1, out=mins[:, n])
-        return np.add.reduce(flat, axis=1, out=sums[n]).tolist()
-
     with np.errstate(over="ignore", invalid="ignore"):
         c = plan.to_coeffs(vals)
-        to_values, _ = plan._to_values(c, work)
-        flat = vals.reshape(n_rows, -1)
+        K = 1 if reads_values else max(1, min(n_steps, _BLOCK_BYTES // c.nbytes))
+        block = c if K == 1 else work.array("block", (K,) + c.shape, np.complex128, zero=True)
+        to_values, samples = plan._to_values(block, work)
         rec = np.empty((n_rows, len(steps), grid.size))
         mins = np.empty((n_rows, n_steps + 1))
         sums = np.empty((n_steps + 1, n_rows))
-        diagnose(0)
+        flat = vals.reshape(n_rows, -1)
+        np.minimum.reduce(flat, axis=1, out=mins[:, 0])
+        np.add.reduce(flat, axis=1, out=sums[0])
         rec[:, 0] = flat
-        r = 1
-        calls = step(c, vals, work) + to_values
-        for n in range(1, n_steps + 1):
-            for f, args in calls:
+        calls = step(c, vals, work)
+        slots = [calls] if K == 1 else [calls + [(np.copyto, (slot, c))] for slot in block]
+        n, r = 0, 1  # steps made, records made
+        while n < n_steps:
+            k = min(K, n_steps - n)  # the block of steps n + 1 .. n + k
+            if k < K:
+                to_values, samples = plan._to_values(block[:k], work)
+            for slot_calls in slots[:k]:
+                for f, args in slot_calls:
+                    f(*args)
+            for f, args in to_values:
                 f(*args)
-            row_sums = diagnose(n)
-            if not all(map(math.isfinite, row_sums)):
-                # a member that ended earlier is zero, so its rows are finite
-                ended.update((i % B, (n, r)) for i, s in enumerate(row_sums)
-                             if not math.isfinite(s))
+            flat = samples.reshape(k, n_rows, -1)
+            np.minimum.reduce(flat, axis=2, out=mins[:, n + 1:n + k + 1].T)
+            block_sums = np.add.reduce(flat, axis=2, out=sums[n + 1:n + k + 1])
+            while r < len(steps) and steps[r] <= n + k:
+                rec[:, r] = flat[steps[r] - n - 1]
+                r += 1
+            # a row's samples are all finite exactly when its sum is, and a
+            # member that ended earlier is zero; `first`: each member's
+            # first step in the block with a non-finite row, k if none
+            bad = ~np.isfinite(block_sums)
+            if bad.any():
+                first = np.where(bad.any(axis=0), bad.argmax(axis=0), k).reshape(-1, B).min(0)
+                for b in np.flatnonzero(first < k).tolist():
+                    m = n + 1 + int(first[b])
+                    ended[b] = (m, bisect.bisect_left(steps, m))
                 if len(ended) == B:
                     break
                 for b in ended:
                     c[:, b] = vals[:, b] = 0.0
-            if n == steps[r]:
-                rec[:, r] = flat
-                r += 1
+            n += k
     return rec.reshape((n_rows, len(steps)) + grid.shape), mins, sums, ended
 
 
@@ -427,7 +463,8 @@ def solve_kolmogorov(z_in: Field, mu: TimeSeriesField, f: TimeSeriesField,
         transform, cw = plan._to_coeffs(forcing, work)
         return [(coefficients, ())] + transform + _imex_update(c, cw, dt_lam, den)
 
-    rec, _, _, ended = _loop(plan, [z_in.values], grid.shape, dt, steps, step)
+    rec, _, _, ended = _loop(plan, [z_in.values], grid.shape, dt, steps, step,
+                             reads_values=True)
     if ended:
         n, r = ended[0]
         raise BlowupError(n, TimeSeriesField(steps[:r] * dt, rec[0, :r]))

@@ -4,7 +4,9 @@ import copy
 import csv
 import json
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -537,6 +539,27 @@ def test_stability_batch_recording_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "configuration error: recording 3072 states of TorusGrid(d=2, N=256) takes 3 GiB, "
         "above the limit of 2 GiB"]
+
+
+def test_an_oversized_recording_is_refused_before_any_field_is_made(tmp_path, capsys):
+    # 2-d N=16384: u, v and the cosine wave take 2 GiB each, and 11
+    # recorded states of both species 44 GiB.  dt, t_end and record_every
+    # alone refuse the recording, before the initial data are built
+    cfg = write_json(tmp_path / "run.json",
+                     run_config(model=dict(MODEL, d=2, N=16384), dt=1e-3, t_end=1e-2,
+                                record_every=1))
+    with mock.patch.object(cli, "_build_initial", side_effect=AssertionError("fields built")):
+        tracemalloc.start()
+        try:
+            code = run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "configuration error: recording 11 states of TorusGrid(d=2, N=16384) takes 44 GiB, "
+        "above the limit of 2 GiB"]
+    assert peak < 4 * 2 ** 20
 
 
 @pytest.mark.parametrize(

@@ -432,16 +432,17 @@ def test_simulate_keeps_zero_coefficients_bitwise(d, seed, scheme):
     cfg = RunConfig(spec, State(0.0, Field(grid, u0), Field(grid, v0)), dt=dt,
                     t_end=5 * dt, scheme="imex" if scheme == "regularized" else scheme,
                     variant="regularized" if scheme == "regularized" else "plain")
-    zero = (slice(None),) + (0,) * d
+    zero = (Ellipsis,) + (0,) * d
     seen = []
     original = SpectralPlan._to_values
 
     def spy(plan, coeffs, work):
-        # the to_values calls of the step, each run led by a copy of the
-        # zero coefficients it reads
+        # the loop's to_values calls, of the coefficient stack or of a
+        # block of them, each run led by a copy of the zero coefficients
+        # of every stack it reads
         calls, out = original(plan, coeffs, work)
-        if coeffs.shape[:1] == (2,) and coeffs.ndim == d + 1:
-            calls = [(lambda: seen.append(coeffs[zero].copy()), ())] + calls
+        if coeffs.ndim in (d + 1, d + 2) and coeffs.shape[-d - 1] == 2:
+            calls = [(lambda: seen.extend(coeffs[zero].reshape(-1, 2).copy()), ())] + calls
         return calls, out
 
     with mock.patch.object(SpectralPlan, "_to_values", spy):
@@ -452,6 +453,8 @@ def test_simulate_keeps_zero_coefficients_bitwise(d, seed, scheme):
         assert np.array_equal(c0, initial)
 
 
+# per_step counts the FFT calls of a step and of the inverse of its new
+# state, d calls, which the loop makes once per block for all its steps
 FFT_CASES = pytest.mark.parametrize("d, N, scheme, per_step, batch", [
     pytest.param(1, 64, "imex", 3, 1, id="1-64-imex-3"),
     pytest.param(1, 64, "rk4", 9, 1, id="1-64-rk4-9"),
@@ -493,10 +496,13 @@ def fft_calls(d, N, scheme, steps, batch=1, listed=False, shapes=False):
 @FFT_CASES
 def test_fft_calls_per_step(d, N, scheme, per_step, batch):
     # a guard on the step's cost: per step, one padded inverse and one
-    # projection per flux evaluation and one inverse of the new state,
-    # each one numpy FFT call per axis, however many runs the batch holds
-    assert (len(fft_calls(d, N, scheme, 6, batch)) - len(fft_calls(d, N, scheme, 2, batch))
-            == 4 * per_step)
+    # projection per flux evaluation, each one numpy FFT call per axis,
+    # however many runs the batch holds.  The new states are turned into
+    # samples once per block: a run this short is one block, so besides
+    # its steps it makes the initial transform and one block inverse
+    six = len(fft_calls(d, N, scheme, 6, batch))
+    assert six - len(fft_calls(d, N, scheme, 2, batch)) == 4 * (per_step - d)
+    assert six == d + 6 * (per_step - d) + d
 
 
 @FFT_CASES
@@ -508,10 +514,10 @@ def test_fft_calls_write_into_the_run_work_arrays(d, N, scheme, per_step, batch)
         return a if a.base is None else a.base
 
     short, long = fft_calls(d, N, scheme, 2, batch), fft_calls(d, N, scheme, 6, batch)
-    # the four extra steps make their transforms through numpy.fft, so
-    # the checks below see them
-    assert len(long) - len(short) == 4 * per_step
-    assert all(isinstance(out, np.ndarray) for out in long[-4 * per_step:])
+    # the four extra steps and the block inverse make their transforms
+    # through numpy.fft, so the checks below see them
+    assert len(long) - len(short) == 4 * (per_step - d)
+    assert all(isinstance(out, np.ndarray) for out in long[-4 * (per_step - d) - d:])
     # the lists keep every array alive, so distinct arrays have distinct ids
     assert (len({id(owner(out)) for out in long})
             == len({id(owner(out)) for out in short}))
@@ -668,9 +674,14 @@ def blowup_configs(d, N, variant, amplitudes, t_end=2e-2):
     pytest.param(2, 16, "plain", (14, 19), id="2d-16"),
 ])
 def test_batch_blowup_keeps_each_members_own_result(d, N, variant, steps):
-    # the data of the CLI's partial-report blow-up: amplitude 2.9 is
-    # unstable at dt = 1e-3 and blows up first, amplitude 1.5 after it;
-    # the other members run to t_end
+    check_batch_blowup(d, N, variant, steps)
+
+
+def check_batch_blowup(d, N, variant, steps):
+    """The data of the CLI's partial-report blow-up: amplitude 2.9 is
+    unstable at dt = 1e-3 and blows up first, at steps[0], amplitude 1.5
+    after it, at steps[1]; the other members run to t_end.  Each member's
+    result is that of its single run."""
     configs = blowup_configs(d, N, variant, ((0.5, 0.05), (2.9, 2.9), (0.6, 0.03), (1.5, 1.5)))
     members = simulate(configs)
     for i, step in zip((1, 3), steps):
@@ -681,6 +692,25 @@ def test_batch_blowup_keeps_each_members_own_result(d, N, variant, steps):
         assert_same_run(members[i].trajectory, single.value.trajectory)
     for i in (0, 2):
         assert_same_run(members[i], simulate(configs[i]))
+
+
+def stack_bytes(grid, rows=2):
+    """Bytes of a run's coefficient stack of the given number of rows."""
+    return rows * 2 * spectral_plan(grid, grid.N).lam.nbytes
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("d, N, steps", [
+    pytest.param(1, 32, (13, 18), id="imex-plain"),
+    pytest.param(2, 16, (14, 19), id="2d-16"),
+])
+def test_batch_blowups_at_block_edges_keep_each_members_own_result(monkeypatch, K, d, N,
+                                                                   steps):
+    # blocks of K steps of the 4-member batch (its single runs make
+    # blocks of 4K): at K = 3, step 13 is the first of its block and 18
+    # the last; at K = 2, 13 and 19 are first and 14 and 18 last
+    monkeypatch.setattr(solver, "_BLOCK_BYTES", K * stack_bytes(TorusGrid(d, N), 8))
+    check_batch_blowup(d, N, "plain", steps)
 
 
 def test_a_batch_with_a_blowup_runs_one_loop():
@@ -705,13 +735,15 @@ def test_simulate_and_solve_kolmogorov_share_one_loop(grid32, cosine):
 
 def test_a_batch_that_blows_up_entirely_ends_at_its_last_blowup():
     # 1000 steps are configured; the last member to blow up does so at
-    # step 18, and the loop makes no step after it: after the initial
+    # step 18, and the loop makes no step after the block that holds it.
+    # The batch's (2, 3, 17) coefficient stack takes 1632 bytes, so a
+    # block holds 2 ** 16 // 1632 = 40 steps.  After the initial
     # transform, one r2c a step (the flux projection's)
     configs = blowup_configs(1, 32, "plain", ((2.9, 2.9), (1.5, 1.5), (4.0, 4.0)), t_end=1.0)
     with mock.patch.object(spectral, "_r2c", wraps=spectral._r2c) as r2c:
         members = simulate(configs)
     assert [m.step for m in members] == [13, 18, 12]
-    assert r2c.call_count == 1 + 18
+    assert r2c.call_count == 1 + 40
 
 
 def test_batch_members_differ_only_in_their_initial_states(grid32, grid64, cosine):
@@ -785,6 +817,34 @@ def test_simulate_is_the_fresh_array_loop_bitwise(rng, d, N, spec, scheme, varia
     assert np.array_equal(traj.u, vals[0]) and np.array_equal(traj.v, vals[1])
     assert np.array_equal(traj.min_u, mins[0]) and np.array_equal(traj.min_v, mins[1])
     assert np.array_equal(traj.mass_u, means[0]) and np.array_equal(traj.mass_v, means[1])
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+@pytest.mark.parametrize("scheme", ["imex", "rk4"])
+@pytest.mark.parametrize("d, N", [(1, 16), (2, 8)])
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_blocks_of_steps_are_the_fresh_array_loop_bitwise(monkeypatch, rng, K, d, N, scheme,
+                                                          record_every):
+    # a budget of K coefficient stacks makes blocks of K steps: runs of
+    # K - 1, K, K + 1 and 2K + 1 steps end inside, at and past a block's
+    # edge.  Each block makes one c2r, and each step one per flux
+    # evaluation
+    grid = TorusGrid(d, N)
+    monkeypatch.setattr(solver, "_BLOCK_BYTES", K * stack_bytes(grid))
+    u0, v0 = (m + 0.2 * rng.uniform(0.0, 1.0, grid.shape) for m in (0.3, 0.4))
+    init = State(0.0, Field(grid, u0), Field(grid, v0))
+    dt = 0.5 * rk4_max_dt(SKT, init)
+    for n_steps in sorted({K - 1, K, K + 1, 2 * K + 1} - {0}):
+        cfg = RunConfig(SKT, init, dt=dt, t_end=n_steps * dt, record_every=record_every,
+                        scheme=scheme)
+        with mock.patch.object(spectral, "_c2r", wraps=spectral._c2r) as c2r:
+            traj = simulate(cfg)
+        assert c2r.call_count == n_steps * (4 if scheme == "rk4" else 1) + -(-n_steps // K)
+        vals, mins, means = fresh_loop(SKT, u0, v0, dt, n_steps, scheme, "plain")
+        at = solver._recorded_steps(dt, cfg.t_end, record_every)
+        assert np.array_equal(traj.u, vals[0][at]) and np.array_equal(traj.v, vals[1][at])
+        assert np.array_equal(traj.min_u, mins[0]) and np.array_equal(traj.min_v, mins[1])
+        assert np.array_equal(traj.mass_u, means[0]) and np.array_equal(traj.mass_v, means[1])
 
 
 @pytest.mark.parametrize("d, N, scheme", [(1, 32, "imex"), (1, 16, "rk4"), (2, 8, "imex")])
