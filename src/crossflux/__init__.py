@@ -1,5 +1,5 @@
 """Pseudo-spectral simulation and estimate verification for two-species
-cross-diffusion systems on the flat torus (one or two dimensions)."""
+cross-diffusion systems on the flat torus (one, two or three dimensions)."""
 
 from .counterexample import (QuinticRoots, StaircasePair, build_pair,
                              quintic_roots, staircase, verify_counterexample)

@@ -45,7 +45,7 @@ def _build_initial(grid: TorusGrid, obj) -> tuple[Field, Field]:
         um, ua = config_number(obj, "u_mean"), config_number(obj, "u_amp")
         vm, va = config_number(obj, "v_mean"), config_number(obj, "v_amp")
         mode = config_number(obj, "mode", 1, integral=True)
-        # coords(0) already spans the grid, constant along the second axis in 2-d
+        # coords(0) already spans the grid, constant along the other axes
         wave = np.cos(2.0 * np.pi * mode * grid.coords(0))
         return Field(grid, um + ua * wave), Field(grid, vm + va * wave)
     if kind == "files":
@@ -385,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="build and verify the staircase family")
     p.add_argument("--nmax", type=int, default=5)
     p.add_argument("--grid", type=int, default=4096)
-    p.add_argument("--d", type=int, default=1, choices=(1, 2))
+    p.add_argument("--d", type=int, default=1)
     p.add_argument("--report", required=True)
     p.add_argument("--dump-fields", default=None)
     p.set_defaults(func=_cmd_counterexample)

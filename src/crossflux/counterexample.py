@@ -79,8 +79,8 @@ def staircase(n: int, grid: TorusGrid) -> Field:
 
     The sign at sample i depends only on the integer (2i+1) mod 4M with
     M = N / 2^(n+1), so the construction is exact: no floating-point
-    comparison ever sits on a jump. On a 2-d grid the wave depends on
-    the first coordinate only.
+    comparison ever sits on a jump. For d >= 2 the wave depends on the
+    first coordinate only.
     """
     if n < 1 or n != int(n):
         raise DomainError(f"staircase level must be a positive integer, got {n}")
@@ -91,9 +91,8 @@ def staircase(n: int, grid: TorusGrid) -> Field:
     m = grid.N // 2 ** (n + 1)
     i = np.arange(grid.N)
     line = np.where((2 * i + 1) % (4 * m) < 2 * m, 1.0, -1.0)
-    vals = line if grid.d == 1 else np.broadcast_to(
-        line[:, None], grid.shape).copy()
-    return Field(grid, vals)
+    vals = np.broadcast_to(line.reshape((grid.N,) + (1,) * (grid.d - 1)), grid.shape)
+    return Field(grid, vals.copy())
 
 
 def build_pair(n: int, grid: TorusGrid) -> StaircasePair:

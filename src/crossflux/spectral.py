@@ -1,4 +1,4 @@
-"""Spectral calculus on the flat torus [0,1)^d for d in {1, 2}.
+"""Spectral calculus on the flat torus [0,1)^d for d in {1, 2, 3}.
 
 Conventions
 -----------
@@ -19,9 +19,10 @@ conjugate half of the last axis.  `full_coeffs`/`half_coeffs` convert.
 Every transform goes through a `SpectralPlan`, which alone knows the
 phase factors; `poly_plan` alone applies the dealiasing rule
 (`dealias_size`) to the polynomials a caller evaluates.  The plan makes
-one FFT call per axis: r2c on the last axis, then in 2-d c2c on the
-first axis over the stored N/2+1 columns only, and the reverse for the
-inverse, whose c2r to M points pads the columns of a finer grid.
+one FFT call per axis: r2c on the last axis, then c2c on each other axis
+over the stored N/2+1 columns only, and the reverse for the inverse,
+whose c2r to M points pads the columns of a finer grid.  No step of it
+forks on d: each leading axis adds one FFT call and its pieces.
 
 Those calls are the FFT seam, `_r2c`, `_c2c`, `_ic2c` and `_c2r`, the
 only FFT calls of the package.  Each calls numpy's pocketfft gufunc
@@ -37,6 +38,7 @@ once and runs it as one flat list.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -53,27 +55,25 @@ MAX_FINE_RATIO = 8
 
 
 @lru_cache(maxsize=64)
-def _fourier_data(d: int, n: int):
-    """Frequency axes, |xi|^2, and half-cell phase factors for an n^d grid."""
+def _fourier_data(d: int, n: int, h: int):
+    """Frequency axes, |xi|^2, and half-cell phase factors for an n^d grid,
+    on the first h columns of the last axis."""
     freqs = np.rint(np.fft.fftfreq(n) * n).astype(np.int64)
-    axes = []
-    for ax in range(d):
-        shape = [1] * d
-        shape[ax] = n
-        axes.append(freqs.reshape(shape))
+    axes = [freqs.reshape((n,) + (1,) * (d - 1 - ax)) for ax in range(d - 1)] + [freqs[:h]]
     xi_sq = sum(a.astype(np.float64) ** 2 for a in axes)
-    phase_fwd = np.ones((n,) * d, dtype=np.complex128)
+    phase_fwd = np.ones((n,) * (d - 1) + (h,), dtype=np.complex128)
     for a in axes:
         phase_fwd = phase_fwd * np.exp(-1j * math.pi * a / n)
     return tuple(axes), xi_sq, phase_fwd, np.conj(phase_fwd)
 
 
 class TorusGrid:
-    """Uniform cell-centered grid with N = 2^J points per axis, J >= 3."""
+    """Uniform cell-centered grid in d = 1, 2 or 3 dimensions with N = 2^J
+    points per axis, J >= 3."""
 
     def __init__(self, d: int, N: int):
-        if d not in (1, 2):
-            raise ConfigError(f"d must be 1 or 2, got {d}")
+        if d not in (1, 2, 3):
+            raise ConfigError(f"d must be 1, 2 or 3, got {d}")
         if N < 8 or (N & (N - 1)) != 0:
             raise ConfigError(f"N must be a power of two >= 8, got {N}")
         self.d = d
@@ -161,19 +161,13 @@ class SpectralField:
         object.__setattr__(self, "coeffs", c)
 
     def get(self, xi) -> complex:
-        """Coefficient at integer frequency xi (scalar for d=1, pair for d=2)."""
-        if self.grid.d == 1:
-            idx = (int(xi),)
-        else:
-            try:
-                idx = tuple(int(c) for c in xi)
-            except TypeError:
-                raise DomainError("d=2 frequencies are pairs") from None
-            if len(idx) != 2:
-                raise DomainError("d=2 frequencies are pairs")
-        half = self.grid.N // 2
+        """Coefficient at integer frequency xi: a scalar for d=1, else a d-tuple."""
+        idx = tuple(int(c) for c in np.reshape(xi, -1))
+        if len(idx) != self.grid.d:
+            raise DomainError(f"frequencies on a d={self.grid.d} grid are {self.grid.d}-tuples: "
+                              "pairs in 2-d, triples in 3-d")
         for c in idx:
-            if abs(c) > half:
+            if abs(c) > self.grid.N // 2:
                 raise DomainError(f"frequency {idx} outside |xi| <= N/2")
         return complex(self.coeffs[tuple(c % self.grid.N for c in idx)])
 
@@ -200,9 +194,9 @@ def _mirror(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     N = grid.N
     rev = -np.arange(N) % N
     sign = np.where(rev == N // 2, -1.0, 1.0)
-    out = coeffs[..., rev] * sign
-    if grid.d == 2:
-        out = out[..., rev, :] * sign[:, None]
+    out = coeffs
+    for axis in range(-1, -grid.d - 1, -1):
+        out = np.take(out, rev, axis) * sign.reshape((N,) + (1,) * (-1 - axis))
     return np.conj(out)
 
 
@@ -246,11 +240,10 @@ class Work:
         self._arrays = {}
 
     def array(self, name: str, shape: tuple, dtype=np.float64, zero: bool = False):
-        try:
-            return self._arrays[name, shape]
-        except KeyError:
+        a = self._arrays.get((name, shape))
+        if a is None:
             a = self._arrays[name, shape] = (np.zeros if zero else np.empty)(shape, dtype)
-            return a
+        return a
 
 
 # The FFT seam (see the module docstring).  A seam function looks up
@@ -259,9 +252,6 @@ class Work:
 # lock later runs onto the replacement.  Its gufunc gets the factor that
 # numpy's `_raw_fft` passes: 1/n forward, 1 inverse.  The gufuncs are
 # private to numpy 2.x; `test_fft_seam_is_numpy_fft_bitwise` pins them.
-_AXIS_2 = [(-2,), (), (-2,)]
-
-
 def _r2c(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """r2c of the last axis (even length n, as on every grid), "forward"
     norm, into out."""
@@ -271,20 +261,20 @@ def _r2c(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return rfft(a, axis=-1, norm="forward", out=out)
 
 
-def _c2c(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Forward c2c of axis -2, "forward" norm, into out (may be a)."""
+def _c2c(a: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
+    """Forward c2c of `axis`, "forward" norm, into out (may be a)."""
     fft = np.fft.fft
     if fft is _pocketfft.fft:
-        return _pfu.fft(a, 1 / a.shape[-2], axes=_AXIS_2, out=out)
-    return fft(a, axis=-2, norm="forward", out=out)
+        return _pfu.fft(a, 1 / a.shape[axis], axes=[(axis,), (), (axis,)], out=out)
+    return fft(a, axis=axis, norm="forward", out=out)
 
 
-def _ic2c(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Inverse c2c of axis -2, "forward" norm, into out (may be a)."""
+def _ic2c(a: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
+    """Inverse c2c of `axis`, "forward" norm, into out (may be a)."""
     ifft = np.fft.ifft
     if ifft is _pocketfft.ifft:
-        return _pfu.ifft(a, 1.0, axes=_AXIS_2, out=out)
-    return ifft(a, axis=-2, norm="forward", out=out)
+        return _pfu.ifft(a, 1.0, axes=[(axis,), (), (axis,)], out=out)
+    return ifft(a, axis=axis, norm="forward", out=out)
 
 
 def _c2r(a: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -310,30 +300,39 @@ def _forward(vals: np.ndarray, d: int, h: int, work: Work) -> tuple:
     """The calls of the forward transform of `vals` into `work`, and the
     array they give: the first h columns of the real FFT ("forward" norm)
     over the trailing d axes, a view into a work array.  r2c on the last
-    axis, then in 2-d c2c in place on the first axis over those h columns
-    only.  numpy's `rfftn` makes the same per-axis calls, so the numbers
-    are those of its columns :h."""
+    axis, then c2c in place on each other axis, last to first, over those
+    h columns only.  numpy's `rfftn` makes the same per-axis calls, so the
+    numbers are those of its columns :h."""
     spectrum = work.array("spectrum", vals.shape[:-1] + (vals.shape[-1] // 2 + 1,),
                           np.complex128)
     f = spectrum[..., :h]
-    calls = [(_r2c, (vals, spectrum))]
-    if d == 2:
-        calls.append((_c2c, (f, f)))
-    return calls, f
+    return [(_r2c, (vals, spectrum))] + [(_c2c, (f, f, ax)) for ax in range(-2, -d - 1, -1)], f
 
 
 def _inverse(coeffs: np.ndarray, d: int, out: np.ndarray,
              mid: np.ndarray | None = None) -> list:
     """The calls that write into `out` the samples on its n^d grid of
-    half-layout coefficients (all n rows in 2-d) whose columns past the
-    given ones are zero: in 2-d c2c on the first axis, into `mid` or else
-    in place in `coeffs`, then c2r to n points on the last axis, which
-    pads the missing columns with zeros.  The numbers are those of
-    `irfftn` of the explicitly zero-padded array."""
-    if d == 1:
-        return [(_c2r, (coeffs, out))]
+    half-layout coefficients (all n rows of the other axes) whose columns
+    past the given ones are zero: c2c on each axis but the last, first to
+    last, the first into `mid` or else in place in `coeffs` and the others
+    in place, then c2r to n points on the last axis, which pads the
+    missing columns with zeros.  The numbers are those of `irfftn` of the
+    explicitly zero-padded array."""
     mid = coeffs if mid is None else mid
-    return [(_ic2c, (coeffs, mid)), (_c2r, (mid, out))]
+    calls, src = [], coeffs
+    for axis in range(-d, -1):
+        calls.append((_ic2c, (src, mid, axis)))
+        src = mid
+    return calls + [(_c2r, (src, out))]
+
+
+def _products(per_axis: tuple, d: int, tail: tuple) -> list:
+    """A k-tuple of indices into k arrays for each choice of a piece of
+    `per_axis` (a k-tuple of slices) on each of the d - 1 leading spatial
+    axes; `tail` indexes the axes after them."""
+    return [tuple((Ellipsis,) + tuple(p[i] for p in choice) + tail
+                  for i in range(len(per_axis[0])))
+            for choice in itertools.product(per_axis, repeat=d - 1)]
 
 
 class SpectralPlan:
@@ -341,7 +340,7 @@ class SpectralPlan:
     in the real-FFT half layout.
 
     Coefficients keep the frequencies 0..N/2 of the last axis (all N of
-    the first axis in 2-d); the rest follow from c(-xi) = conj(c(xi)).
+    each other axis); the rest follow from c(-xi) = conj(c(xi)).
     The N/2 column holds the -N/2 coefficient of the full layout, whose
     unpaired slot encodes a sine-type mode.  `lam` and `xi_sq` are laid
     out alike.  `power` gives the Parseval density of coefficients: a sum
@@ -356,14 +355,20 @@ class SpectralPlan:
     each unpaired -N/2 slot between -N/2 and +N/2 with opposite signs;
     along the half axis only +N/2 is stored, as -c/2, its mirror holding
     +c/2.  Truncation folds +N/2 back into -N/2: along the half axis
-    c(xi0, -N/2) = conj(F(-xi0, N/2)) - F(xi0, N/2), then the first axis
-    is folded row by row.  So project_fine(fine_values(c)) == c.
+    c(xi', -N/2) = conj(F(-xi', N/2)) - F(xi', N/2), then along each
+    other axis, the -N/2 row minus the +N/2 row.  So
+    project_fine(fine_values(c)) == c.
 
-    Transforms go through `_forward`/`_inverse`, one call of the FFT
-    seam per axis.  The c2r to M points pads the columns past N/2, so
-    1-d padding builds no zero array and 2-d padding an (M, N/2+1) one
-    for the rows; the first-axis passes skip the columns that are all zero (inverse) or
-    thrown away (forward).  The numbers are bitwise those of
+    Both work in pieces: per axis but the last, the low half, the high
+    half and the split -N/2 row; each of their 3^(d-1) products times its
+    phase.  Padding writes them into a zero array of M rows per leading
+    axis; the c2r to M points pads the columns.  Projection writes them
+    into coefficients with an extra row N per leading axis for the fine
+    +N/2 row, mirrors the N/2 column in 5 pieces per leading axis and
+    gives rows :N; `to_values` shares that array, as its contiguous head.
+    Transforms go through `_forward`/`_inverse`, one seam call per axis;
+    the passes of the other axes skip the columns that are all zero
+    (inverse) or thrown away (forward).  The numbers are bitwise those of
     `rfftn`/`irfftn` on the full M-grid.
 
     Every method writes its intermediates and its result into the arrays
@@ -377,10 +382,10 @@ class SpectralPlan:
     for its input on a new work object and runs them.  The time loop
     builds a step from the binders, once, on one work object per run, and
     runs it on every step, so its steps reuse the same arrays, and the
-    2-d padding array is zeroed once, each step rewriting only its N rows
-    and the split row.  A plan holds no work arrays and no calls, as
-    plans are shared.  Inputs are only read, and in 2-d their row blocks
-    are sliced when the calls are built.
+    padding array is zeroed once, each step rewriting only its pieces.
+    A plan holds no work arrays and no calls, as plans are shared.
+    Inputs are only read, and their pieces are sliced when the calls are
+    built, from index tuples the plan makes once.
 
     Every method acts on the trailing d axes and maps over any leading
     axes, so a stack of fields of shape (T, *grid.shape) is transformed
@@ -393,34 +398,42 @@ class SpectralPlan:
         self.grid = grid
         self.M = M
         d, N = grid.d, grid.N
-        h = N // 2 + 1
-        axes, xi_sq, fwd, inv = _fourier_data(d, N)
-        self._freq_axes = tuple(a[..., :h] for a in axes)
-        self.xi_sq = xi_sq[..., :h]
+        h, n2 = N // 2 + 1, N // 2
+        self._freq_axes, self.xi_sq, self._fwd, self._inv = _fourier_data(d, N, h)
         self.lam = FOUR_PI_SQ * self.xi_sq
-        self._weight = np.where((np.arange(h) == 0) | (np.arange(h) == N // 2), 1.0, 2.0)
-        self._fwd, self._inv = fwd[..., :h], inv[..., :h]
+        self._weight = np.where((np.arange(h) == 0) | (np.arange(h) == n2), 1.0, 2.0)
+        # the projection's coefficients, whose row N per leading axis is +N/2
+        self._ext_shape = (N + 1,) * (d - 1) + (h,)
         if M == N:
             return
-        _, _, fine_fwd, fine_inv = _fourier_data(d, M)
-        # rows of the M-grid that hold the N rows of the first axis (2-d)
-        k = np.arange(N)
-        rows = np.where(k < N // 2, k, k + M - N)
+        _, _, fine_fwd, fine_inv = _fourier_data(d, M, h)
         # padding multiplies by the phase of the slot it fills; the -N/2
-        # column is stored at +N/2 as -1/2 c, the -N/2 row (2-d) is split
-        # as +1/2 c there and -1/2 c at the +N/2 row
-        pad = fine_inv[..., :h].copy()
-        pad[..., N // 2] *= -0.5
-        if d == 2:
-            self._pad_split = -0.5 * pad[N // 2]
-            pad = pad[rows]
-            pad[N // 2] *= 0.5
-            self._proj_col = fine_fwd[:, N // 2]
-            self._proj_split = fine_fwd[N // 2, :h]
-            self._proj = fine_fwd[rows, :h]
-        else:
-            self._proj = fine_fwd[:h]
-        self._pad = pad
+        # column is stored at +N/2 as -1/2 c, the -N/2 row of each leading
+        # axis is split as +1/2 c there and -1/2 c at its +N/2 row
+        pad = fine_inv.copy()
+        pad[..., n2] *= -0.5
+        for axis in range(d - 1):
+            pad[(slice(None),) * axis + (M - n2,)] *= 0.5
+            pad[(slice(None),) * axis + (n2,)] *= -0.5
+        # per leading axis, the low half, the high half and the split -N/2
+        # row, as rows of the coefficients, of the fine grid and of the
+        # projection's coefficients
+        pieces = ((slice(0, n2),) * 3, (slice(n2, N), slice(M - n2, M), slice(n2, N)),
+                  (slice(n2, n2 + 1),) * 2 + (slice(N, N + 1),))
+        self._pad, self._proj = [], []
+        for c, f, e in _products(pieces, d, (slice(None),)):
+            self._pad.append((c, pad[f].copy(), f))
+            self._proj.append((f, fine_fwd[f].copy(), e))
+        # (rows, rows at -xi) of the projection's coefficients, per leading axis
+        self._mirror = _products(((slice(0, 1),) * 2, (slice(1, n2), slice(N - 1, n2, -1)),
+                                  (slice(n2, n2 + 1), slice(N, N + 1)),
+                                  (slice(n2 + 1, N), slice(n2 - 1, 0, -1)),
+                                  (slice(N, N + 1), slice(n2, n2 + 1))), d, ())
+        # (the -N/2 row, the +N/2 row) of each leading axis
+        self._folds = [tuple((Ellipsis,) + (slice(None),) * axis + (row,)
+                             + (slice(None),) * (d - 1 - axis) for row in (n2, N))
+                       for axis in range(d - 1)]
+        self._band = (Ellipsis,) + (slice(0, N),) * (d - 1) + (slice(None),)
 
     def power(self, coeffs: np.ndarray) -> np.ndarray:
         """|c|^2 weighted 1 on columns 0 and N/2, 2 on the others."""
@@ -463,8 +476,13 @@ class SpectralPlan:
 
     def _scaled_inverse(self, coeffs, factor, n, name, work):
         # samples on the n-point grid, in the work array `name`, of the
-        # coefficients times `factor`, padded by irfft(n=n) alone
-        c = work.array("coeffs", coeffs.shape, np.complex128)
+        # coefficients times `factor`, padded by irfft(n=n) alone; the
+        # scaled coefficients are the contiguous head of the projection's
+        # array, which is the whole of it in 1-d (no view to build)
+        lead = coeffs.shape[:coeffs.ndim - self.grid.d]
+        c = work.array("coeffs", lead + self._ext_shape, np.complex128)
+        if c.shape != coeffs.shape:
+            c = c.reshape(-1)[:coeffs.size].reshape(coeffs.shape)
         out = work.array(name, coeffs.shape[:-1] + (n,))
         return [(np.multiply, (coeffs, factor, c))] + _inverse(c, self.grid.d, out), out
 
@@ -472,55 +490,36 @@ class SpectralPlan:
         return self._scaled_inverse(coeffs, self._inv, self.grid.N, "values", work)
 
     def _fine_values(self, coeffs, work):
-        d, N, M = self.grid.d, self.grid.N, self.M
-        if M == N or d == 1:
-            # no padding, or padding that irfft(n=M) does
-            return self._scaled_inverse(coeffs, self._inv if M == N else self._pad, M,
-                                        "fine", work)
-        # the first axis is padded in the middle: rows N/2..M-N/2 stay
-        # zero but for the split -N/2 row, so only those rows are written
-        lead, h = coeffs.shape[:-2], N // 2 + 1
-        c = work.array("pad", lead + (M, h), np.complex128, zero=True)
-        # the c2c pass goes into the projection's spectrum, idle until then
-        mid = work.array("spectrum", lead + (M, M // 2 + 1), np.complex128)[..., :h]
-        fine = work.array("fine", lead + (M, M))
-        return [(np.multiply, (coeffs[..., :N // 2, :], self._pad[:N // 2], c[..., :N // 2, :])),
-                (np.multiply, (coeffs[..., N // 2:, :], self._pad[N // 2:],
-                               c[..., M - N // 2:, :])),
-                (np.multiply, (coeffs[..., N // 2, :], self._pad_split, c[..., N // 2, :])),
-                ] + _inverse(c, 2, fine, mid), fine
+        d, h, M = self.grid.d, self.grid.N // 2 + 1, self.M
+        if M == self.grid.N:
+            return self._scaled_inverse(coeffs, self._inv, M, "fine", work)
+        # each leading axis is padded in the middle: its rows between the
+        # halves stay zero but for the split -N/2 row, so only the pieces
+        # are written; irfft(n=M) pads the columns
+        rows = coeffs.shape[:coeffs.ndim - d] + (M,) * (d - 1)
+        c = work.array("pad", rows + (h,), np.complex128, zero=True)
+        # the c2c passes go into the projection's spectrum, idle until then
+        mid = work.array("spectrum", rows + (M // 2 + 1,), np.complex128)
+        fine = work.array("fine", rows + (M,))
+        return ([(np.multiply, (coeffs[i], factor, c[j])) for i, factor, j in self._pad]
+                + _inverse(c, d, fine, mid[..., :h])), fine
 
     def _project_fine(self, vals, work):
-        d, N, M, h = self.grid.d, self.grid.N, self.M, self.grid.N // 2 + 1
+        d, N, M = self.grid.d, self.grid.N, self.M
         if M == N:
             return self._to_coeffs(vals, work)
-        calls, fine = _forward(vals, d, h, work)
-        out = work.array("coeffs", vals.shape[:-d] + self.lam.shape, np.complex128)
-        if d == 1:
-            col = out[..., N // 2]
-            conj = work.array("column", col.shape, np.complex128)
-            return calls + [(np.multiply, (fine, self._proj, out)), (np.conjugate, (col, conj)),
-                            (np.subtract, (conj, col, col))], out
-        # col = conj(col(-k)) - col(k) for col = the fine N/2 column times
-        # proj_col, and row = the fine N/2 row times proj_split
-        lead = vals.shape[:-2]
-        col = work.array("column", lead + (M,), np.complex128)
-        rev = work.array("reversed column", lead + (M,), np.complex128)
-        row = work.array("row", lead + (h,), np.complex128)
-        low, high, split = out[..., :N // 2, :], out[..., N // 2:, :], out[..., N // 2, :]
-        return calls + [
-            (np.multiply, (fine[..., N // 2], self._proj_col, col)),
-            (np.conjugate, (col[..., :1], rev[..., :1])),
-            (np.conjugate, (col[..., :0:-1], rev[..., 1:])),
-            (np.subtract, (rev, col, col)),
-            (np.multiply, (fine[..., :N // 2, :], self._proj[:N // 2], low)),
-            (np.multiply, (fine[..., M - N // 2:, :], self._proj[N // 2:], high)),
-            (np.copyto, (out[..., :N // 2, N // 2], col[..., :N // 2])),
-            (np.copyto, (out[..., N // 2:, N // 2], col[..., M - N // 2:])),
-            (np.multiply, (fine[..., N // 2, :], self._proj_split, row)),
-            (np.copyto, (row[..., N // 2], col[..., N // 2])),
-            (np.subtract, (split, row, split)),
-        ], out
+        calls, fine = _forward(vals, d, N // 2 + 1, work)
+        # the pieces times their phases, the +N/2 rows into the rows N; the
+        # N/2 column folds as conj(col(-xi)) - col(xi), then, axis by axis,
+        # each -N/2 row as itself minus the +N/2 row
+        out = work.array("coeffs", vals.shape[:vals.ndim - d] + self._ext_shape, np.complex128)
+        col = out[..., N // 2]
+        rev = work.array("column", col.shape, np.complex128)
+        calls += [(np.multiply, (fine[i], factor, out[j])) for i, factor, j in self._proj]
+        calls += [(np.conjugate, (col[i], rev[j])) for j, i in self._mirror]
+        calls += [(np.subtract, (rev, col, col))]
+        calls += [(np.subtract, (out[i], out[j], out[i])) for i, j in self._folds]
+        return calls, out[self._band]
 
     def _poly_coeffs(self, polys, c, work):
         calls, (uf, vf) = self._fine_values(c, work)

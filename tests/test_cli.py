@@ -268,6 +268,19 @@ def test_counterexample_command(tmp_path):
     assert set(np.unique(h1.values)) == {-1.0, 1.0}
 
 
+@pytest.mark.parametrize("argv, code", [(["--d", "3", "--grid", "16", "--nmax", "3"], 0),
+                                        (["--d", "4", "--grid", "16"], 2)], ids=["d-3", "d-4"])
+def test_counterexample_command_takes_the_grid_rule_for_d(tmp_path, capsys, argv, code):
+    # TorusGrid alone decides which d the command accepts
+    assert run_cli(["counterexample", "--report", str(tmp_path / "ce.json")] + argv) == code
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == code // 2
+    if code:
+        assert err.startswith("configuration error: d must be 1, 2 or 3, got 4")
+    else:
+        assert json.loads((tmp_path / "ce.json").read_text())[0]["pass"] is True
+
+
 def test_thresholds_command(tmp_path, capsys):
     cfg = write_json(tmp_path / "model.json", {"model": dict(MODEL), "checks": {"R": 2.0}})
     assert run_cli(["thresholds", "--config", cfg]) == 0
@@ -750,7 +763,7 @@ FUZZ_CASES = {
     "no-N": _edit(["model", "N"], KeyError),
     "no-p": _edit(["model", "p"], KeyError),
     "model-list": _edit(["model"], [1, 2]),
-    "d-3": _edit(["model", "d"], 3),
+    "d-4": _edit(["model", "d"], 4),
     "N-12": _edit(["model", "N"], 12),
     "N-string": _edit(["model", "N"], "16"),
     "d1-inf": _edit(["model", "d1"], math.inf),
@@ -784,6 +797,7 @@ FUZZ_CASES = {
     "checks-list": _edit(["checks"], [1]),
     "negative-mode": _edit(["initial", "mode"], -3),
     "cosine-2d": _edit(["model"], dict(MODEL, d=2, N=16)),
+    "cosine-3d": _edit(["model"], dict(MODEL, d=3, N=8)),
     # an 8 TiB field, which numpy refuses at once
     "grid-too-large": _edit(["model"], dict(MODEL, d=2, N=2 ** 20)),
 }
@@ -802,7 +816,7 @@ def test_malformed_and_edge_configs_fail_cleanly(tmp_path, capsys, name):
         assert "Traceback" not in err
         if code == 2:
             assert len(err.strip().splitlines()) == 1
-    assert code == (0 if name in ("cosine-2d", "negative-mode") else 2)
+    assert code == (0 if name in ("cosine-2d", "cosine-3d", "negative-mode") else 2)
 
 
 @pytest.mark.parametrize("argv", [[], ["transmogrify"], ["simulate"],

@@ -46,10 +46,12 @@ def test_staircase_sign_patterns():
 
 
 def test_staircase_2d_varies_along_first_axis():
-    g = TorusGrid(2, 8)
-    h = staircase(1, g).values
-    assert np.all(h == h[:, :1])  # constant along the second axis
-    np.testing.assert_array_equal(h[:, 0], [1, 1, -1, -1, 1, 1, -1, -1])
+    for d in (2, 3):
+        h = staircase(1, TorusGrid(d, 8)).values
+        # constant along the other axes
+        assert np.all(h == h[(slice(None),) + (slice(0, 1),) * (d - 1)])
+        np.testing.assert_array_equal(h[(slice(None),) + (0,) * (d - 1)],
+                                      [1, 1, -1, -1, 1, 1, -1, -1])
 
 
 def test_pair_values_and_products():

@@ -404,7 +404,7 @@ def reference_imex(spec, u0, v0, dt, n_steps):
 
 
 @pytest.mark.parametrize("spec", [SKT, CUBIC], ids=["skt", "cubic"])
-@pytest.mark.parametrize("d, N", [(1, 32), (2, 16)])
+@pytest.mark.parametrize("d, N", [(1, 32), (2, 16), (3, 8)])
 def test_simulate_matches_full_layout_reference(rng, spec, d, N):
     # white data fills every slot, the unpaired -N/2 ones included
     grid = TorusGrid(d, N)
@@ -419,7 +419,7 @@ def test_simulate_matches_full_layout_reference(rng, spec, d, N):
 
 
 @settings(max_examples=20, deadline=None)
-@given(d=st.sampled_from([1, 2]), seed=st.integers(0, 2 ** 32 - 1),
+@given(d=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2 ** 32 - 1),
        scheme=st.sampled_from(["imex", "rk4", "regularized"]))
 def test_simulate_keeps_zero_coefficients_bitwise(d, seed, scheme):
     # every coefficient stack the loop turns into samples carries the
@@ -460,6 +460,7 @@ FFT_CASES = pytest.mark.parametrize("d, N, scheme, per_step, batch", [
     pytest.param(1, 64, "rk4", 9, 1, id="1-64-rk4-9"),
     pytest.param(2, 16, "imex", 6, 1, id="2-16-imex-6"),
     pytest.param(1, 64, "imex", 3, 2, id="1-64-imex-3-batch2"),
+    pytest.param(3, 8, "imex", 9, 1, id="3-8-imex-9"),
 ])
 
 
@@ -521,6 +522,32 @@ def test_fft_calls_write_into_the_run_work_arrays(d, N, scheme, per_step, batch)
     # the lists keep every array alive, so distinct arrays have distinct ids
     assert (len({id(owner(out)) for out in long})
             == len({id(owner(out)) for out in short}))
+
+
+@pytest.mark.parametrize("d, N, scheme, variant, calls", [
+    (1, 32, "imex", "plain", 15), (1, 64, "rk4", "plain", 73),
+    (1, 32, "imex", "regularized", 19), (2, 16, "imex", "plain", 27)])
+def test_built_step_lists_are_no_longer(d, N, scheme, variant, calls):
+    # a guard on the step's cost besides its FFT calls: the list of
+    # (function, arguments) calls that the loop builds once and runs on
+    # every step is no longer than these counts
+    grid = TorusGrid(d, N)
+    wave = np.cos(2.0 * np.pi * grid.coords(0))
+    init = State(0.0, Field(grid, 0.3 + 0.1 * wave), Field(grid, 0.4 + 0.1 * wave))
+    dt = 0.5 * rk4_max_dt(REGULARIZED_SKT, init)
+    built = []
+    original = solver._loop
+
+    def spy(plan, initial, shape, dt, steps, step, **kwargs):
+        def counted(*args):
+            built.append(step(*args))
+            return built[-1]
+        return original(plan, initial, shape, dt, steps, counted, **kwargs)
+
+    with mock.patch.object(solver, "_loop", spy):
+        simulate(RunConfig(REGULARIZED_SKT, init, dt=dt, t_end=3 * dt, scheme=scheme,
+                           variant=variant))
+    assert len(built) == 1 and len(built[0]) <= calls
 
 
 @pytest.mark.parametrize("d, N, scheme", [(1, 64, "imex"), (1, 64, "rk4"), (2, 16, "imex")])

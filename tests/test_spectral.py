@@ -47,8 +47,8 @@ def padded_poly(p, u, v, M):
 
 
 def test_grid_validation():
-    with pytest.raises(ConfigError, match="d must be 1 or 2"):
-        TorusGrid(3, 64)
+    with pytest.raises(ConfigError, match="d must be 1, 2 or 3"):
+        TorusGrid(4, 64)
     with pytest.raises(ConfigError, match="power of two"):
         TorusGrid(1, 48)
     with pytest.raises(ConfigError, match="power of two"):
@@ -189,7 +189,7 @@ def test_default_padding_dealiases_exactly(rng):
                                        padded_poly(p, u, v, 4 * g.N).values, atol=1e-13)
 
 
-@pytest.mark.parametrize("d, N, M", [(1, 16, 16), (1, 16, 24), (2, 8, 16)])
+@pytest.mark.parametrize("d, N, M", [(1, 16, 16), (1, 16, 24), (2, 8, 16), (3, 8, 12)])
 def test_plan_maps_over_leading_axes(rng, d, N, M):
     # a stack goes through every plan method in one call, bit-equal to
     # the fields one at a time
@@ -204,7 +204,7 @@ def test_plan_maps_over_leading_axes(rng, d, N, M):
             assert np.array_equal(out[i], method(stack[i]))
 
 
-grids = st.sampled_from([(1, 8), (1, 16), (1, 32), (2, 8), (2, 16)])
+grids = st.sampled_from([(1, 8), (1, 16), (1, 32), (2, 8), (2, 16), (3, 8), (3, 16)])
 
 
 @settings(max_examples=30, deadline=None)
@@ -234,7 +234,7 @@ def test_calls_built_on_one_work_are_the_fresh_calls_bitwise(grid, extra, seed):
                     assert np.array_equal(run(*binder(*args, work)), method(*args))
 
 
-@pytest.mark.parametrize("d, N, M", [(1, 16, 24), (2, 8, 12)])
+@pytest.mark.parametrize("d, N, M", [(1, 16, 24), (2, 8, 12), (3, 8, 12)])
 def test_step_lists_look_up_numpy_fft_when_they_run(rng, d, N, M):
     # calls built before numpy.fft is patched, as a time loop builds its
     # step, go through the patched functions, which a tracer of numpy.fft
@@ -262,17 +262,18 @@ def test_step_lists_look_up_numpy_fft_when_they_run(rng, d, N, M):
                                         for name in ("rfft", "irfft", "fft", "ifft")}):
         for (steps, out), fresh in zip(built, expected):
             assert np.array_equal(run(steps, out), fresh)
-    forward, inverse = ["rfft", "fft"][:d], ["ifft", "irfft"][2 - d:]
+    forward, inverse = ["rfft"] + ["fft"] * (d - 1), ["ifft"] * (d - 1) + ["irfft"]
     assert seen == forward + inverse + inverse + forward + inverse + forward
 
 
 @pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["no-lead", "lead-3", "lead-2x3"])
-@pytest.mark.parametrize("rows", [(), (12,)], ids=["1d", "2d"])
+@pytest.mark.parametrize("rows", [(), (12,), (10, 12)], ids=["1d", "2d", "3d"])
 def test_fft_seam_is_numpy_fft_bitwise(rng, lead, rows):
     # the seam calls numpy's private pocketfft gufuncs: each of its four
     # functions gives the bits of its np.fft counterpart, on 1-d (no
-    # rows) and 2-d shapes with leading axes, so a numpy that changes
-    # the private module fails here
+    # rows), 2-d and 3-d shapes with leading axes, the c2c passes along
+    # the first spatial axis, so a numpy that changes the private module
+    # fails here
     from numpy.fft import _pocketfft
     assert all(getattr(np.fft, name) is getattr(_pocketfft, name)
                for name in ("rfft", "fft", "ifft", "irfft"))
@@ -294,16 +295,17 @@ def test_fft_seam_is_numpy_fft_bitwise(rng, lead, rows):
         assert np.array_equal(real, np.fft.irfft(c, n=n, axis=-1, norm="forward"))
     if not rows:
         return
+    axis = -1 - len(rows)
     for seam, numpy_fft in ((spectral._c2c, np.fft.fft), (spectral._ic2c, np.fft.ifft)):
         c = cplx(h)
-        expected = numpy_fft(c, axis=-2, norm="forward")
+        expected = numpy_fft(c, axis=axis, norm="forward")
         into = np.empty_like(c)
-        assert seam(c, into) is into and np.array_equal(into, expected)
+        assert seam(c, into, axis) is into and np.array_equal(into, expected)
         # in place, on the first h columns of a wider array, as the plan calls it
         wide = np.zeros(shape + (h + 4,), np.complex128)
         view = wide[..., :h]
         view[...] = c
-        assert seam(view, view) is view and np.array_equal(view, expected)
+        assert seam(view, view, axis) is view and np.array_equal(view, expected)
         assert not wide[..., h:].any()
 
 
@@ -318,12 +320,13 @@ def test_half_layout_pad_project_round_trip(grid, extra, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(d=st.sampled_from([1, 2]), N=st.sampled_from([8, 16, 32, 64]),
-       data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
-def test_per_axis_transforms_are_rfftn_and_irfftn_bitwise(d, N, data, seed):
+@given(d=st.sampled_from([1, 2, 3]), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_per_axis_transforms_are_rfftn_and_irfftn_bitwise(d, data, seed):
     # the plan's per-axis calls give numpy's n-d transforms to the bit:
     # forward keeps the first N/2+1 columns of rfftn, and the inverse
     # equals irfftn of the coefficients zero-padded to M/2+1 columns
+    # (3-d grids up to N = 16, for memory)
+    N = data.draw(st.sampled_from([8, 16, 32, 64] if d < 3 else [8, 16]), label="N")
     M = data.draw(st.integers(N // 2, 3 * N // 2), label="M/2") * 2
     h = N // 2 + 1
     axes = tuple(range(-d, 0))
@@ -335,7 +338,7 @@ def test_per_axis_transforms_are_rfftn_and_irfftn_bitwise(d, N, data, seed):
     c = rng.standard_normal(shape + (h,)) + 1j * rng.standard_normal(shape + (h,))
     padded = np.zeros(shape + (M // 2 + 1,), dtype=np.complex128)
     padded[..., :h] = c
-    # the 2-d c2c pass runs in place, so the inverse gets a copy of c
+    # the c2c passes run in place, so the inverse gets a copy of c
     out = np.empty(shape + (M,))
     assert np.array_equal(run(_inverse(c.copy(), d, out), out),
                           np.fft.irfftn(padded, s=(M,) * d, axes=axes, norm="forward"))
