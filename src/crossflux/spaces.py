@@ -42,13 +42,15 @@ def lp_norm(field: Field, p: float) -> float:
     """Lebesgue norm with the uniform quadrature weight N^-d per cell."""
     if p == math.inf:
         return float(np.max(np.abs(field.values)))
-    if p < 1:
+    if not p >= 1:
         raise DomainError(f"Lebesgue exponent must satisfy p >= 1, got {p}")
     return float(np.mean(np.abs(field.values) ** p) ** (1.0 / p))
 
 
 def sobolev_norm(field: Field, s: float) -> float:
     """H^s norm with weight (1 + 4*pi^2*|xi|^2)^s, zero mode included."""
+    if not math.isfinite(s):
+        raise DomainError(f"Sobolev exponent must be finite, got {s}")
     plan = spectral_plan(field.grid, field.grid.N)
     power = plan.power(plan.to_coeffs(field.values))
     return float(np.sqrt(np.sum((1.0 + plan.lam) ** s * power)))

@@ -11,10 +11,9 @@ Coefficients are *true* Fourier coefficients of the trigonometric
 interpolant: the half-cell sampling offset is absorbed into a phase
 factor during the transform.  For a real field every representable pair
 (xi, -xi) is conjugate-symmetric; the unpaired Nyquist slot -N/2 holds a
-coefficient encoding a sine-type mode.  A `SpectralField` stores them in
-the full FFT layout (frequencies 0..N/2-1, -N/2..-1 per axis); a
-`SpectralPlan` works in the real-FFT half layout, which drops the
-conjugate half of the last axis.  `full_coeffs`/`half_coeffs` convert.
+coefficient encoding a sine-type mode.  They are stored in one layout,
+the real-FFT half layout of `SpectralPlan`, which drops the conjugate
+half of the last axis; `SpectralField.get` reads any frequency off it.
 
 Every transform goes through a `SpectralPlan`, which alone knows the
 phase factors; `poly_plan` alone applies the dealiasing rule
@@ -50,8 +49,10 @@ from .errors import ConfigError, DomainError
 
 FOUR_PI_SQ = 4.0 * math.pi ** 2
 # largest fine size M per grid size N: the factor by which the degree of
-# the flux polynomials multiplies the memory of every dealiased product
+# the flux polynomials multiplies the memory of every dealiased product;
+# and largest fine grid M^d, 512 MiB per float64 field
 MAX_FINE_RATIO = 8
+MAX_FINE_POINTS = 2 ** 26
 
 
 @lru_cache(maxsize=64)
@@ -148,28 +149,38 @@ class Field:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Fourier coefficients of a real field, FFT layout, phase-corrected."""
+    """Phase-corrected Fourier coefficients of a real field, in the half
+    layout that `spectral_plan(grid, grid.N).to_coeffs` gives."""
 
     grid: TorusGrid
     coeffs: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != self.grid.shape:
-            raise ConfigError(
-                f"coefficient shape {c.shape} does not match grid shape {self.grid.shape}")
+        shape = self.grid.shape[:-1] + (self.grid.N // 2 + 1,)
+        if c.shape != shape:
+            raise ConfigError(f"coefficient shape {c.shape} does not match the half layout "
+                              f"{shape} of grid shape {self.grid.shape}")
         object.__setattr__(self, "coeffs", c)
 
     def get(self, xi) -> complex:
-        """Coefficient at integer frequency xi: a scalar for d=1, else a d-tuple."""
-        idx = tuple(int(c) for c in np.reshape(xi, -1))
-        if len(idx) != self.grid.d:
+        """Coefficient at integer frequency xi: a scalar for d=1, else a d-tuple.
+        For -N/2 < xi_last < 0 it is conj(c(-xi)), negated once per leading
+        axis where -xi sits in the unpaired -N/2 slot (its own mirror; the
+        half-cell phase flips there)."""
+        raw = np.reshape(xi, -1)
+        if len(raw) != self.grid.d:
             raise DomainError(f"frequencies on a d={self.grid.d} grid are {self.grid.d}-tuples: "
                               "pairs in 2-d, triples in 3-d")
-        for c in idx:
-            if abs(c) > self.grid.N // 2:
-                raise DomainError(f"frequency {idx} outside |xi| <= N/2")
-        return complex(self.coeffs[tuple(c % self.grid.N for c in idx)])
+        if not np.all(np.isfinite(raw) & (raw == np.trunc(raw))):
+            raise DomainError(f"frequency {tuple(raw.tolist())} is not integral")
+        idx, N = tuple(int(c) for c in raw), self.grid.N
+        if max(abs(c) for c in idx) > N // 2:
+            raise DomainError(f"frequency {idx} outside |xi| <= N/2")
+        if -N // 2 < idx[-1] < 0:
+            flips = sum(c % N == N // 2 for c in idx[:-1])
+            return (-1) ** flips * complex(np.conj(self.coeffs[tuple(-c % N for c in idx)]))
+        return complex(self.coeffs[tuple(c % N for c in idx[:-1]) + (abs(idx[-1]),)])
 
 
 def dealias_size(N: int, degree: int) -> int:
@@ -185,37 +196,6 @@ def dealias_size(N: int, degree: int) -> int:
     if degree >= 3 and degree % 2:
         M += 1
     return M + M % 2
-
-
-def _mirror(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
-    """The coefficient a real field has at each xi, read off at -xi: the
-    conjugate of c(-xi), sign-flipped once per axis where xi sits in the
-    unpaired -N/2 slot (its own mirror; the half-cell phase flips there)."""
-    N = grid.N
-    rev = -np.arange(N) % N
-    sign = np.where(rev == N // 2, -1.0, 1.0)
-    out = coeffs
-    for axis in range(-1, -grid.d - 1, -1):
-        out = np.take(out, rev, axis) * sign.reshape((N,) + (1,) * (-1 - axis))
-    return np.conj(out)
-
-
-def full_coeffs(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
-    """Full FFT layout of half-layout coefficients (see `SpectralPlan`)."""
-    h = grid.N // 2 + 1
-    full = np.zeros(half.shape[:-1] + (grid.N,), dtype=np.complex128)
-    full[..., :h] = half
-    full[..., h:] = _mirror(grid, full)[..., h:]
-    return full
-
-
-def half_coeffs(grid: TorusGrid, full: np.ndarray) -> np.ndarray:
-    """Half layout of full-layout coefficients, which must be those of a
-    real field: Hermitian-symmetric up to 1e-9 of the largest one."""
-    scale = 1.0 + float(np.max(np.abs(full)))
-    if float(np.max(np.abs(full - _mirror(grid, full)))) > 1e-9 * scale:
-        raise DomainError("coefficients are not Hermitian-symmetric; inverse is not real")
-    return full[..., :grid.N // 2 + 1]
 
 
 class Work:
@@ -341,8 +321,8 @@ class SpectralPlan:
 
     Coefficients keep the frequencies 0..N/2 of the last axis (all N of
     each other axis); the rest follow from c(-xi) = conj(c(xi)).
-    The N/2 column holds the -N/2 coefficient of the full layout, whose
-    unpaired slot encodes a sine-type mode.  `lam` and `xi_sq` are laid
+    The N/2 column holds the -N/2 coefficient of the FFT, whose unpaired
+    slot encodes a sine-type mode.  `lam` and `xi_sq` are laid
     out alike.  `power` gives the Parseval density of coefficients: a sum
     of w(xi)|c(xi)|^2 over all frequencies, for w even in xi, is the
     half-layout sum of w * power(c).  `derivative` gives the samples of
@@ -539,13 +519,19 @@ def spectral_plan(grid: TorusGrid, M: int) -> SpectralPlan:
 def transform(field: Field) -> SpectralField:
     """Forward transform; coefficients satisfy Parseval with the grid mean."""
     g = field.grid
-    return SpectralField(g, full_coeffs(g, spectral_plan(g, g.N).to_coeffs(field.values)))
+    return SpectralField(g, spectral_plan(g, g.N).to_coeffs(field.values))
 
 
 def inverse(sf: SpectralField) -> Field:
-    """Inverse transform back to cell-center samples."""
-    g = sf.grid
-    return Field(g, spectral_plan(g, g.N).to_values(half_coeffs(g, sf.coeffs)))
+    """Inverse transform back to cell-center samples.  The coefficients
+    must be those of a real field: transforming the samples back must
+    give them to within 1e-9 of the largest one."""
+    plan = spectral_plan(sf.grid, sf.grid.N)
+    vals = plan.to_values(sf.coeffs)
+    scale = 1.0 + float(np.max(np.abs(sf.coeffs)))
+    if float(np.max(np.abs(plan.to_coeffs(vals) - sf.coeffs))) > 1e-9 * scale:
+        raise DomainError("coefficients are not Hermitian-symmetric; inverse is not real")
+    return Field(sf.grid, vals)
 
 
 def laplacian(field: Field) -> Field:
@@ -583,13 +569,14 @@ def mollify(field: Field, eta: float) -> Field:
 def poly_plan(grid: TorusGrid, polys) -> SpectralPlan:
     """The plan whose fine grid dealiases every polynomial of `polys`:
     M = dealias_size(N, D) for the largest total degree D among them.
-    An M above MAX_FINE_RATIO * N raises `ConfigError` before any array
-    is made."""
+    An M above MAX_FINE_RATIO * N, or an M^d above MAX_FINE_POINTS,
+    raises `ConfigError` before any array is made."""
     D = max(p.total_degree() for p in polys)
-    M = dealias_size(grid.N, D)
-    if M > MAX_FINE_RATIO * grid.N:
+    N, M = grid.N, dealias_size(grid.N, D)
+    if M > MAX_FINE_RATIO * N or M ** grid.d > MAX_FINE_POINTS:
         raise ConfigError(f"polynomial degree {D} needs a fine grid of M = {M} points per "
-                          f"axis for N = {grid.N}, above the limit M <= {MAX_FINE_RATIO} N")
+                          f"axis, M^{grid.d} = {M ** grid.d}, for N = {N}, above the limits "
+                          f"M <= {MAX_FINE_RATIO} N and M^d <= {MAX_FINE_POINTS}")
     return spectral_plan(grid, M)
 
 

@@ -144,6 +144,21 @@ def test_heat_oracle(grid64, cosine):
     assert 1e-7 < err < 3e-6
 
 
+def test_heat_solution_oracle_3d():
+    # the 3-d companion of criterion c01: the mode (1, 1, 1) decays at
+    # 4 pi^2 |xi|^2 d1 with |xi|^2 = 3
+    g = TorusGrid(3, 16)
+    d1 = 0.1
+    phase = 2 * np.pi * (g.coords(0) + g.coords(1) + g.coords(2))
+    u0 = Field(g, 0.5 + 0.1 * np.cos(phase))
+    spec = ModelSpec(d1, d1, Poly2({}), Poly2({}))
+    traj = simulate(RunConfig(spec, State(0.0, u0, u0), dt=1e-5, t_end=0.01,
+                              record_every=1000))
+    exact = 0.5 + 0.1 * math.exp(-FOUR_PI_SQ * 3 * d1 * 0.01) * np.cos(phase)
+    for w in (traj.states[-1].u, traj.states[-1].v):
+        assert np.max(np.abs(w.values - exact)) < 1e-6
+
+
 def test_mass_exactness(grid32, cosine):
     u0 = cosine(grid32, mean=0.5, amp=0.1)
     v0 = cosine(grid32, mean=0.7, amp=0.1)

@@ -38,6 +38,11 @@ def test_lebesgue_oracles(grid64, cosine):
         lp_norm(f, 0.5)
 
 
+def test_lp_norm_refuses_a_nan_exponent(grid64, cosine):
+    with pytest.raises(DomainError, match="p >= 1, got nan"):
+        lp_norm(cosine(grid64), math.nan)
+
+
 def test_mean_is_exact(rng, grid64):
     f = Field(grid64, rng.standard_normal(64))
     assert mean(f) == pytest.approx(np.mean(f.values), abs=0)
@@ -52,6 +57,12 @@ def test_sobolev_oracles(grid64, cosine):
     const = Field(grid64, np.full(64, 1.7))
     for s in (-2.0, 0.0, 3.0):
         assert sobolev_norm(const, s) == pytest.approx(1.7, rel=1e-14)
+
+
+def test_sobolev_norm_refuses_a_non_finite_exponent(grid64, cosine):
+    for s in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="must be finite"):
+            sobolev_norm(cosine(grid64), s)
 
 
 def test_besov_cosine_closed_forms(grid64, cosine):
@@ -256,6 +267,12 @@ def test_bernstein_check(grid64):
     assert 0 < rep.measured["max_ratio"] <= REGRESSION_CONSTANTS["bernstein"]
     with pytest.raises(DomainError, match="not resolved"):
         bernstein_check(grid64, m=20, k=2)
+
+
+def test_bernstein_check_refuses_a_nan_exponent(grid64):
+    # a NaN ratio would lose every max() and pass the check at 0.0
+    with pytest.raises(DomainError, match="p >= 1"):
+        bernstein_check(grid64, m=2, k=math.nan, trials=5)
 
 
 def test_heat_decay_check(grid64):

@@ -1,5 +1,6 @@
 """Transform conventions and exactness of the band-limited operations."""
 
+import itertools
 import math
 from unittest import mock
 
@@ -19,8 +20,6 @@ from crossflux.spectral import (
     SpectralField,
     TorusGrid,
     dealias_size,
-    full_coeffs,
-    half_coeffs,
     heat_propagate,
     inverse,
     laplacian,
@@ -92,6 +91,9 @@ def test_get_out_of_band(grid32):
     c = transform(Field(grid32, np.zeros(32)))
     with pytest.raises(DomainError, match="outside"):
         c.get(17)
+    for xi in (1.5, -0.5, math.nan, math.inf):
+        with pytest.raises(DomainError, match="not integral"):
+            c.get(xi)
 
 
 def test_round_trip(rng, grid64, grid2d):
@@ -103,8 +105,9 @@ def test_round_trip(rng, grid64, grid2d):
 
 def test_parseval(rng, grid64, grid2d):
     f = Field(grid64, rng.standard_normal(64))
-    c = transform(f).coeffs
-    assert np.mean(f.values**2) == pytest.approx(np.sum(np.abs(c) ** 2), rel=1e-12)
+    c = transform(f)
+    power = sum(abs(c.get(xi)) ** 2 for xi in range(-31, 33))
+    assert np.mean(f.values**2) == pytest.approx(power, rel=1e-12)
     for g in (grid64, grid2d):
         plan = spectral_plan(g, g.N)
         vals = rng.standard_normal(g.shape)
@@ -124,11 +127,14 @@ def test_plan_derivative(grid2d):
     assert np.max(np.abs(plan.derivative(c, 1))) < 1e-12
 
 
-def test_inverse_rejects_non_hermitian(grid32):
-    coeffs = np.zeros(32, dtype=complex)
-    coeffs[1] = 1.0  # no matching conjugate slot at -1
-    with pytest.raises(DomainError, match="Hermitian"):
-        inverse(SpectralField(grid32, coeffs))
+def test_inverse_rejects_non_hermitian(grid32, grid2d):
+    mean = np.zeros(17, dtype=complex)
+    mean[0] = 1j  # the mean of a real field is real
+    unpaired = np.zeros((16, 9), dtype=complex)
+    unpaired[1, 0] = 1.0  # no matching conjugate at (-1, 0)
+    for g, coeffs in ((grid32, mean), (grid2d, unpaired)):
+        with pytest.raises(DomainError, match="Hermitian"):
+            inverse(SpectralField(g, coeffs))
 
 
 def test_laplacian_eigenvalue(grid64, cosine):
@@ -346,35 +352,21 @@ def test_per_axis_transforms_are_rfftn_and_irfftn_bitwise(d, data, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(grid=grids, seed=st.integers(0, 2 ** 32 - 1))
-def test_half_layout_is_the_left_half_of_the_full_one(grid, seed):
+def test_transform_is_the_phase_corrected_dft_at_every_frequency(grid, seed):
+    # the coefficients are the plan's; every in-band frequency reads the
+    # full complex transform, phases applied per axis; the inverse gives
+    # the samples back
     g = TorusGrid(*grid)
     f = Field(g, np.random.default_rng(seed).standard_normal(g.shape))
-    half = spectral_plan(g, g.N).to_coeffs(f.values)
-    full = transform(f).coeffs
-    assert np.array_equal(half, full[..., :g.N // 2 + 1])
-    assert np.array_equal(half_coeffs(g, full), half)
-    # against the full complex transform, phases applied per axis
+    sf = transform(f)
+    assert np.array_equal(sf.coeffs, spectral_plan(g, g.N).to_coeffs(f.values))
     xi = np.rint(np.fft.fftfreq(g.N) * g.N)
     phase = np.exp(-1j * np.pi * sum(np.meshgrid(*[xi] * g.d, indexing="ij")) / g.N)
     direct = np.fft.fftn(f.values) / g.size * phase
-    assert np.max(np.abs(full - direct)) < 1e-15
-
-
-@settings(max_examples=40, deadline=None)
-@given(grid=grids, lead=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
-def test_full_layout_is_hermitian_and_halves_back(grid, lead, seed):
-    # a random half stack of real fields: its full layout halves back
-    # exactly, and is Hermitian, so the full complex inverse is real
-    g = TorusGrid(*grid)
-    vals = np.random.default_rng(seed).standard_normal((lead,) + g.shape)
-    half = spectral_plan(g, g.N).to_coeffs(vals)
-    full = full_coeffs(g, half)
-    assert np.array_equal(half_coeffs(g, full), half)
-    xi = np.rint(np.fft.fftfreq(g.N) * g.N)
-    phase = np.exp(1j * np.pi * sum(np.meshgrid(*[xi] * g.d, indexing="ij")) / g.N)
-    back = np.fft.ifftn(full * phase, axes=tuple(range(-g.d, 0))) * g.size
-    assert np.max(np.abs(back.imag)) < 1e-14
-    assert np.max(np.abs(back.real - vals)) < 1e-14
+    band = range(-g.N // 2, g.N // 2 + 1)
+    assert max(abs(sf.get(k) - direct[tuple(np.mod(k, g.N))])
+               for k in itertools.product(band, repeat=g.d)) < 1e-15
+    assert np.max(np.abs(inverse(sf).values - f.values)) < 1e-14
 
 
 @settings(max_examples=40, deadline=None)
@@ -402,10 +394,17 @@ def test_poly_plan_refuses_a_fine_grid_above_the_limit(monkeypatch):
     g = TorusGrid(1, 32)
     # degree 14 needs M = 240 <= 8 N; degree 15 needs 258
     assert poly_plan(g, (Poly2Signed({(14, 0): 1.0}),)).M == 240
+    # at d = 3 the fine grid's points bind first: M = 96 is 0.9 M points,
+    # M = 480 <= 8 N is 110.6 M points, above 2^26
+    g3 = TorusGrid(3, 64)
+    monkeypatch.setattr(spectral, "spectral_plan", lambda grid, M: M)
+    assert poly_plan(g3, (X * X,)) == 96
     monkeypatch.setattr(spectral, "spectral_plan", None)  # no plan is built
     for degree, M in ((15, 258), (10 ** 6, 16000016)):
         with pytest.raises(ConfigError, match=f"degree {degree} .* M = {M} .* N = 32"):
             poly_plan(g, (X, Poly2Signed({(0, degree): 1.0})))
+    with pytest.raises(ConfigError, match="degree 14 .* M = 480 .* M\\^3 = 110592000, for N = 64"):
+        poly_plan(g3, (Poly2Signed({(14, 0): 1.0}),))
 
 
 @pytest.mark.parametrize("polys", [(X * Y,), (X, X * X * Y), (Y * Y * Y, X)])
