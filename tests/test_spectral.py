@@ -350,19 +350,58 @@ def test_per_axis_transforms_are_rfftn_and_irfftn_bitwise(d, data, seed):
                           np.fft.irfftn(padded, s=(M,) * d, axes=axes, norm="forward"))
 
 
+def phase_corrected_dft(g, values):
+    """The full complex transform of values over the last g.d axes, in
+    np.fft order, with the half-cell phase applied per axis."""
+    xi = np.rint(np.fft.fftfreq(g.N) * g.N)
+    phase = np.exp(-1j * np.pi * sum(np.meshgrid(*[xi] * g.d, indexing="ij")) / g.N)
+    return np.fft.fftn(values, axes=tuple(range(-g.d, 0))) / g.size * phase
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=grids, seed=st.integers(0, 2 ** 32 - 1))
+def test_half_layout_is_the_left_half_of_the_full_one(grid, seed):
+    # transform gives the plan's half layout, which is the first N/2+1
+    # columns of the full complex transform (column N/2 holds -N/2)
+    g = TorusGrid(*grid)
+    f = Field(g, np.random.default_rng(seed).standard_normal(g.shape))
+    half = transform(f).coeffs
+    assert np.array_equal(half, spectral_plan(g, g.N).to_coeffs(f.values))
+    full = phase_corrected_dft(g, f.values)
+    assert np.max(np.abs(half - full[..., :g.N // 2 + 1])) < 1e-15
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=grids, lead=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_full_layout_is_hermitian_and_halves_back(grid, lead, seed):
+    # a random half stack of real fields, read by `get` at every frequency
+    # in np.fft order: that full layout halves back exactly, and is
+    # Hermitian, so the full complex inverse is real
+    g = TorusGrid(*grid)
+    vals = np.random.default_rng(seed).standard_normal((lead,) + g.shape)
+    half = spectral_plan(g, g.N).to_coeffs(vals)
+    xi = np.rint(np.fft.fftfreq(g.N) * g.N).astype(int)
+    full = np.empty((lead,) + g.shape, np.complex128)
+    for i in range(lead):
+        sf = SpectralField(g, half[i])
+        for k in itertools.product(range(g.N), repeat=g.d):
+            full[(i,) + k] = sf.get(tuple(int(xi[j]) for j in k))
+    assert np.array_equal(full[..., :g.N // 2 + 1], half)
+    phase = np.exp(1j * np.pi * sum(np.meshgrid(*[xi] * g.d, indexing="ij")) / g.N)
+    back = np.fft.ifftn(full * phase, axes=tuple(range(-g.d, 0))) * g.size
+    assert np.max(np.abs(back.imag)) < 1e-14
+    assert np.max(np.abs(back.real - vals)) < 1e-14
+
+
 @settings(max_examples=40, deadline=None)
 @given(grid=grids, seed=st.integers(0, 2 ** 32 - 1))
 def test_transform_is_the_phase_corrected_dft_at_every_frequency(grid, seed):
-    # the coefficients are the plan's; every in-band frequency reads the
-    # full complex transform, phases applied per axis; the inverse gives
-    # the samples back
+    # every in-band frequency, +N/2 included, reads the full complex
+    # transform; the inverse gives the samples back
     g = TorusGrid(*grid)
     f = Field(g, np.random.default_rng(seed).standard_normal(g.shape))
     sf = transform(f)
-    assert np.array_equal(sf.coeffs, spectral_plan(g, g.N).to_coeffs(f.values))
-    xi = np.rint(np.fft.fftfreq(g.N) * g.N)
-    phase = np.exp(-1j * np.pi * sum(np.meshgrid(*[xi] * g.d, indexing="ij")) / g.N)
-    direct = np.fft.fftn(f.values) / g.size * phase
+    direct = phase_corrected_dft(g, f.values)
     band = range(-g.N // 2, g.N // 2 + 1)
     assert max(abs(sf.get(k) - direct[tuple(np.mod(k, g.N))])
                for k in itertools.product(band, repeat=g.d)) < 1e-15
