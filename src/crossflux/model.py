@@ -83,23 +83,31 @@ class Poly2Signed:
             ufunc(*args)
         return out
 
-    def operations(self, X: np.ndarray, Y: np.ndarray, out: np.ndarray, work: Work) -> list:
+    def operations(self, X: np.ndarray, Y: np.ndarray, out: np.ndarray, work: Work,
+                   held: dict | None = None) -> list:
         """The calls that write the sum of c * X**i * Y**j into `out`, as
         (ufunc, arguments) pairs to run in order, each term multiplied in
         that order.  A unit coefficient and an exponent of 0 take no
         multiply, X**1 takes no power, and the sum starts from its first
         term: all exact, so every bit is that of the power form.  Terms
         after the first and powers that cannot go into the term are built
-        in arrays of `work` (see `spectral.Work`).  The calls read X and Y
-        and write `out` whenever they run, so a caller that evaluates the
-        same arrays on every step builds them once."""
+        in arrays of `work` (see `spectral.Work`), coefficients as 0-d arrays
+        of out's dtype.  The calls read X and Y and write `out` whenever they
+        run, so a caller that evaluates the same arrays on every step builds
+        them once.  Polynomials of the same X and Y into different `out`s may
+        share `held`, the term (i, j, c) left in the array of terms: it is read,
+        not made again, and a sum that starts from it starts from its second."""
+        held = {} if held is None else held
         if not self.terms:
             return [(np.copyto, (out, 0.0))]
-        ops = []
-        for n, ((i, j), c) in enumerate(self.terms.items()):
+        ops, one = [], np.array(1.0, out.dtype)
+        keys = [(i, j, c) for (i, j), c in self.terms.items()]
+        if len(keys) > 1 and keys[0] in held:
+            keys[:2] = keys[1], keys[0]
+        for n, (i, j, c) in enumerate(keys):
             dest = out if n == 0 else work.array("poly term", out.shape)
-            term = None if c == 1 else float(c)
-            for base, e in ((X, i), (Y, j)):
+            term = held.get((i, j, c), None if c == 1 else np.array(float(c), out.dtype))
+            for base, e in (() if (i, j, c) in held else ((X, i), (Y, j))):
                 if not e:
                     continue
                 if e == 1:
@@ -108,15 +116,18 @@ class Poly2Signed:
                     # base ** 2 is np.square, any other power np.power
                     power = work.array("poly power", out.shape) if term is dest else dest
                     ops.append((np.square, (base, power)) if e == 2
-                               else (np.power, (base, e, power)))
+                               else (np.power, (base, np.array(e, out.dtype), power)))
                 if term is not None:
                     ops.append((np.multiply, (term, power, dest)))
                     power = dest
                 term = power
+            if n and term is dest:
+                held.clear()
+                held[i, j, c] = dest
             if n:
-                ops.append((np.add, (out, 1.0 if term is None else term, out)))
+                ops.append((np.add, (out, one if term is None else term, out)))
             elif term is not out:
-                ops.append((np.copyto, (out, 1.0 if term is None else term)))
+                ops.append((np.copyto, (out, one if term is None else term)))
         return ops
 
     def partial(self, var: int) -> "Poly2Signed":

@@ -29,7 +29,8 @@ import numpy as np
 from .errors import BlowupError, ConfigError, DomainError
 from .model import ModelSpec, X, Y, derive_QR, require_nonnegative
 from .spaces import TimeSeriesField, interp_linear
-from .spectral import FOUR_PI_SQ, Field, TorusGrid, Work, poly_plan, spectral_plan
+from .spectral import (_BLOCK_BYTES, FOUR_PI_SQ, Field, TorusGrid, Work, _operand, poly_plan,
+                       spectral_plan)
 
 RK4_STABILITY_CONSTANT = 0.4
 # every step is diagnosed into preallocated arrays, so the count is capped
@@ -37,9 +38,6 @@ MAX_STEPS = 10 ** 7
 # the recorded samples of a run, every field of every batch member in
 # float64, are one preallocated array, so its size is capped too
 MAX_RECORD_BYTES = 2 ** 31
-# `_loop` turns the coefficients of a run's steps into samples, diagnoses
-# and records them in blocks of at most this many bytes of coefficients
-_BLOCK_BYTES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -192,16 +190,19 @@ def rk4_max_dt(spec: ModelSpec, state: State) -> float:
 
 
 def _imex_update(c, cw, dt_lam, den) -> list:
-    """The calls of the IMEX update c = (c - dt_lam * cw) / den, in place."""
+    """The calls of the IMEX update c = (c - dt_lam * cw) / den, in place, by the operand rule."""
+    dt_lam, den = (_operand(x, c) for x in (dt_lam, den))
     return [(np.multiply, (dt_lam, cw, cw)), (np.subtract, (c, cw, c)),
             (np.divide, (c, den, c))]
 
 
 def _rk4_step(plan, dt, c, d, fluxes, neg_lam, work) -> list:
     """The calls of one classical RK4 step of c, in place, with the
-    arithmetic of c + dt/6 * (k1 + 2*k2 + 2*k3 + k4) in that order."""
+    arithmetic of c + dt/6 * (k1 + 2*k2 + 2*k3 + k4) in that order, by the operand rule."""
     k, total, stage = (work.array(name, c.shape, np.complex128)
                        for name in ("rk4 k", "rk4 total", "rk4 stage"))
+    d, neg_lam = (_operand(x, c) for x in (d, neg_lam))
+    half, full, two, sixth = (np.array(x, np.complex128) for x in (0.5 * dt, dt, 2, dt / 6.0))
 
     def rhs(a, out):
         # -lam * (d * a + flux coefficients), into out
@@ -209,13 +210,13 @@ def _rk4_step(plan, dt, c, d, fluxes, neg_lam, work) -> list:
         return ([(np.multiply, (d, a, out))] + poly
                 + [(np.add, (out, cw, out)), (np.multiply, (neg_lam, out, out))])
 
-    calls = rhs(c, total) + [(np.multiply, (0.5 * dt, total, stage)), (np.add, (c, stage, stage))]
+    calls = rhs(c, total) + [(np.multiply, (half, total, stage)), (np.add, (c, stage, stage))]
     stage_rhs = rhs(stage, k)
-    for step in (0.5 * dt, dt):
+    for step in (half, full):
         calls += stage_rhs + [(np.multiply, (step, k, stage)), (np.add, (c, stage, stage)),
-                              (np.multiply, (2, k, k)), (np.add, (total, k, total))]
+                              (np.multiply, (two, k, k)), (np.add, (total, k, total))]
     return calls + stage_rhs + [(np.add, (total, k, total)),
-                                (np.multiply, (dt / 6.0, total, total)), (np.add, (c, total, c))]
+                                (np.multiply, (sixth, total, total)), (np.add, (c, total, c))]
 
 
 def _regularized_coeffs(plan, spec, c, vals, moll, work) -> tuple:
@@ -225,7 +226,7 @@ def _regularized_coeffs(plan, spec, c, vals, moll, work) -> tuple:
     `_poly_coeffs` gives u * P and v * Q."""
     capped, pq = work.array("capped", vals.shape), work.array("pq", vals.shape)
     # np.minimum deprecates a positional out
-    calls = [(partial(np.minimum, out=capped), (vals, spec.trunc_delta)),
+    calls = [(partial(np.minimum, out=capped), (vals, np.array(spec.trunc_delta, vals.dtype))),
              *spec.p.operations(*capped, pq[0], work), *spec.q.operations(*capped, pq[1], work)]
     transform, pq_coeffs = plan._to_coeffs(pq, work)
     both = work.array("factors", (2,) + c.shape, np.complex128)
@@ -303,7 +304,7 @@ def _integrate(configs: tuple) -> list:
             return _rk4_step(plan, dt, c, d, fluxes, -plan.lam, work)
         if regularized:
             calls, cw = _regularized_coeffs(plan, spec, c, vals,
-                                            np.exp(-spec.eta * plan.lam), work)
+                                            _operand(np.exp(-spec.eta * plan.lam), c), work)
         else:
             calls, cw = plan._poly_coeffs(fluxes, c, work)
         return calls + _imex_update(c, cw, dt_lam, den)
@@ -342,16 +343,16 @@ def _loop(plan, initial: list, shape: tuple, dt: float, steps: np.ndarray, step,
     arguments) pairs, that advance the coefficients c, a fixed array; the
     loop builds them once and runs that one list on every step.
 
-    Steps are diagnosed in blocks of K: each step copies c into its slot
-    of a block of K coefficient stacks, and after every K steps and the
-    last one, one to_values call turns the block into samples, two
-    reductions give their row minima and sums, the recorded steps among
-    them are copied, and the stop rule reads the sums.  K is
-    _BLOCK_BYTES // c.nbytes, at least 1 and at most the number of steps.
-    At K = 1 the block is c itself and its samples are vals, the array of
-    the initial samples, so a step that reads the samples vals of the
-    step before (`reads_values`) runs with K = 1, and a large grid gets
-    no new array.
+    Steps are diagnosed in blocks of K: each step copies c into its slot of
+    a block of K coefficient stacks, and after every K steps and the last
+    one, one to_values call turns the block into samples, two reductions
+    give their row minima and sums, the recorded steps among them are
+    copied, and the stop rule reads the sums.  K is _BLOCK_BYTES // c.nbytes,
+    at least 1 and at most the number of steps, and a c of at most that size
+    gets the operand rule (`spectral._operand`).  At K = 1 the block is c
+    itself and its samples are vals, the array of the initial samples, so a
+    step that reads the samples vals of the step before (`reads_values`)
+    runs with K = 1, and a large grid gets no new array.
 
     A recording above MAX_RECORD_BYTES is refused before it is allocated.
     The one stop rule: a member ends at its first step with a non-finite
@@ -441,10 +442,10 @@ def solve_kolmogorov(z_in: Field, mu: TimeSeriesField, f: TimeSeriesField,
         raise DomainError("mu must be strictly positive")
 
     plan = spectral_plan(grid, grid.N)
-    dt_lam = dt * plan.lam
 
     def step(c, z, work):
-        forcing, den = work.array("forcing", z.shape), work.array("den", dt_lam.shape)
+        forcing, den = work.array("forcing", z.shape), work.array("den", c.shape, np.complex128)
+        dt_lam = _operand(dt * plan.lam, c)
         done = 0  # steps made
 
         def coefficients():

@@ -107,8 +107,8 @@ def besov_Nk(field: Field, k: float, tol: float = 1e-8) -> float:
     """
     if not (1.0 < k < math.inf):
         raise DomainError(f"exponent must lie in (1, inf), got {k}")
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
+    if not tol > 0:
+        raise DomainError(f"tolerance must be positive, got {tol}")
     g = field.grid
     m = mean(field)
     if abs(m) > 1e-10 * (1.0 + float(np.max(np.abs(field.values)))):
@@ -257,7 +257,9 @@ def random_band_field(grid: TorusGrid, lo: float, hi: float, rng) -> Field:
 
 def _annulus_fields(grid: TorusGrid, m: int, trials: int):
     """`trials` random fields on the annulus m <= |xi| < 2m, drawn from
-    seed 0; the annulus is checked (m >= 1, 2m <= N/2) on the call."""
+    seed 0; the annulus (m >= 1, 2m <= N/2) and trials >= 1 are checked."""
+    if not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise DomainError(f"trials must be a positive integer, got {trials!r}")
     if m < 1:
         raise DomainError(f"annulus parameter must be >= 1, got {m}")
     if 2 * m > grid.N // 2:
@@ -294,8 +296,8 @@ def heat_decay_check(grid: TorusGrid, m: int, p: float, times,
     the annulus m <= |xi| < 2m, with the sharp rate c = 4*pi^2."""
     fields = _annulus_fields(grid, m, trials)
     times = np.asarray(times, dtype=np.float64)
-    if np.any(times < 0):
-        raise DomainError("decay check times must be nonnegative")
+    if times.size == 0 or not np.all(times >= 0):
+        raise DomainError(f"decay check times must be nonnegative numbers, got {times}")
     bound = REGRESSION_CONSTANTS["heat_decay"]
     rate = FOUR_PI_SQ * m * m
     worst = 0.0

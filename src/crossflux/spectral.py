@@ -32,7 +32,10 @@ been replaced (a tracer or a test counting transforms), the seam calls
 the replacement instead.  A plan's binders build its operations as
 lists of seam and ufunc calls on work arrays (see `SpectralPlan`): a
 public method runs such a list once, and a time loop builds its step
-once and runs it as one flat list.
+once and runs it as one flat list.  The operand rule (`_operand`): on a
+small stack, at most `_BLOCK_BYTES` = 64 KiB of coefficients, a real or
+broadcast factor is made once in its call's shape and dtype, so numpy runs
+its trivial loop, not a per-call cast; a number is a 0-d array of its dtype.
 """
 
 from __future__ import annotations
@@ -53,6 +56,8 @@ FOUR_PI_SQ = 4.0 * math.pi ** 2
 # and largest fine grid M^d, 512 MiB per float64 field
 MAX_FINE_RATIO = 8
 MAX_FINE_POINTS = 2 ** 26
+# bytes of coefficients per diagnosed block of steps, and the operand rule's limit
+_BLOCK_BYTES = 2 ** 16
 
 
 @lru_cache(maxsize=64)
@@ -266,6 +271,15 @@ def _c2r(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return irfft(a, n=out.shape[-1], axis=-1, norm="forward", out=out)
 
 
+def _operand(x: np.ndarray, stack: np.ndarray, shape: tuple | None = None) -> np.ndarray:
+    """x, a factor of a ufunc call of `shape` (stack's by default) on the
+    coefficients `stack`, by the operand rule: a C-contiguous complex128 copy of
+    that shape if the stack is small; else x, as a copy would cost more memory."""
+    if stack.nbytes > _BLOCK_BYTES or (x.shape, x.dtype) == (shape or stack.shape, np.complex128):
+        return x
+    return np.full(shape or stack.shape, x, np.complex128)
+
+
 def _run(binder, *args):
     """Builds the calls of `binder(*args, work)` on a new `Work()`, so the
     calls share their arrays, runs them in order, and gives the array of
@@ -355,9 +369,9 @@ class SpectralPlan:
     of a `Work`, through `out=` on the FFT calls and the ufuncs.  Its
     binder (`_to_coeffs`, ...) builds, for one input array, the list of
     calls that take it to the result: (function, arguments) pairs on the
-    work arrays, their views and the plan's factors (in `poly_coeffs`,
-    each polynomial's `operations` too), with the FFT entries calls of
-    the seam, which looks up `np.fft` when it runs.  These are the two
+    work arrays, their views and the plan's factors by the operand rule
+    (in `poly_coeffs`, each polynomial's `operations` too), with FFT calls
+    of the seam, which looks up `np.fft` when it runs.  These are the two
     ways to run an operation.  A method runs it once: it builds the calls
     for its input on a new work object and runs them.  The time loop
     builds a step from the binders, once, on one work object per run, and
@@ -452,7 +466,7 @@ class SpectralPlan:
 
     def _to_coeffs(self, vals, work):
         calls, c = _forward(vals, self.grid.d, self.grid.N // 2 + 1, work)
-        return calls + [(np.multiply, (c, self._fwd, c))], c
+        return calls + [(np.multiply, (c, _operand(self._fwd, c), c))], c
 
     def _scaled_inverse(self, coeffs, factor, n, name, work):
         # samples on the n-point grid, in the work array `name`, of the
@@ -481,7 +495,8 @@ class SpectralPlan:
         # the c2c passes go into the projection's spectrum, idle until then
         mid = work.array("spectrum", rows + (M // 2 + 1,), np.complex128)
         fine = work.array("fine", rows + (M,))
-        return ([(np.multiply, (coeffs[i], factor, c[j])) for i, factor, j in self._pad]
+        return ([(np.multiply, (coeffs[i], _operand(factor, coeffs, coeffs[i].shape), c[j]))
+                 for i, factor, j in self._pad]
                 + _inverse(c, d, fine, mid[..., :h])), fine
 
     def _project_fine(self, vals, work):
@@ -503,9 +518,10 @@ class SpectralPlan:
 
     def _poly_coeffs(self, polys, c, work):
         calls, (uf, vf) = self._fine_values(c, work)
-        # a row per polynomial
-        fine = work.array("polys", (len(polys),) + uf.shape)
-        calls += [op for p, row in zip(polys, fine) for op in p.operations(uf, vf, row, work)]
+        # a row per polynomial; `held`: the term left in the array of terms
+        fine, held = work.array("polys", (len(polys),) + uf.shape), {}
+        calls += [op for p, row in zip(polys, fine)
+                  for op in p.operations(uf, vf, row, work, held)]
         project, out = self._project_fine(fine, work)
         return calls + project, out
 
@@ -543,14 +559,14 @@ def laplacian(field: Field) -> Field:
 def heat_propagate(field: Field, t: float) -> Field:
     """Evolve by the heat semigroup exp(t*Laplacian), unit diffusivity.
 
-    t must be nonnegative; the operation contracts every Lebesgue and
-    Sobolev norm and preserves the mean exactly.
+    t must be a nonnegative number; the operation contracts every Lebesgue
+    and Sobolev norm and preserves the mean exactly, all that t = inf keeps.
     """
-    if t < 0:
-        raise DomainError(f"heat time must be nonnegative, got {t}")
+    if not t >= 0:
+        raise DomainError(f"heat time must be a nonnegative number, got {t}")
     plan = spectral_plan(field.grid, field.grid.N)
-    return Field(field.grid, plan.to_values(plan.to_coeffs(field.values)
-                                            * np.exp(-t * plan.lam)))
+    decay = np.exp(-t * plan.lam) if t < math.inf else (plan.lam == 0.0).astype(np.float64)
+    return Field(field.grid, plan.to_values(plan.to_coeffs(field.values) * decay))
 
 
 def mollify(field: Field, eta: float) -> Field:
@@ -561,7 +577,7 @@ def mollify(field: Field, eta: float) -> Field:
     larger; for much smaller eta the sharp spectral cutoff can introduce
     ringing at the kernel-tail scale exp(-pi^2*eta*N^2).
     """
-    if eta <= 0:
+    if not eta > 0:
         raise DomainError(f"mollification width must be positive, got {eta}")
     return heat_propagate(field, eta)
 

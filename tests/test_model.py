@@ -127,6 +127,44 @@ def test_poly_eval_arrays_broadcasts_into_out(rng):
     assert np.array_equal(out, p.eval_arrays(x, y))
 
 
+def test_a_held_term_is_read_not_computed_again(rng):
+    # X*(X+Y) leaves X*Y in the array of terms; Y*(X+Y), sharing `held`,
+    # starts from Y**2 and adds it: 5 calls where each on its own makes 3,
+    # and the bits of each polynomial evaluated on its own
+    x, y = rng.uniform(-2.0, 2.0, size=(2, 40))
+    polys = (X * (X + Y), Y * (X + Y))
+    work, held, rows = Work(), {}, np.full((2, 40), np.nan)
+    calls = [op for p, row in zip(polys, rows) for op in p.operations(x, y, row, work, held)]
+    assert [len(p.operations(x, y, row, Work())) for p, row in zip(polys, rows)] == [3, 3]
+    assert len(calls) == 5
+    run(calls)
+    for p, row in zip(polys, rows):
+        assert np.array_equal(row, p.eval_arrays(x, y))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_polynomials_sharing_held_keep_their_bits(seed):
+    # random families of polynomials over shared monomials and
+    # coefficients, evaluated in turn on one work object and one `held`:
+    # fewer calls in all, and each row bitwise its polynomial on its own
+    rng = np.random.default_rng(seed)
+    monomials = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (0, 3), (1, 2)]
+    x, y = rng.uniform(-2.0, 2.0, size=(2, 33))
+    shared = alone = 0
+    for _ in range(40):
+        polys = [Poly2Signed({monomials[k]: float(rng.choice([1.0, 0.5, -2.0]))
+                              for k in rng.choice(8, size=rng.integers(1, 5), replace=False)})
+                 for _ in range(3)]
+        work, held, rows = Work(), {}, np.full((3, 33), np.nan)
+        calls = [op for p, row in zip(polys, rows) for op in p.operations(x, y, row, work, held)]
+        run(calls)
+        for p, row in zip(polys, rows):
+            assert np.array_equal(row, p.eval_arrays(x, y))
+            alone += len(p.operations(x, y, row, Work()))
+        shared += len(calls)
+    assert shared < alone
+
+
 def test_poly2_rejects_negative():
     with pytest.raises(DomainError, match="negative"):
         Poly2({(1, 0): -1.0})

@@ -4,6 +4,7 @@ import contextlib
 import math
 import tracemalloc
 import warnings
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -540,8 +541,8 @@ def test_fft_calls_write_into_the_run_work_arrays(d, N, scheme, per_step, batch)
 
 
 @pytest.mark.parametrize("d, N, scheme, variant, calls", [
-    (1, 32, "imex", "plain", 15), (1, 64, "rk4", "plain", 73),
-    (1, 32, "imex", "regularized", 19), (2, 16, "imex", "plain", 27)])
+    (1, 32, "imex", "plain", 14), (1, 64, "rk4", "plain", 69),
+    (1, 32, "imex", "regularized", 19), (2, 16, "imex", "plain", 25)])
 def test_built_step_lists_are_no_longer(d, N, scheme, variant, calls):
     # a guard on the step's cost besides its FFT calls: the list of
     # (function, arguments) calls that the loop builds once and runs on
@@ -563,6 +564,79 @@ def test_built_step_lists_are_no_longer(d, N, scheme, variant, calls):
         simulate(RunConfig(REGULARIZED_SKT, init, dt=dt, t_end=3 * dt, scheme=scheme,
                            variant=variant))
     assert len(built) == 1 and len(built[0]) <= calls
+
+
+def built_step(case):
+    """The step list that `_loop` builds for a run of the given case, with
+    its coefficients c and the arrays of its samples and its `Work`."""
+    built = []
+    original = solver._loop
+
+    def spy(plan, initial, shape, dt, steps, step, **kwargs):
+        def kept(c, vals, work):
+            built.append((step(c, vals, work), [c, vals, *work._arrays.values()]))
+            return built[-1][0]
+        return original(plan, initial, shape, dt, steps, kept, **kwargs)
+
+    grid = TorusGrid(2 if case.startswith("2d") else 1, {"2d-16": 16, "2d-64": 64}.get(case, 32))
+    wave = np.cos(2.0 * np.pi * grid.coords(0))
+    with mock.patch.object(solver, "_loop", spy):
+        if case == "kolmogorov":
+            mu = constant_series(grid, 1.0, 1.0)
+            solve_kolmogorov(Field(grid, wave), mu, mu, dt=1e-4, t_end=3e-4)
+        else:
+            inits = [State(0.0, Field(grid, 0.3 + a * wave), Field(grid, 0.4 + 0.1 * wave))
+                     for a in ((0.1, 0.05, 0.02) if case == "batch" else (0.1,))]
+            dt = 0.5 * rk4_max_dt(REGULARIZED_SKT, inits[0])
+            configs = [RunConfig(REGULARIZED_SKT, init, dt=dt, t_end=3 * dt,
+                                 scheme="rk4" if case == "rk4" else "imex",
+                                 variant="regularized" if case == "regularized" else "plain")
+                       for init in inits]
+            simulate(configs if case == "batch" else configs[0])
+    (calls, arrays), = built
+    return calls, arrays
+
+
+def ufunc_calls(calls):
+    """(inputs, output) of each ufunc call of a step list."""
+    for f, args in calls:
+        func, kwargs = (f.func, f.keywords) if isinstance(f, partial) else (f, {})
+        if isinstance(func, np.ufunc):
+            yield args[:func.nin], kwargs["out"] if "out" in kwargs else args[func.nin]
+
+
+@pytest.mark.parametrize("case", ["imex", "rk4", "regularized", "batch", "2d-16", "kolmogorov"])
+def test_small_step_lists_follow_the_operand_rule(case):
+    # numpy runs a ufunc's trivial loop when its operands have the
+    # output's dtype and are 0-d or C-contiguous of its shape, and casts
+    # and broadcasts on every call otherwise.  On a stack of at most 64 KiB
+    # a step's factors (the operands that are neither its coefficients nor
+    # work arrays) are made so once, and no call gets a Python number
+    calls, arrays = built_step(case)
+    checked = 0  # factors of calls whose other operands allow the trivial loop
+    for inputs, out in ufunc_calls(calls):
+        assert all(isinstance(a, np.ndarray) and a.dtype == out.dtype for a in inputs)
+        worked = [a for a in inputs + (out,) if any(np.may_share_memory(a, w) for w in arrays)]
+        factors = [a for a in inputs if a.ndim and not any(a is w for w in worked)]
+        if all(a.flags.c_contiguous and a.shape == out.shape for a in worked):
+            assert all(a.flags.c_contiguous and a.shape == out.shape for a in factors)
+            checked += len(factors)
+    # imex and batch: the pad phase, dt*lam and den; rk4: the pad phase,
+    # d and -lam of each of the 4 right-hand sides; regularized: those of
+    # imex, the forward phase and the mollifier; 2-d: den alone (cw is a
+    # slice of the projection); kolmogorov: dt*lam and the forward phase
+    assert checked == {"imex": 3, "rk4": 12, "regularized": 5, "batch": 3, "2d-16": 1,
+                       "kolmogorov": 2}[case]
+
+
+def test_large_step_lists_keep_their_factors():
+    # 2-d N=64: the (2, 64, 33) stack is 66 KiB, above the operand rule's
+    # 64 KiB, so no factor is copied to its call's shape and dtype
+    calls, arrays = built_step("2d-64")
+    for inputs, out in ufunc_calls(calls):
+        for a in inputs:
+            if a.ndim and not any(np.may_share_memory(a, w) for w in arrays):
+                assert a.shape != out.shape or a.dtype != out.dtype
 
 
 @pytest.mark.parametrize("d, N, scheme", [(1, 64, "imex"), (1, 64, "rk4"), (2, 16, "imex")])

@@ -155,6 +155,14 @@ def test_besov_of_zero_field_is_zero():
             assert besov_Nk(Field(g, np.zeros(g.shape)), k) == 0.0
 
 
+def test_besov_refuses_a_nan_tolerance():
+    # `tol <= 0` let NaN through; every stop test then failed quietly
+    g = TorusGrid(1, 32)
+    f = Field(g, np.cos(2.0 * math.pi * g.coords(0)))
+    with pytest.raises(DomainError, match="tolerance must be positive, got nan"):
+        besov_Nk(f, 3.0, tol=math.nan)
+
+
 def test_besov_tiny_tolerance_stops_where_every_mode_has_underflowed():
     # the mean coefficient of cos(2 pi 100 x) is roundoff, not zero, and
     # never decays; a tiny tol once integrated it out to t ~ 1e115
@@ -281,6 +289,24 @@ def test_heat_decay_check(grid64):
     assert rep.measured["max_ratio"] <= REGRESSION_CONSTANTS["heat_decay"]
     with pytest.raises(DomainError, match="nonnegative"):
         heat_decay_check(grid64, m=4, p=2, times=[-1.0])
+
+
+def test_heat_decay_check_refuses_nan_times(grid64):
+    # `times < 0` let NaN through to heat_propagate
+    with pytest.raises(DomainError, match="nonnegative numbers, got"):
+        heat_decay_check(grid64, m=4, p=2, times=[0.0, math.nan], trials=2)
+
+
+@pytest.mark.parametrize("check", [
+    lambda g: heat_decay_check(g, 2, 2, [0.0, 0.1], trials=0),
+    lambda g: heat_decay_check(g, 2, 2, [0.0, 0.1], trials=-3),
+    lambda g: heat_decay_check(g, 2, 2, []),
+    lambda g: bernstein_check(g, 2, 2, trials=0),
+], ids=["no-trials", "negative-trials", "no-times", "bernstein-no-trials"])
+def test_checks_refuse_inputs_under_which_they_check_nothing(grid64, check):
+    # each of these returned passed=True with max_ratio 0.0
+    with pytest.raises(DomainError, match="trials must be a positive integer|nonnegative numbers"):
+        check(grid64)
 
 
 def test_block_sequence_check(grid64):

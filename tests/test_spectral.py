@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -152,6 +153,24 @@ def test_heat_propagate_closed_form(grid64, cosine):
     np.testing.assert_allclose(out.values, exact, atol=1e-13)
     with pytest.raises(DomainError, match="nonnegative"):
         heat_propagate(f, -1.0)
+
+
+def test_heat_propagate_refuses_a_nan_time(grid32, cosine):
+    # NaN used to reach np.exp and die as "field values must be finite"
+    with pytest.raises(DomainError, match="got nan"):
+        heat_propagate(cosine(grid32), math.nan)
+
+
+def test_heat_propagate_at_infinite_time_is_the_mean(grid32, rng):
+    # the limit of large t, without the NaN of inf * 0 at the zero mode:
+    # bitwise the result at a t where every other mode underflows
+    f = Field(grid32, 0.4 + rng.standard_normal(32))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = heat_propagate(f, math.inf)
+    assert np.array_equal(out.values, heat_propagate(f, 1e300).values)
+    assert np.ptp(out.values) == 0.0
+    assert out.values[0] == pytest.approx(np.mean(f.values), abs=1e-15)
 
 
 def test_resample_evaluates_interpolant(grid32):
@@ -468,6 +487,11 @@ def test_mollify_mean_and_consistency(rng, grid32):
         assert np.mean(mf.values) == pytest.approx(np.mean(f.values), abs=1e-13)
     with pytest.raises(DomainError, match="positive"):
         mollify(f, 0.0)
+
+
+def test_mollify_refuses_a_nan_width(grid32, cosine):
+    with pytest.raises(DomainError, match="positive, got nan"):
+        mollify(cosine(grid32), math.nan)
 
 
 def test_mollify_damps_high_modes(grid64, cosine):
