@@ -189,11 +189,12 @@ def rk4_max_dt(spec: ModelSpec, state: State) -> float:
     return RK4_STABILITY_CONSTANT / (FOUR_PI_SQ * (g.N / 2) ** 2 * s)
 
 
-def _imex_update(c, cw, dt_lam, den) -> list:
-    """The calls of the IMEX update c = (c - dt_lam * cw) / den, in place, by the operand rule."""
-    dt_lam, den = (_operand(x, c) for x in (dt_lam, den))
+def _imex_update(c, cw, dt_lam, inv_den) -> list:
+    """The calls of the IMEX update c = (c - dt_lam * cw) / den, in place, by the operand rule,
+    as the multiply by inv_den = 1 / den that numpy's division by den + 0j is, bar a 0's sign."""
+    dt_lam, inv_den = (_operand(x, c) for x in (dt_lam, inv_den))
     return [(np.multiply, (dt_lam, cw, cw)), (np.subtract, (c, cw, c)),
-            (np.divide, (c, den, c))]
+            (np.multiply, (c, inv_den, c))]
 
 
 def _rk4_step(plan, dt, c, d, fluxes, neg_lam, work) -> list:
@@ -293,11 +294,12 @@ def _integrate(configs: tuple) -> list:
 
     B = len(configs)
     stack = ((2, B) if B > 1 else (2,)) + grid.shape
-    # the diffusivities and the implicit denominators of both species,
-    # broadcast against the stack
+    # the diffusivities and the reciprocal implicit denominators of both
+    # species, broadcast against the stack
     d = np.reshape([spec.d1, spec.d2], (2,) + (1,) * (len(stack) - 1))
     dt_lam = dt * plan.lam
-    den = 1.0 + dt_lam * d
+    inv_den = 1.0 + dt_lam * d
+    np.divide(1.0, inv_den, out=inv_den)
 
     def step(c, vals, work):
         if config.scheme == "rk4":
@@ -307,7 +309,7 @@ def _integrate(configs: tuple) -> list:
                                             _operand(np.exp(-spec.eta * plan.lam), c), work)
         else:
             calls, cw = plan._poly_coeffs(fluxes, c, work)
-        return calls + _imex_update(c, cw, dt_lam, den)
+        return calls + _imex_update(c, cw, dt_lam, inv_den)
 
     rec, mins, sums, ended = _loop(plan, [member.initial.u.values for member in configs]
                                    + [member.initial.v.values for member in configs],
@@ -449,8 +451,8 @@ def solve_kolmogorov(z_in: Field, mu: TimeSeriesField, f: TimeSeriesField,
         done = 0  # steps made
 
         def coefficients():
-            # (mu_n - min mu_n) * z + f_n and 1 + dt_lam * min mu_n at the
-            # start of the step
+            # (mu_n - min mu_n) * z + f_n and 1 / (1 + dt_lam * min mu_n) at
+            # the start of the step
             nonlocal done
             t = done * dt
             done += 1
@@ -459,7 +461,7 @@ def solve_kolmogorov(z_in: Field, mu: TimeSeriesField, f: TimeSeriesField,
             np.subtract(mu_n, mu_min, out=forcing)
             np.multiply(forcing, z, out=forcing)
             np.add(forcing, interp_linear(f.values, f.times, t), out=forcing)
-            np.add(1.0, np.multiply(dt_lam, mu_min, out=den), out=den)
+            np.divide(1.0, np.add(1.0, np.multiply(dt_lam, mu_min, out=den), out=den), out=den)
 
         transform, cw = plan._to_coeffs(forcing, work)
         return [(coefficients, ())] + transform + _imex_update(c, cw, dt_lam, den)

@@ -19,9 +19,9 @@ Every transform goes through a `SpectralPlan`, which alone knows the
 phase factors; `poly_plan` alone applies the dealiasing rule
 (`dealias_size`) to the polynomials a caller evaluates.  The plan makes
 one FFT call per axis: r2c on the last axis, then c2c on each other axis
-over the stored N/2+1 columns only, and the reverse for the inverse,
-whose c2r to M points pads the columns of a finer grid.  No step of it
-forks on d: each leading axis adds one FFT call and its pieces.
+over the stored N/2+1 columns only, and the reverse for the inverse; its
+c2r to M points reads the M/2+1 columns of a finer grid, those past N/2
+zeroed (1-d: pads).  Each leading axis adds one FFT call and its pieces.
 
 Those calls are the FFT seam, `_r2c`, `_c2c`, `_ic2c` and `_c2r`, the
 only FFT calls of the package.  Each calls numpy's pocketfft gufunc
@@ -308,23 +308,23 @@ def _inverse(coeffs: np.ndarray, d: int, out: np.ndarray,
     """The calls that write into `out` the samples on its n^d grid of
     half-layout coefficients (all n rows of the other axes) whose columns
     past the given ones are zero: c2c on each axis but the last, first to
-    last, the first into `mid` or else in place in `coeffs` and the others
-    in place, then c2r to n points on the last axis, which pads the
-    missing columns with zeros.  The numbers are those of `irfftn` of the
-    explicitly zero-padded array."""
-    mid = coeffs if mid is None else mid
-    calls, src = [], coeffs
-    for axis in range(-d, -1):
-        calls.append((_ic2c, (src, mid, axis)))
-        src = mid
-    return calls + [(_c2r, (src, out))]
+    last, in place in `coeffs` or, given `mid` (d > 1, n/2+1 columns), the
+    first into its leading columns; then c2r to n points on the last axis
+    of `coeffs`, padded, or of all of `mid`, its other columns zeroed.  The
+    numbers are those of `irfftn` of the explicitly zero-padded array."""
+    h = coeffs.shape[-1]
+    head = coeffs if mid is None else mid[..., :h]
+    calls = [(_ic2c, (head if axis > -d else coeffs, head, axis)) for axis in range(-d, -1)]
+    if mid is not None:
+        calls.append((np.copyto, (mid[..., h:], np.array(0j))))
+    return calls + [(_c2r, (coeffs if mid is None else mid, out))]
 
 
-def _products(per_axis: tuple, d: int, tail: tuple) -> list:
+def _products(per_axis: tuple, d: int) -> list:
     """A k-tuple of indices into k arrays for each choice of a piece of
     `per_axis` (a k-tuple of slices) on each of the d - 1 leading spatial
-    axes; `tail` indexes the axes after them."""
-    return [tuple((Ellipsis,) + tuple(p[i] for p in choice) + tail
+    axes, with all of the last axis."""
+    return [tuple((Ellipsis,) + tuple(p[i] for p in choice) + (slice(None),)
                   for i in range(len(per_axis[0])))
             for choice in itertools.product(per_axis, repeat=d - 1)]
 
@@ -356,9 +356,9 @@ class SpectralPlan:
     Both work in pieces: per axis but the last, the low half, the high
     half and the split -N/2 row; each of their 3^(d-1) products times its
     phase.  Padding writes them into a zero array of M rows per leading
-    axis; the c2r to M points pads the columns.  Projection writes them
+    axis; the columns are zero-padded for the c2r.  Projection writes them
     into coefficients with an extra row N per leading axis for the fine
-    +N/2 row, mirrors the N/2 column in 5 pieces per leading axis and
+    +N/2 row, mirrors the N/2 column by one take per leading axis and
     gives rows :N; `to_values` shares that array, as its contiguous head.
     Transforms go through `_forward`/`_inverse`, one seam call per axis;
     the passes of the other axes skip the columns that are all zero
@@ -415,14 +415,12 @@ class SpectralPlan:
         pieces = ((slice(0, n2),) * 3, (slice(n2, N), slice(M - n2, M), slice(n2, N)),
                   (slice(n2, n2 + 1),) * 2 + (slice(N, N + 1),))
         self._pad, self._proj = [], []
-        for c, f, e in _products(pieces, d, (slice(None),)):
+        for c, f, e in _products(pieces, d):
             self._pad.append((c, pad[f].copy(), f))
             self._proj.append((f, fine_fwd[f].copy(), e))
-        # (rows, rows at -xi) of the projection's coefficients, per leading axis
-        self._mirror = _products(((slice(0, 1),) * 2, (slice(1, n2), slice(N - 1, n2, -1)),
-                                  (slice(n2, n2 + 1), slice(N, N + 1)),
-                                  (slice(n2 + 1, N), slice(n2 - 1, 0, -1)),
-                                  (slice(N, N + 1), slice(n2, n2 + 1))), d, ())
+        # per leading axis, the row at -xi: -xi mod N, the -N/2 row n2 and +N/2 row N swapped
+        self._mirror = -np.arange(N + 1) % N
+        self._mirror[[n2, N]] = N, n2
         # (the -N/2 row, the +N/2 row) of each leading axis
         self._folds = [tuple((Ellipsis,) + (slice(None),) * axis + (row,)
                              + (slice(None),) * (d - 1 - axis) for row in (n2, N))
@@ -489,15 +487,16 @@ class SpectralPlan:
             return self._scaled_inverse(coeffs, self._inv, M, "fine", work)
         # each leading axis is padded in the middle: its rows between the
         # halves stay zero but for the split -N/2 row, so only the pieces
-        # are written; irfft(n=M) pads the columns
+        # are written.  The c2c passes go into the projection's spectrum,
+        # idle until then, and the c2r reads all its columns: numpy's c2r is
+        # slower on a short input, which it pads, but in 1-d, with no pass
         rows = coeffs.shape[:coeffs.ndim - d] + (M,) * (d - 1)
         c = work.array("pad", rows + (h,), np.complex128, zero=True)
-        # the c2c passes go into the projection's spectrum, idle until then
         mid = work.array("spectrum", rows + (M // 2 + 1,), np.complex128)
         fine = work.array("fine", rows + (M,))
         return ([(np.multiply, (coeffs[i], _operand(factor, coeffs, coeffs[i].shape), c[j]))
                  for i, factor, j in self._pad]
-                + _inverse(c, d, fine, mid[..., :h])), fine
+                + _inverse(c, d, fine, mid if d > 1 else None)), fine
 
     def _project_fine(self, vals, work):
         d, N, M = self.grid.d, self.grid.N, self.M
@@ -511,8 +510,12 @@ class SpectralPlan:
         col = out[..., N // 2]
         rev = work.array("column", col.shape, np.complex128)
         calls += [(np.multiply, (fine[i], factor, out[j])) for i, factor, j in self._proj]
-        calls += [(np.conjugate, (col[i], rev[j])) for j, i in self._mirror]
-        calls += [(np.subtract, (rev, col, col))]
+        src = col  # rev = conj(col(-xi)): a take per leading axis, the last into rev
+        for axis in range(1 - d, 0):
+            dst = rev if axis == -1 else work.array("column pass", col.shape, np.complex128)
+            calls.append((np.take, (src, self._mirror, axis, dst, "wrap")))
+            src = dst
+        calls += [(np.conjugate, (src, rev)), (np.subtract, (rev, col, col))]
         calls += [(np.subtract, (out[i], out[j], out[i])) for i, j in self._folds]
         return calls, out[self._band]
 

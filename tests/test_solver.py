@@ -542,11 +542,14 @@ def test_fft_calls_write_into_the_run_work_arrays(d, N, scheme, per_step, batch)
 
 @pytest.mark.parametrize("d, N, scheme, variant, calls", [
     (1, 32, "imex", "plain", 14), (1, 64, "rk4", "plain", 69),
-    (1, 32, "imex", "regularized", 19), (2, 16, "imex", "plain", 25)])
+    (1, 32, "imex", "regularized", 19), (2, 16, "imex", "plain", 23),
+    (2, 16, "imex", "regularized", 29), (2, 16, "rk4", "plain", 105),
+    (3, 8, "imex", "plain", 39)])
 def test_built_step_lists_are_no_longer(d, N, scheme, variant, calls):
     # a guard on the step's cost besides its FFT calls: the list of
     # (function, arguments) calls that the loop builds once and runs on
-    # every step is no longer than these counts
+    # every step is no longer than these counts.  A projection mirrors its
+    # N/2 column by one take per leading axis and one conjugate
     grid = TorusGrid(d, N)
     wave = np.cos(2.0 * np.pi * grid.coords(0))
     init = State(0.0, Field(grid, 0.3 + 0.1 * wave), Field(grid, 0.4 + 0.1 * wave))
@@ -564,6 +567,27 @@ def test_built_step_lists_are_no_longer(d, N, scheme, variant, calls):
         simulate(RunConfig(REGULARIZED_SKT, init, dt=dt, t_end=3 * dt, scheme=scheme,
                            variant=variant))
     assert len(built) == 1 and len(built[0]) <= calls
+
+
+@pytest.mark.parametrize("d, N", [(1, 32), (2, 16), (3, 8)])
+def test_the_fine_c2r_reads_all_its_columns_past_1d(d, N):
+    # numpy's c2r is slower on an input it pads.  In 2-d and 3-d a c2c pass
+    # precedes it, so the fine c2r reads M/2+1 columns, zero past N/2; in
+    # 1-d it reads the N/2+1 columns of the padding array
+    grid = TorusGrid(d, N)
+    wave = np.cos(2.0 * np.pi * grid.coords(0))
+    init = State(0.0, Field(grid, 0.3 + 0.1 * wave), Field(grid, 0.4 + 0.1 * wave))
+    M = poly_plan(grid, (X * SKT.p, Y * SKT.q)).M
+    seen, original = [], spectral._c2r
+
+    def spy(a, out):
+        if out.shape[-1] == M:
+            seen.append((a.shape[-1], bool(a[..., N // 2 + 1:].any())))
+        return original(a, out)
+
+    with mock.patch.object(spectral, "_c2r", spy):
+        simulate(RunConfig(SKT, init, dt=1e-5, t_end=3e-5))
+    assert seen == [(M // 2 + 1 if d > 1 else N // 2 + 1, False)] * 3
 
 
 def built_step(case):
@@ -637,6 +661,31 @@ def test_large_step_lists_keep_their_factors():
         for a in inputs:
             if a.ndim and not any(np.may_share_memory(a, w) for w in arrays):
                 assert a.shape != out.shape or a.dtype != out.dtype
+
+
+@pytest.mark.parametrize("shape", [(2, 17), (2, 3, 64, 33)], ids=["small", "large"])
+def test_the_imex_update_by_the_reciprocal_is_the_division(rng, shape):
+    # numpy divides by den + 0j as it multiplies by 1 / den + 0j, so the
+    # update's multiply by the reciprocal, made once per run, gives the
+    # numbers of the division (only the sign of a zero may differ), by the
+    # operand rule on a small stack and by broadcasting on a large one, on
+    # coefficients that are +-0, subnormal or large
+    pool = np.array([0.0, -0.0, 5e-324, -3e-310, 2.5e-308, 1e300, -7e299])
+
+    def draw():
+        c = np.empty(shape, np.complex128)
+        for part in (c.real, c.imag):
+            part[...] = np.where(rng.uniform(size=shape) < 0.5, rng.choice(pool, shape),
+                                 rng.standard_normal(shape))
+        return c
+
+    c, cw = draw(), draw()
+    dt_lam = 1e-3 * FOUR_PI_SQ * np.arange(shape[-1]) ** 2.0
+    den = 1.0 + dt_lam * np.reshape([1.0, 1.5], (2,) + (1,) * (len(shape) - 1))
+    expected = (c - dt_lam * cw) / den
+    for f, args in solver._imex_update(c, cw, dt_lam, 1.0 / den):
+        f(*args)
+    assert np.array_equal(c, expected)
 
 
 @pytest.mark.parametrize("d, N, scheme", [(1, 64, "imex"), (1, 64, "rk4"), (2, 16, "imex")])

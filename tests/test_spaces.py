@@ -291,6 +291,19 @@ def test_heat_decay_check(grid64):
         heat_decay_check(grid64, m=4, p=2, times=[-1.0])
 
 
+@pytest.mark.parametrize("d, N, p, times", [
+    (1, 32, 2, [0.0, 1.0]), (1, 32, 2, [0.0, 1e-2, math.inf]), (2, 16, 3, [0.0, 0.5, 1.0])],
+    ids=["1d-t1", "1d-t-inf", "2d-t1"])
+def test_heat_decay_check_holds_once_the_annulus_decays_below_roundoff(d, N, p, times):
+    # at t = 1 the annulus m = 2 has decayed by exp(-158), below the
+    # roundoff that its samples carry at the mean and at |xi| = 1, which
+    # decays at most as exp(-39.5): propagated with it, that roundoff gave
+    # max_ratio 6.5e51, and t = inf gave inf
+    rep = heat_decay_check(TorusGrid(d, N), 2, p, times, trials=3)
+    assert rep.passed and math.isfinite(rep.measured["max_ratio"])
+    assert rep.measured["max_ratio"] <= REGRESSION_CONSTANTS["heat_decay"]
+
+
 def test_heat_decay_check_refuses_nan_times(grid64):
     # `times < 0` let NaN through to heat_propagate
     with pytest.raises(DomainError, match="nonnegative numbers, got"):
@@ -302,7 +315,12 @@ def test_heat_decay_check_refuses_nan_times(grid64):
     lambda g: heat_decay_check(g, 2, 2, [0.0, 0.1], trials=-3),
     lambda g: heat_decay_check(g, 2, 2, []),
     lambda g: bernstein_check(g, 2, 2, trials=0),
-], ids=["no-trials", "negative-trials", "no-times", "bernstein-no-trials"])
+    lambda g: block_sequence_check(g, 3, trials=0),
+    lambda g: block_sequence_check(g, 3, trials=-2),
+    lambda g: block_sequence_check(g, 2, trials=2.5),
+], ids=["no-trials", "negative-trials", "no-times", "bernstein-no-trials",
+        "block-sequence-no-trials", "block-sequence-negative-trials",
+        "block-sequence-fractional-trials"])
 def test_checks_refuse_inputs_under_which_they_check_nothing(grid64, check):
     # each of these returned passed=True with max_ratio 0.0
     with pytest.raises(DomainError, match="trials must be a positive integer|nonnegative numbers"):

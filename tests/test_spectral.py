@@ -318,6 +318,17 @@ def test_fft_seam_is_numpy_fft_bitwise(rng, lead, rows):
         c, real = cplx(cols), np.empty(shape + (n,))
         assert spectral._c2r(c, real) is real
         assert np.array_equal(real, np.fft.irfft(c, n=n, axis=-1, norm="forward"))
+    for m, cols in ((n, n // 2 - 3), (24, 9)):
+        # the plan's fine c2r in 2-d and 3-d reads the short input zeroed
+        # out to m/2+1 columns, as numpy's c2r is slower on one it pads:
+        # the same bits, here for an m of two radices as well
+        short, wide = cplx(cols), np.zeros(shape + (m // 2 + 1,), np.complex128)
+        wide[..., :cols] = short
+        from_short, from_wide = np.empty(shape + (m,)), np.empty(shape + (m,))
+        spectral._c2r(short, from_short)
+        spectral._c2r(wide, from_wide)
+        expected = np.fft.irfft(short, n=m, axis=-1, norm="forward")
+        assert from_wide.tobytes() == from_short.tobytes() == expected.tobytes()
     if not rows:
         return
     axis = -1 - len(rows)
