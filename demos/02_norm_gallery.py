@@ -40,7 +40,7 @@ rng = np.random.default_rng(7)
 f = Field(grid, rng.standard_normal(128))
 total = np.full(128, np.mean(f.values))
 for block in dyadic_blocks(f):
-    total = total + block.field.values
+    total = total + block.values
 print(f"\ndyadic reconstruction error: {np.max(np.abs(total - f.values)):.2e}")
 
 for rep in (

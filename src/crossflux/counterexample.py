@@ -66,9 +66,9 @@ def quintic_roots() -> QuinticRoots:
 
 @dataclass(frozen=True)
 class StaircasePair:
-    """One member of the steady-state family: square wave plus densities."""
+    """One member of the steady-state family: the square wave h of the
+    level passed to `build_pair`, and the densities u, v along it."""
 
-    n: int
     h: Field
     u: Field
     v: Field
@@ -101,7 +101,7 @@ def build_pair(n: int, grid: TorusGrid) -> StaircasePair:
     h = staircase(n, grid)
     v_vals = np.where(h.values > 0, roots.r2, roots.r1)
     u_vals = 3.0 / (1.0 + v_vals ** 2)
-    return StaircasePair(n, h, Field(grid, u_vals), Field(grid, v_vals))
+    return StaircasePair(h, Field(grid, u_vals), Field(grid, v_vals))
 
 
 def verify_counterexample(n_max: int, grid: TorusGrid) -> Report:

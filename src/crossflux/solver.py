@@ -313,7 +313,7 @@ def _integrate(configs: tuple) -> list:
 
     rec, mins, sums, ended = _loop(plan, [member.initial.u.values for member in configs]
                                    + [member.initial.v.values for member in configs],
-                                   stack, dt, steps, step, reads_values=regularized)
+                                   stack, steps, step, reads_values=regularized)
     step_times = np.arange(config.n_steps + 1) * dt
 
     def result(b, n, r):
@@ -336,14 +336,14 @@ def _check_recording(grid: TorusGrid, n_rows: int, members: int, n_records: int)
             f"above the limit of {MAX_RECORD_BYTES / 2 ** 30:g} GiB")
 
 
-def _loop(plan, initial: list, shape: tuple, dt: float, steps: np.ndarray, step,
+def _loop(plan, initial: list, shape: tuple, steps: np.ndarray, step,
           reads_values: bool = False) -> tuple:
     """The time loop of `simulate` and `solve_kolmogorov`.  `initial` is
     the samples of each row, field by field, of the stack of the given
     shape: one field, fields (S, *grid.shape) or a batch (S, B,
     *grid.shape).  `step(c, vals, work)` gives the calls, (function,
-    arguments) pairs, that advance the coefficients c, a fixed array; the
-    loop builds them once and runs that one list on every step.
+    arguments) pairs, that advance the coefficients c, a fixed array, by
+    one step of its own dt; the loop builds them once and runs them each step.
 
     Steps are diagnosed in blocks of K: each step copies c into its slot of
     a block of K coefficient stacks, and after every K steps and the last
@@ -466,8 +466,7 @@ def solve_kolmogorov(z_in: Field, mu: TimeSeriesField, f: TimeSeriesField,
         transform, cw = plan._to_coeffs(forcing, work)
         return [(coefficients, ())] + transform + _imex_update(c, cw, dt_lam, den)
 
-    rec, _, _, ended = _loop(plan, [z_in.values], grid.shape, dt, steps, step,
-                             reads_values=True)
+    rec, _, _, ended = _loop(plan, [z_in.values], grid.shape, steps, step, reads_values=True)
     if ended:
         n, r = ended[0]
         raise BlowupError(n, TimeSeriesField(steps[:r] * dt, rec[0, :r]))

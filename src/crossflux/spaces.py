@@ -53,7 +53,13 @@ def sobolev_norm(field: Field, s: float) -> float:
         raise DomainError(f"Sobolev exponent must be finite, got {s}")
     plan = spectral_plan(field.grid, field.grid.N)
     power = plan.power(plan.to_coeffs(field.values))
-    return float(np.sqrt(np.sum((1.0 + plan.lam) ** s * power)))
+    return float(np.sqrt(np.sum(weighted_power((1.0 + plan.lam) ** s, power))))
+
+
+def weighted_power(weight: np.ndarray, power: np.ndarray) -> np.ndarray:
+    """weight * power, 0 where power is 0: a zero coefficient adds 0 to a
+    Parseval sum, also where its weight overflowed to inf."""
+    return np.multiply(weight, power, out=np.zeros_like(power), where=power != 0)
 
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
@@ -218,24 +224,16 @@ def spacetime_lk(series: TimeSeriesField, k: float) -> float:
     return float(cum_trapz(series.times, power)[-1] ** (1.0 / k))
 
 
-@dataclass(frozen=True)
-class DyadicBlock:
-    """Sharp frequency restriction to the annulus 2^j <= |xi| < 2^(j+1)."""
-
-    j: int
-    field: Field
-
-
 def dyadic_blocks(field: Field) -> list:
-    """The blocks j = 0 .. log2(N/2), each holding the frequency 2^j;
-    together with the mean they reconstruct the field."""
+    """The Fields in order of j = 0 .. log2(N/2), block j the sharp restriction
+    to 2^j <= |xi| < 2^(j+1); with the mean they reconstruct the field."""
     g = field.grid
     plan = spectral_plan(g, g.N)
     coeffs = plan.to_coeffs(field.values)
     out = []
     for j in range(g.N.bit_length() - 1):
         mask = (plan.xi_sq >= 4.0 ** j) & (plan.xi_sq < 4.0 ** (j + 1))
-        out.append(DyadicBlock(j, Field(g, plan.to_values(np.where(mask, coeffs, 0.0)))))
+        out.append(Field(g, plan.to_values(np.where(mask, coeffs, 0.0))))
     return out
 
 
@@ -244,7 +242,7 @@ def block_sequence_norm(field: Field, k: float) -> float:
     if not (1.0 <= k < math.inf):
         raise DomainError(f"exponent must lie in [1, inf), got {k}")
     blocks = dyadic_blocks(field)
-    return float(sum(lp_norm(b.field, k) ** k for b in blocks) ** (1.0 / k))
+    return float(sum(lp_norm(b, k) ** k for b in blocks) ** (1.0 / k))
 
 
 def random_band_field(grid: TorusGrid, lo: float, hi: float, rng) -> Field:

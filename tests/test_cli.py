@@ -227,6 +227,15 @@ def test_norms_match_library(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_norms_of_a_constant_at_a_large_sobolev_exponent(tmp_path, capsys):
+    # the weights of the top modes overflow to inf, where the coefficients are 0
+    path = tmp_path / "const.csv"
+    write_field(path, Field(TorusGrid(1, 32), np.full(32, 0.7)))
+    with np.errstate(over="ignore"):
+        assert run_cli(["norms", "--input", str(path), "--norm", "hs", "--s", "100"]) == 0
+    assert capsys.readouterr().out == "0.7\n"
+
+
 @pytest.mark.parametrize(
     "flags",
     [["--norm", "lp", "--p", "abc"], ["--norm", "lp", "--p", "nan"],

@@ -1,6 +1,7 @@
 """Source hygiene: every imported name is used (no linter is installed),
-the package makes its FFT calls in one place, and only the plan and the
-time loop build calls on work arrays."""
+the package's functions read every parameter and local they bind, the
+package makes its FFT calls in one place, and only the plan and the time
+loop build calls on work arrays."""
 
 import ast
 import re
@@ -56,6 +57,65 @@ def test_no_unused_imports():
              for path in CHECKED if path.name != "__init__.py"
              for line, name in unused_imports(path.read_text())]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _own_scope(fn):
+    """The nodes of a function's own scope: its body without the bodies
+    of the functions and classes nested in it (comprehensions included)."""
+    todo = list(ast.iter_child_nodes(fn))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, FUNCTIONS + (ast.ClassDef,)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def unread_names(source: str) -> list:
+    """Parameters (but `self` and `cls`) and assigned locals (but `_`)
+    that their function never reads, itself or in a function nested in it.
+
+    Each function is checked, nested ones too; a name that a function
+    declares `nonlocal` or `global` is not its local.
+    """
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, FUNCTIONS):
+            continue
+        a = fn.args
+        bound = {arg.arg: fn.lineno for arg in a.posonlyargs + a.args + a.kwonlyargs
+                 + [a.vararg, a.kwarg] if arg is not None and arg.arg not in ("self", "cls")}
+        declared = set()
+        for node in _own_scope(fn):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound.setdefault(node.id, node.lineno)
+            elif isinstance(node, (ast.Nonlocal, ast.Global)):
+                declared.update(node.names)
+        read = {node.id for node in ast.walk(fn)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found += [(line, getattr(fn, "name", "<lambda>"), name) for name, line in bound.items()
+                  if name != "_" and name not in read | declared]
+    return sorted(found)
+
+
+def test_unread_names_are_flagged():
+    src = ("def f(self, a, b, *rest, c=1, **kw):\n    x, y = a\n    _, *z = b\n"
+           "    def g(p):\n        nonlocal y\n        y = 1\n        return x\n"
+           "    total = 0\n    total += 1\n    for i in rest:\n        pass\n"
+           "    return [0 for j in kw], (lambda q: c)\n")
+    # x is read by g, c by the lambda, kw by the comprehension; y is only
+    # rebound through g's nonlocal, total only added to
+    assert unread_names(src) == [(2, "f", "y"), (3, "f", "z"), (4, "g", "p"), (9, "f", "total"),
+                                 (10, "f", "i"), (12, "<lambda>", "q"), (12, "f", "j")]
+
+
+def test_the_package_reads_every_name_it_binds():
+    found = [f"{path.relative_to(ROOT)}:{line}: {fn} binds {name}"
+             for path in sorted((ROOT / "src" / "crossflux").rglob("*.py"))
+             for line, fn, name in unread_names(path.read_text())]
+    assert not found, "parameters and locals that nothing reads:\n" + "\n".join(found)
 
 
 def fft_uses_outside_seam(source: str) -> list:

@@ -557,11 +557,11 @@ def test_built_step_lists_are_no_longer(d, N, scheme, variant, calls):
     built = []
     original = solver._loop
 
-    def spy(plan, initial, shape, dt, steps, step, **kwargs):
+    def spy(plan, initial, shape, steps, step, **kwargs):
         def counted(*args):
             built.append(step(*args))
             return built[-1]
-        return original(plan, initial, shape, dt, steps, counted, **kwargs)
+        return original(plan, initial, shape, steps, counted, **kwargs)
 
     with mock.patch.object(solver, "_loop", spy):
         simulate(RunConfig(REGULARIZED_SKT, init, dt=dt, t_end=3 * dt, scheme=scheme,
@@ -596,11 +596,11 @@ def built_step(case):
     built = []
     original = solver._loop
 
-    def spy(plan, initial, shape, dt, steps, step, **kwargs):
+    def spy(plan, initial, shape, steps, step, **kwargs):
         def kept(c, vals, work):
             built.append((step(c, vals, work), [c, vals, *work._arrays.values()]))
             return built[-1][0]
-        return original(plan, initial, shape, dt, steps, kept, **kwargs)
+        return original(plan, initial, shape, steps, kept, **kwargs)
 
     grid = TorusGrid(2 if case.startswith("2d") else 1, {"2d-16": 16, "2d-64": 64}.get(case, 32))
     wave = np.cos(2.0 * np.pi * grid.coords(0))

@@ -357,6 +357,32 @@ def test_half_layout_pad_project_round_trip(grid, extra, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(d=st.sampled_from([1, 2, 3]), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_pad_and_project_are_adjoint(d, data, seed):
+    # <fine_values(c), G> on the M-grid is the Parseval pairing of c with
+    # project_fine(G) on the half layout: weight w (1 on columns 0 and
+    # N/2, 2 elsewhere, as `power`) and 1/2 for each index at N/2, the
+    # N/2 column and the row N/2 of each leading axis, whose slot padding
+    # splits in two
+    N = data.draw(st.sampled_from([8, 16, 32]), label="N")
+    M = N + 2 * data.draw(st.integers(1, 20), label="(M-N)/2")
+    g = TorusGrid(d, N)
+    plan = spectral_plan(g, M)
+    rng = np.random.default_rng(seed)
+    a, G = rng.standard_normal(g.shape), rng.standard_normal((M,) * d)
+    c = plan.to_coeffs(a)
+    h = N // 2 + 1
+    weight = np.where((np.arange(h) == 0) | (np.arange(h) == N // 2), 1.0, 2.0)
+    nu = np.ones(c.shape)
+    nu[..., N // 2] *= 0.5
+    for axis in range(d - 1):
+        nu[(slice(None),) * axis + (N // 2,)] *= 0.5
+    lhs = np.mean(plan.fine_values(c) * G)
+    rhs = np.sum(weight * nu * np.real(np.conj(c) * plan.project_fine(G)))
+    assert abs(lhs - rhs) <= 1e-14 * math.sqrt(np.mean(a ** 2) * np.mean(G ** 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([1, 2, 3]), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
 def test_per_axis_transforms_are_rfftn_and_irfftn_bitwise(d, data, seed):
     # the plan's per-axis calls give numpy's n-d transforms to the bit:
     # forward keeps the first N/2+1 columns of rfftn, and the inverse

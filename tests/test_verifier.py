@@ -10,7 +10,7 @@ from crossflux.errors import ConfigError, DomainError
 from crossflux.model import ModelSpec, Poly2, X, Y
 from crossflux.solver import RunConfig, State, Trajectory, simulate, solve_kolmogorov
 from crossflux.spaces import TimeSeriesField
-from crossflux.spectral import FOUR_PI_SQ, Field
+from crossflux.spectral import FOUR_PI_SQ, Field, TorusGrid
 from crossflux.verifier import (
     check_duality,
     check_energy_decay,
@@ -270,6 +270,27 @@ def test_track_lambda_monotone_and_premise(grid32, cosine):
     assert rep.passed  # vacuous when the premise fails
     with pytest.warns(UserWarning, match="1 \\+ d/2"):
         track_lambda(traj, SKT, k=1.2)
+
+
+def test_track_hk_fails_a_norm_that_is_not_finite(grid32, cosine):
+    # 2-d N=16 data constant along axis 1: at k = 90 the weights of the
+    # modes off axis 0 overflow to inf where the coefficients are 0, which
+    # adds 0; the H^(k+1) weight of the top mode of axis 0 overflows too, so
+    # A is inf, and the report fails although its premise does not hold
+    grid = TorusGrid(2, 16)
+    traj = skt_run(grid, cosine, t_end=1e-3)
+    with np.errstate(over="ignore"):
+        a_series, rep = track_hk(traj, 90, small=1.0)
+    assert np.isfinite(rep.measured["initial_hk"]) and np.isfinite(rep.measured["sup_hk"])
+    assert rep.measured["a_final"] == math.inf and a_series[-1] == math.inf
+    assert rep.measured["premise_holds"] == 0.0 and not rep.passed
+    # white data on 1-d N=32 at k = 100: the H^k norm itself overflows
+    fields = [Field(grid32, row) for row in np.random.default_rng(0).standard_normal((3, 32))]
+    traj = manual_trajectory(grid32, [0.0, 0.5, 1.0], fields, fields)
+    with np.errstate(over="ignore"):
+        _, rep = track_hk(traj, 100, small=1.0)
+    assert rep.measured["sup_hk"] == rep.measured["initial_hk"] == math.inf
+    assert rep.measured["premise_holds"] == 0.0 and not rep.passed
 
 
 def test_track_hk_heat_decay(grid32, cosine):
