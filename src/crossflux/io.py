@@ -16,6 +16,7 @@ import tempfile
 import numpy as np
 
 from .errors import ConfigError
+from .spaces import lp_norms
 from .spectral import Field, TorusGrid
 
 _FIELD_HEADER = re.compile(r"#\s*d=(\d+)\s+N=(\d+)\s*$")
@@ -71,29 +72,14 @@ def read_field(path: str) -> Field:
     return Field(grid, vals)
 
 
-def _l2_rows(s: np.ndarray) -> list:
-    with np.errstate(over="ignore"):
-        squares = np.mean(np.abs(s) ** 2, axis=1)
-    l2 = [float(m ** 0.5) for m in squares]
-    for i in np.flatnonzero(~np.isfinite(squares)):
-        scale = np.abs(s[i]).max()
-        l2[i] = float(scale * np.mean((s[i] / scale) ** 2) ** 0.5)
-    return l2
-
-
 def trajectory_csv(traj) -> str:
-    """Summary rows at recorded times: masses, minima, L2 norms.  Each
-    column is one reduction over the state stacks; the L2 root is taken
-    per state, as `lp_norm` takes it.  A row whose squares overflow, as
-    in the partial history of a blown-up run, is scaled by its largest
-    |sample| first."""
-    n = len(traj.times)
-    u, v = traj.u.reshape(n, -1), traj.v.reshape(n, -1)
-    l2_u, l2_v = (_l2_rows(s) for s in (u, v))
-    cols = (traj.times.tolist(), u.mean(axis=1).tolist(), v.mean(axis=1).tolist(),
-            u.min(axis=1).tolist(), v.min(axis=1).tolist(), l2_u, l2_v)
+    """Summary rows at recorded times: the time loop's masses and minima at
+    the recorded steps, and each state's L2 norm by `lp_norms`."""
+    at = np.searchsorted(traj.step_times, traj.times)
+    cols = ([traj.times] + [a[at] for a in (traj.mass_u, traj.mass_v, traj.min_u, traj.min_v)]
+            + [lp_norms(s, 2) for s in (traj.u, traj.v)])
     lines = ["t,mass_u,mass_v,min_u,min_v,l2_u,l2_v"]
-    lines.extend(",".join(map(repr, row)) for row in zip(*cols))
+    lines.extend(",".join(map(repr, row)) for row in zip(*(c.tolist() for c in cols)))
     return "\n".join(lines) + "\n"
 
 

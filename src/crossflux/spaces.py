@@ -1,7 +1,7 @@
 """Norms, semigroup functionals, and the dyadic-frequency toolbox.
 
 Everything here measures fields produced by the spectral layer: Lebesgue
-and Sobolev norms, the heat-semigroup functional
+norms of stacks (`lp_norms`), Sobolev norms, the heat-semigroup functional
 
     N_k(f) = ( integral_0^inf || exp(t*Lap) f ||_k^k dt )^(1/k)
 
@@ -32,19 +32,36 @@ REGRESSION_CONSTANTS = {
     "block_sequence": 2.0,
     "maxreg": 10.0,
 }
+_TINY = np.finfo(np.float64).tiny  # below it, a mean of |x|^p has lost digits
 
 
 def mean(field: Field) -> float:
     return float(field.values.mean())
 
 
-def lp_norm(field: Field, p: float) -> float:
-    """Lebesgue norm with the uniform quadrature weight N^-d per cell."""
-    if p == math.inf:
-        return float(np.max(np.abs(field.values)))
+def lp_norms(stack: np.ndarray, p: float) -> np.ndarray:
+    """Each state's Lebesgue norm (mean |x|^p)^(1/p), max |x| at p = inf, over
+    a stack (T, ...).  A state whose mean overflows or falls below the
+    smallest normal float is retaken as max|x| (mean (|x|/max|x|)^p)^(1/p).
+    The root is `np.float_power`: bitwise a scalar's `**`; an array's is not."""
     if not p >= 1:
         raise DomainError(f"Lebesgue exponent must satisfy p >= 1, got {p}")
-    return float(np.mean(np.abs(field.values) ** p) ** (1.0 / p))
+    flat = np.abs(stack.reshape(len(stack), -1))
+    if p == math.inf:
+        return flat.max(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = np.mean(flat ** p, axis=1)
+        norms = np.float_power(means, 1.0 / p)
+        for i in np.flatnonzero(~((means >= _TINY) & (means < math.inf))):
+            scale = flat[i].max()
+            if scale > 0.0:
+                norms[i] = scale * np.float_power(np.mean((flat[i] / scale) ** p), 1.0 / p)
+    return norms
+
+
+def lp_norm(field: Field, p: float) -> float:
+    """Lebesgue norm with the uniform quadrature weight N^-d per cell."""
+    return float(lp_norms(field.values[None], p)[0])
 
 
 def sobolev_norm(field: Field, s: float) -> float:
@@ -52,14 +69,7 @@ def sobolev_norm(field: Field, s: float) -> float:
     if not math.isfinite(s):
         raise DomainError(f"Sobolev exponent must be finite, got {s}")
     plan = spectral_plan(field.grid, field.grid.N)
-    power = plan.power(plan.to_coeffs(field.values))
-    return float(np.sqrt(np.sum(weighted_power((1.0 + plan.lam) ** s, power))))
-
-
-def weighted_power(weight: np.ndarray, power: np.ndarray) -> np.ndarray:
-    """weight * power, 0 where power is 0: a zero coefficient adds 0 to a
-    Parseval sum, also where its weight overflowed to inf."""
-    return np.multiply(weight, power, out=np.zeros_like(power), where=power != 0)
+    return float(np.sqrt(plan.parseval(plan.to_coeffs(field.values), 1.0 + plan.lam, s)))
 
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)

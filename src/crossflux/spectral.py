@@ -337,10 +337,10 @@ class SpectralPlan:
     each other axis); the rest follow from c(-xi) = conj(c(xi)).
     The N/2 column holds the -N/2 coefficient of the FFT, whose unpaired
     slot encodes a sine-type mode.  `lam` and `xi_sq` are laid
-    out alike.  `power` gives the Parseval density of coefficients: a sum
-    of w(xi)|c(xi)|^2 over all frequencies, for w even in xi, is the
-    half-layout sum of w * power(c).  `derivative` gives the samples of
-    an axis derivative.
+    out alike.  `parseval` gives the Parseval sums of coefficients, the
+    sum of base(xi)^s |c(xi)|^2 over all frequencies for a base laid out
+    as `lam` and even in xi, as every weighted L^2 norm here is taken.
+    `derivative` gives the samples of an axis derivative.
 
     `to_coeffs`/`to_values` map cell-center samples to coefficients and
     back.  `fine_values` evaluates the interpolant at the cell centers of
@@ -427,9 +427,20 @@ class SpectralPlan:
                        for axis in range(d - 1)]
         self._band = (Ellipsis,) + (slice(0, N),) * (d - 1) + (slice(None),)
 
-    def power(self, coeffs: np.ndarray) -> np.ndarray:
-        """|c|^2 weighted 1 on columns 0 and N/2, 2 on the others."""
-        return self._weight * np.abs(coeffs) ** 2
+    def parseval(self, coeffs: np.ndarray, base: np.ndarray, s: float = 1.0) -> np.ndarray:
+        """Per stack on the trailing d axes, the sum over all frequencies of
+        base^s |c|^2, |c|^2 weighted 1 on columns 0 and N/2, 2 elsewhere.  A
+        term is |c|^2 * base^s (s >= 0) or |c|^2 / base^-s (s < 0); where
+        base^|s| overflows it is exp(s log base + log |c|^2), so a zero
+        coefficient adds 0 and a finite term stays finite."""
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            density = self._weight * np.abs(coeffs) ** 2
+            weight = base ** abs(s)
+            terms = density / weight if s < 0 else density * weight
+            if weight.max() == math.inf:
+                over = np.isinf(weight)
+                terms[..., over] = np.exp(s * np.log(base[over]) + np.log(density[..., over]))
+            return terms.reshape(terms.shape[:terms.ndim - self.grid.d] + (-1,)).sum(axis=-1)
 
     def derivative(self, coeffs: np.ndarray, axis: int) -> np.ndarray:
         """Samples of the derivative along `axis` of the interpolant.  The

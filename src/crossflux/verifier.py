@@ -20,8 +20,7 @@ from .model import (ModelSpec, find_delta_A, flux_polys, smallness_functional,
                     stability_constants)
 from .report import Report
 from .solver import Trajectory, amplitude
-from .spaces import (FINE_BATCH_POINTS, TimeSeriesField, cum_trapz, interp_linear,
-                     weighted_power)
+from .spaces import FINE_BATCH_POINTS, TimeSeriesField, cum_trapz, interp_linear
 from .spectral import Field, TorusGrid, poly_plan, spectral_plan
 
 INEQ_SLACK = 1e-3
@@ -43,19 +42,13 @@ def _hm1_sq(grid: TorusGrid, stack: np.ndarray) -> np.ndarray:
     forced estimate false already for stationary single-mode forcing.
     """
     plan = spectral_plan(grid, grid.N)
-    w = np.where(plan.lam > 0.0, plan.lam, 1.0)
-    return _flat(plan.power(plan.to_coeffs(stack)) / w).sum(axis=1)
-
-
-def _grad_sq(grid: TorusGrid, stack: np.ndarray) -> np.ndarray:
-    """Squared L2 norm of the gradient of each state, evaluated spectrally."""
-    plan = spectral_plan(grid, grid.N)
-    return _flat(plan.lam * plan.power(plan.to_coeffs(stack))).sum(axis=1)
+    return plan.parseval(plan.to_coeffs(stack), np.where(plan.lam > 0.0, plan.lam, 1.0), -1)
 
 
 def grad_norm_sq(field: Field) -> float:
     """Squared L2 norm of the gradient, evaluated spectrally."""
-    return float(_grad_sq(field.grid, field.values[None])[0])
+    plan = spectral_plan(field.grid, field.grid.N)
+    return float(plan.parseval(plan.to_coeffs(field.values), plan.lam))
 
 
 def _grad_energy(grid: TorusGrid, stack: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -189,8 +182,9 @@ def check_energy_decay(traj: Trajectory, spec: ModelSpec) -> Report:
             f"threshold {delta_a:.3g}; the inequality is not guaranteed",
             stacklevel=2)
     energy = _flat(u ** 2).mean(axis=1) + _flat(v ** 2).mean(axis=1)
-    diss = (0.5 * spec.d1 * _grad_sq(traj.grid, u)
-            + 0.5 * spec.d2 * _grad_sq(traj.grid, v))
+    plan = spectral_plan(traj.grid, traj.grid.N)
+    diss = (0.5 * spec.d1 * plan.parseval(plan.to_coeffs(u), plan.lam)
+            + 0.5 * spec.d2 * plan.parseval(plan.to_coeffs(v), plan.lam))
     scale = 1.0 + float(diss.max())
     slack = 1e-6 * scale
     lhs = 0.5 * _nonuniform_fd(times, energy) + diss[1:-1]
@@ -306,11 +300,11 @@ def check_lyapunov_nonconvex(traj: Trajectory) -> Report:
     times = traj.times
     if len(times) < 3:
         raise ConfigError("need at least three recorded states")
-    grid = traj.grid
+    plan = spectral_plan(traj.grid, traj.grid.N)
     u, v = traj.u, traj.v
     energy = 0.5 * _flat((1.0 + u * u) * (1.0 + v * v)).mean(axis=1)
-    diss = (_grad_sq(grid, u * (1.0 + v * v))
-            + _grad_sq(grid, v * (1.0 + u * u)))[1:-1]
+    diss = (plan.parseval(plan.to_coeffs(u * (1.0 + v * v)), plan.lam)
+            + plan.parseval(plan.to_coeffs(v * (1.0 + u * u)), plan.lam))[1:-1]
     tiny = 1e-14 * (1.0 + energy[0])
     residuals = np.abs(_nonuniform_fd(times, energy) + diss) / np.maximum(diss, tiny)
     max_res = float(residuals.max())
@@ -384,10 +378,9 @@ def track_hk(traj: Trajectory, k_sob: int, small: float | None = None):
     hk2 = hk12 = 0.0
     for stack in (traj.u, traj.v):
         flat = _flat(stack)
-        mean_free = (flat - flat.mean(axis=1, keepdims=True)).reshape(stack.shape)
-        power = plan.power(plan.to_coeffs(mean_free))
-        hk2 = hk2 + _flat(weighted_power(weight ** k_sob, power)).sum(axis=1)
-        hk12 = hk12 + _flat(weighted_power(weight ** (k_sob + 1), power)).sum(axis=1)
+        c = plan.to_coeffs((flat - flat.mean(axis=1, keepdims=True)).reshape(stack.shape))
+        hk2 = hk2 + plan.parseval(c, weight, k_sob)
+        hk12 = hk12 + plan.parseval(c, weight, k_sob + 1)
     a_series = hk2 + cum_trapz(times, hk12)
     init = float(np.sqrt(hk2[0]))
     sup = float(np.sqrt(hk2.max()))

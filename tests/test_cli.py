@@ -228,12 +228,28 @@ def test_norms_match_library(tmp_path, capsys):
 
 
 def test_norms_of_a_constant_at_a_large_sobolev_exponent(tmp_path, capsys):
-    # the weights of the top modes overflow to inf, where the coefficients are 0
+    # the weights of the top modes overflow to inf, where the coefficients
+    # are 0; no numpy warning is printed (one raises here)
     path = tmp_path / "const.csv"
     write_field(path, Field(TorusGrid(1, 32), np.full(32, 0.7)))
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert run_cli(["norms", "--input", str(path), "--norm", "hs", "--s", "100"]) == 0
-    assert capsys.readouterr().out == "0.7\n"
+    assert capsys.readouterr() == ("0.7\n", "")
+
+
+def test_norms_at_a_large_lebesgue_exponent(tmp_path, capsys):
+    # the mean of |f|^p overflows for f in [1, 2] at p = 1e6; the norm lies
+    # in [N^(-1/p) max|f|, max|f|], and no numpy warning is printed
+    grid = TorusGrid(1, 32)
+    path = tmp_path / "wave.csv"
+    write_field(path, Field(grid, 1.5 + 0.5 * np.cos(2 * np.pi * grid.coords(0))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["norms", "--input", str(path), "--norm", "lp", "--p", "1e6"]) == 0
+    out, err = capsys.readouterr()
+    top = 1.5 + 0.5 * math.cos(math.pi / 32)
+    assert err == "" and 32.0 ** -1e-6 * top <= float(out) <= top
 
 
 @pytest.mark.parametrize(

@@ -43,6 +43,20 @@ def test_lp_norm_refuses_a_nan_exponent(grid64, cosine):
         lp_norm(cosine(grid64), math.nan)
 
 
+def test_lp_norm_at_a_large_exponent_lies_between_its_bounds():
+    # (mean |f|^p)^(1/p) lies in [N^(-1/p) max|f|, max|f|]; at these p the
+    # mean of |f|^p underflows to 0 (small f) or overflows to inf (f > 1)
+    # unless it is taken of |f| / max|f|
+    grid = TorusGrid(1, 32)
+    shape = 0.5 + 0.3 * np.cos(2 * np.pi * grid.coords(0))
+    for scale in (1e-3, 1.0, 2.0):
+        f = Field(grid, scale * shape)
+        top = float(np.max(np.abs(f.values)))
+        for p in (700.0, 1e4, 1e6):
+            value = lp_norm(f, p)
+            assert 32.0 ** (-1.0 / p) * top <= value <= top, (scale, p)
+
+
 def test_mean_is_exact(rng, grid64):
     f = Field(grid64, rng.standard_normal(64))
     assert mean(f) == pytest.approx(np.mean(f.values), abs=0)
@@ -64,14 +78,17 @@ def test_a_zero_coefficient_adds_zero_to_the_sobolev_norm(rng):
     # and inf times a zero coefficient must not make the norm NaN
     grid = TorusGrid(1, 32)
     const = Field(grid, np.full(32, 0.7))
-    with np.errstate(over="ignore"):
-        assert sobolev_norm(const, 100) == sobolev_norm(const, 0) == 0.7
-    # where no weight overflows, the norm is the plain Parseval sum bitwise
+    assert sobolev_norm(const, 100) == sobolev_norm(const, 0) == 0.7
+    # where no weight overflows, the norm is the plain Parseval sum bitwise:
+    # |c|^2 (weighted 1 on columns 0 and N/2, 2 elsewhere) times the weight
+    # (1 + lam)^s, or divided by (1 + lam)^-s for s < 0
     f = Field(grid, rng.standard_normal(32))
     plan = spectral_plan(grid, 32)
-    power = plan.power(plan.to_coeffs(f.values))
+    density = np.where(np.arange(17) % 16 == 0, 1.0, 2.0) * np.abs(plan.to_coeffs(f.values)) ** 2
     for s in (-1.0, 0.0, 0.5, 3.0):
-        assert sobolev_norm(f, s) == float(np.sqrt(np.sum((1.0 + plan.lam) ** s * power)))
+        weight = (1.0 + plan.lam) ** abs(s)
+        terms = density / weight if s < 0 else density * weight
+        assert sobolev_norm(f, s) == float(np.sqrt(np.sum(terms)))
 
 
 def test_sobolev_norm_refuses_a_non_finite_exponent(grid64, cosine):

@@ -112,8 +112,35 @@ def test_parseval(rng, grid64, grid2d):
     for g in (grid64, grid2d):
         plan = spectral_plan(g, g.N)
         vals = rng.standard_normal(g.shape)
-        power = plan.power(plan.to_coeffs(vals))
-        assert np.sum(power) == pytest.approx(np.mean(vals**2), rel=1e-12)
+        total = plan.parseval(plan.to_coeffs(vals), np.ones(plan.lam.shape))
+        assert total == pytest.approx(np.mean(vals**2), rel=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid=st.sampled_from([(1, 8), (1, 32), (1, 64), (2, 8), (2, 16), (2, 32), (3, 8)]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_parseval_is_the_full_frequency_sum(grid, seed):
+    # sum of base(xi)^s |c(xi)|^2 over the N^d frequencies -N/2 < xi_i <= N/2
+    # (-N/2 and +N/2 name one slot), each coefficient read by
+    # SpectralField.get; a base with zeros only at s >= 0
+    g = TorusGrid(*grid)
+    N = g.N
+    plan = spectral_plan(g, N)
+    vals = np.random.default_rng(seed).standard_normal((2,) + g.shape)
+    coeffs = plan.to_coeffs(vals)
+    xis = list(itertools.product(range(-N // 2 + 1, N // 2 + 1), repeat=g.d))
+    lam = FOUR_PI_SQ * np.array([sum(x * x for x in xi) for xi in xis], dtype=float)
+    sq = np.array([[abs(SpectralField(g, c).get(xi)) ** 2 for xi in xis] for c in coeffs])
+    cases = [(plan.lam + 1.0, lam + 1.0, (-1.0, 0.0, 1.0, 2.5)),
+             (np.where(plan.lam > 0, plan.lam, 1.0), np.where(lam > 0, lam, 1.0),
+              (-1.0, 0.0, 1.0, 2.5)),
+             (plan.lam, lam, (0.0, 1.0, 2.5))]
+    for base, full, exponents in cases:
+        for s in exponents:
+            got = plan.parseval(coeffs, base, s)
+            want = (full ** s * sq).sum(axis=1)
+            assert got.shape == (2,)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
 def test_plan_derivative(grid2d):
@@ -360,7 +387,7 @@ def test_half_layout_pad_project_round_trip(grid, extra, seed):
 def test_pad_and_project_are_adjoint(d, data, seed):
     # <fine_values(c), G> on the M-grid is the Parseval pairing of c with
     # project_fine(G) on the half layout: weight w (1 on columns 0 and
-    # N/2, 2 elsewhere, as `power`) and 1/2 for each index at N/2, the
+    # N/2, 2 elsewhere, as `parseval`) and 1/2 for each index at N/2, the
     # N/2 column and the row N/2 of each leading axis, whose slot padding
     # splits in two
     N = data.draw(st.sampled_from([8, 16, 32]), label="N")

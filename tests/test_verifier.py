@@ -10,7 +10,7 @@ from crossflux.errors import ConfigError, DomainError
 from crossflux.model import ModelSpec, Poly2, X, Y
 from crossflux.solver import RunConfig, State, Trajectory, simulate, solve_kolmogorov
 from crossflux.spaces import TimeSeriesField
-from crossflux.spectral import FOUR_PI_SQ, Field, TorusGrid
+from crossflux.spectral import FOUR_PI_SQ, Field, TorusGrid, spectral_plan
 from crossflux.verifier import (
     check_duality,
     check_energy_decay,
@@ -275,20 +275,33 @@ def test_track_lambda_monotone_and_premise(grid32, cosine):
 def test_track_hk_fails_a_norm_that_is_not_finite(grid32, cosine):
     # 2-d N=16 data constant along axis 1: at k = 90 the weights of the
     # modes off axis 0 overflow to inf where the coefficients are 0, which
-    # adds 0; the H^(k+1) weight of the top mode of axis 0 overflows too, so
-    # A is inf, and the report fails although its premise does not hold
+    # adds 0; the H^(k+1) weight of the top mode of axis 0 overflows too,
+    # yet its term, about 1e275, is finite, and so is A: it matches a sum
+    # of the terms formed in log space, and the report passes vacuously
     grid = TorusGrid(2, 16)
     traj = skt_run(grid, cosine, t_end=1e-3)
-    with np.errstate(over="ignore"):
-        a_series, rep = track_hk(traj, 90, small=1.0)
-    assert np.isfinite(rep.measured["initial_hk"]) and np.isfinite(rep.measured["sup_hk"])
-    assert rep.measured["a_final"] == math.inf and a_series[-1] == math.inf
-    assert rep.measured["premise_holds"] == 0.0 and not rep.passed
+    a_series, rep = track_hk(traj, 90, small=1.0)
+    plan = spectral_plan(grid, 16)
+    half = np.where(np.arange(9) % 8 == 0, 1.0, 2.0)
+
+    def log_space_sum(s):
+        total = 0.0
+        for stack in (traj.u, traj.v):
+            mean_free = stack - stack.mean(axis=(1, 2), keepdims=True)
+            with np.errstate(divide="ignore"):
+                logs = s * np.log1p(plan.lam) + np.log(half * np.abs(plan.to_coeffs(mean_free)) ** 2)
+            top = logs.max(axis=(1, 2), keepdims=True)
+            total = total + np.exp(top[:, 0, 0]) * np.exp(logs - top).sum(axis=(1, 2))
+        return total
+
+    expected = log_space_sum(90)[-1] + np.trapezoid(log_space_sum(91), traj.times)
+    assert math.isfinite(rep.measured["a_final"]) and a_series[-1] == rep.measured["a_final"]
+    assert rep.measured["a_final"] == pytest.approx(expected, rel=1e-12)
+    assert rep.measured["premise_holds"] == 0.0 and rep.passed
     # white data on 1-d N=32 at k = 100: the H^k norm itself overflows
     fields = [Field(grid32, row) for row in np.random.default_rng(0).standard_normal((3, 32))]
     traj = manual_trajectory(grid32, [0.0, 0.5, 1.0], fields, fields)
-    with np.errstate(over="ignore"):
-        _, rep = track_hk(traj, 100, small=1.0)
+    _, rep = track_hk(traj, 100, small=1.0)
     assert rep.measured["sup_hk"] == rep.measured["initial_hk"] == math.inf
     assert rep.measured["premise_holds"] == 0.0 and not rep.passed
 
