@@ -150,10 +150,9 @@ def _run(obj, requested=()):
             for label, series, d_coef, poly, z_in in (
                     ("duality_u", traj.series_u(), spec.d1, spec.p, cfg.initial.u),
                     ("duality_v", traj.series_v(), spec.d2, spec.q, cfg.initial.v)):
-                mu = TimeSeriesField(traj.times,
-                                     d_coef + poly.eval_arrays(traj.u, traj.v))
-                rep = check_duality(series, mu, zeros, z_in)
-                reports.append(dataclasses.replace(rep, name=label))
+                mu = TimeSeriesField(traj.times, d_coef + poly.eval_arrays(traj.u, traj.v))
+                reports.append(dataclasses.replace(check_duality(series, mu, zeros, z_in),
+                                                   name=label))
         elif name == "rate":
             reports.append(fit_decay_rate(traj))
         elif name == "stability":

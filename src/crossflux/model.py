@@ -259,9 +259,16 @@ class ModelSpec:
                 raise DomainError(f"{name} must be positive and finite when set, got {val}")
 
 
+@lru_cache(maxsize=64)
 def flux_polys(spec: ModelSpec):
-    """Full flux polynomials (d1 + p)X and (d2 + q)Y."""
+    """Full flux polynomials (d1 + p)X and (d2 + q)Y, made once per spec."""
     return spec.d1 * X + X * spec.p, spec.d2 * Y + Y * spec.q
+
+
+@lru_cache(maxsize=64)
+def excess_flux_polys(spec: ModelSpec):
+    """The flux polynomials past linear diffusion, pX and qY, made once per spec."""
+    return X * spec.p, Y * spec.q
 
 
 def poly_eval(p: Poly2Signed, u: Field, v: Field) -> Field:
@@ -277,6 +284,7 @@ def flux(spec: ModelSpec, u: Field, v: Field):
     return poly_fields(flux_polys(spec), u, v)
 
 
+@lru_cache(maxsize=64)
 def derive_QR(spec: ModelSpec):
     """Coupling polynomials of the flux evolution equations.
 
@@ -285,13 +293,10 @@ def derive_QR(spec: ModelSpec):
         d_t Phi_1 - d1 * Lap(Phi_1) = Q1 * Lap(Phi_1) + R1 * Lap(Phi_2)
 
     with Q1 = p + X*dp/dX and R1 = X*dp/dY, and symmetrically for the
-    second species.
+    second species.  Made once per spec, as `find_delta_A` is.
     """
-    q1 = spec.p + X * spec.p.partial(0)
-    r1 = X * spec.p.partial(1)
-    q2 = spec.q + Y * spec.q.partial(1)
-    r2 = Y * spec.q.partial(0)
-    return q1, r1, q2, r2
+    return (spec.p + X * spec.p.partial(0), X * spec.p.partial(1),
+            spec.q + Y * spec.q.partial(1), Y * spec.q.partial(0))
 
 
 @inf_on_overflow

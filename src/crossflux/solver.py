@@ -27,7 +27,7 @@ from functools import partial
 import numpy as np
 
 from .errors import BlowupError, ConfigError, DomainError
-from .model import ModelSpec, X, Y, derive_QR, require_nonnegative
+from .model import ModelSpec, X, Y, derive_QR, excess_flux_polys, require_nonnegative
 from .spaces import TimeSeriesField, interp_linear
 from .spectral import (_BLOCK_BYTES, FOUR_PI_SQ, Field, TorusGrid, Work, _operand, poly_plan,
                        spectral_plan)
@@ -289,7 +289,7 @@ def _integrate(configs: tuple) -> list:
     regularized = config.variant == "regularized"
     # p(u,v)*u and q(u,v)*v; the regularized flux multiplies two fields,
     # so its plan dealiases at least the quadratic X*Y
-    fluxes = (X * spec.p, Y * spec.q)
+    fluxes = excess_flux_polys(spec)
     plan = poly_plan(grid, fluxes + (X * Y,) if regularized else fluxes)
 
     B = len(configs)
@@ -348,8 +348,9 @@ def _loop(plan, initial: list, shape: tuple, steps: np.ndarray, step,
     Steps are diagnosed in blocks of K: each step copies c into its slot of
     a block of K coefficient stacks, and after every K steps and the last
     one, one to_values call turns the block into samples, two reductions
-    give their row minima and sums, the recorded steps among them are
-    copied, and the stop rule reads the sums.  K is _BLOCK_BYTES // c.nbytes,
+    give their row minima and sums, the recorded steps among them are copied
+    (every steps[1]-th step as one strided view, and the run's last step),
+    and the stop rule reads the sums.  K is _BLOCK_BYTES // c.nbytes,
     at least 1 and at most the number of steps, and a c of at most that size
     gets the operand rule (`spectral._operand`).  At K = 1 the block is c
     itself and its samples are vals, the array of the initial samples, so a
@@ -404,9 +405,10 @@ def _loop(plan, initial: list, shape: tuple, steps: np.ndarray, step,
             flat = samples.reshape(k, n_rows, -1)
             np.minimum.reduce(flat, axis=2, out=mins[:, n + 1:n + k + 1].T)
             block_sums = np.add.reduce(flat, axis=2, out=sums[n + 1:n + k + 1])
-            while r < len(steps) and steps[r] <= n + k:
-                rec[:, r] = flat[steps[r] - n - 1]
-                r += 1
+            r0, r = r, bisect.bisect_right(steps, n + k, r, len(steps) - 1)
+            rec[:, r0:r] = flat[steps[r0] - n - 1::steps[1]][:r - r0].swapaxes(0, 1)
+            if n + k == n_steps:
+                rec[:, -1] = flat[-1]
             # a row's samples are all finite exactly when its sum is, and a
             # member that ended earlier is zero; `first`: each member's
             # first step in the block with a non-finite row, k if none

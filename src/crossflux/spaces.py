@@ -229,9 +229,13 @@ def spacetime_lk(series: TimeSeriesField, k: float) -> float:
         raise DomainError(f"exponent must lie in [1, inf), got {k}")
     if len(series) < 2:
         raise DomainError("space-time norms need at least two time samples")
-    vals = series.values
-    power = np.mean(np.abs(vals.reshape(len(vals), -1)) ** k, axis=1)
-    return float(cum_trapz(series.times, power)[-1] ** (1.0 / k))
+    flat, scale = np.abs(series.values.reshape(len(series), -1)), 1.0
+    with np.errstate(over="ignore"):
+        total = cum_trapz(series.times, np.mean(flat ** k, axis=1))[-1]
+    if not (_TINY <= total < math.inf or not flat.any()):  # retaken as in `lp_norms`
+        scale = flat.max()
+        total = cum_trapz(series.times, np.mean((flat / scale) ** k, axis=1))[-1]
+    return float(scale * total ** (1.0 / k))
 
 
 def dyadic_blocks(field: Field) -> list:
@@ -251,8 +255,13 @@ def block_sequence_norm(field: Field, k: float) -> float:
     """l^k norm of the dyadic block norms, (sum_j ||f_j||_k^k)^(1/k)."""
     if not (1.0 <= k < math.inf):
         raise DomainError(f"exponent must lie in [1, inf), got {k}")
-    blocks = dyadic_blocks(field)
-    return float(sum(lp_norm(b, k) ** k for b in blocks) ** (1.0 / k))
+    norms = np.array([lp_norm(b, k) for b in dyadic_blocks(field)])
+    with np.errstate(over="ignore"):  # out of the normal range, retaken as in `lp_norms`
+        total = sum(np.float_power(norms, k).tolist())
+    if _TINY <= total < math.inf or not norms.any():
+        return float(total ** (1.0 / k))
+    scale = norms.max()
+    return float(scale * sum(np.float_power(norms / scale, k).tolist()) ** (1.0 / k))
 
 
 def random_band_field(grid: TorusGrid, lo: float, hi: float, rng) -> Field:

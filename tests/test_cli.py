@@ -745,6 +745,26 @@ SMALL = {"kind": "cosine", "u_mean": 0.1, "u_amp": 0.02, "v_mean": 0.12, "v_amp"
          "mode": 1}
 
 
+def test_each_checks_report_is_the_same_alone_and_with_the_others(tmp_path):
+    # the seven checks of the verify-1d benchmark, with every step recorded
+    # so that `lambda`, which records every step, changes no recording
+    checks = ("mass", "energy", "duality", "stability", "lambda", "hk", "rate")
+    cfg = run_config(initial=SMALL, record_every=1,
+                     checks={"k": 3.0, "delta": 0.3, "R": 1.0, "k_sob": 1,
+                             "stability_scale": 0.5})
+    config = write_json(tmp_path / "run.json", cfg)
+
+    def reports(names):
+        report = tmp_path / "report.json"
+        assert run_cli(["verify", "--config", config, "--checks", names,
+                        "--report", str(report)]) in (0, 1)
+        return [json.dumps(r) for r in json.loads(report.read_text())]
+
+    together = reports(",".join(checks))
+    assert len(together) == 8
+    assert [r for name in checks for r in reports(name)] == together
+
+
 def test_cosine_initial_data_in_2d(tmp_path, capsys):
     # the cosine runs along the first axis and is constant along the second
     cfg = write_json(tmp_path / "run.json",

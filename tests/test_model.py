@@ -17,6 +17,7 @@ from crossflux.model import (
     bootstrap_delta,
     bootstrap_poly,
     derive_QR,
+    excess_flux_polys,
     find_delta_A,
     flux,
     flux_polys,
@@ -247,6 +248,15 @@ def test_find_delta_a_is_cached_per_spec():
     after = find_delta_A.cache_info()
     assert (after.hits, after.currsize) == (info.hits + 1, info.currsize)
     assert value == find_delta_A.__wrapped__(b)
+
+
+@pytest.mark.parametrize("derived", [flux_polys, excess_flux_polys, derive_QR])
+def test_polynomials_derived_from_a_spec_are_made_once_per_spec(derived):
+    a = ModelSpec(1.25, 0.75, Poly2({(1, 0): 0.5, (0, 2): 0.25}), Poly2({(2, 0): 0.125}))
+    b = ModelSpec(1.25, 0.75, Poly2({(0, 2): 0.25, (1, 0): 0.5}), Poly2({(2, 0): 0.125}))
+    value = derived(a)
+    assert derived(b) is value
+    assert value == derived.__wrapped__(b)
 
 
 def test_bootstrap_poly_and_delta():

@@ -1012,6 +1012,31 @@ def test_blocks_of_steps_are_the_fresh_array_loop_bitwise(monkeypatch, rng, K, d
         assert np.array_equal(traj.mass_u, means[0]) and np.array_equal(traj.mass_v, means[1])
 
 
+@pytest.mark.parametrize("record_every", [1, 7, 60, 250])
+@pytest.mark.parametrize("members", [1, 2])
+def test_records_copied_per_block_are_the_samples_of_their_steps_bitwise(grid32, cosine,
+                                                                         members, record_every):
+    # 250 steps at 1-d N=32 make blocks of 120 steps for one run and of 60
+    # for a batch of two, so records cross block edges; at 7 and 60 the
+    # last step, 250, is off the stride of the records before it
+    assert solver._BLOCK_BYTES // stack_bytes(grid32, 2 * members) == 120 // members
+    inits = [State(0.0, cosine(grid32, mean=0.5 + 0.1 * b, amp=0.05),
+                   cosine(grid32, mean=0.6, amp=0.05 + 0.02 * b)) for b in range(members)]
+
+    def run(every):
+        return simulate([RunConfig(SKT, init, dt=1e-4, t_end=0.025, record_every=every)
+                         for init in inits])
+
+    at = solver._recorded_steps(1e-4, 0.025, record_every)
+    assert at[-1] == 250 and len(at) == {1: 251, 7: 37, 60: 6, 250: 2}[record_every]
+    for dense, sparse in zip(run(1), run(record_every)):
+        # every step's own minima, taken apart from the records
+        assert np.array_equal(dense.min_u, dense.u.min(axis=1))
+        assert np.array_equal(dense.min_v, dense.v.min(axis=1))
+        assert np.array_equal(sparse.times, dense.times[at])
+        assert np.array_equal(sparse.u, dense.u[at]) and np.array_equal(sparse.v, dense.v[at])
+
+
 @pytest.mark.parametrize("d, N, scheme", [(1, 32, "imex"), (1, 16, "rk4"), (2, 8, "imex")])
 def test_recorded_masses_are_the_mean_of_each_step_bitwise(rng, d, N, scheme):
     grid = TorusGrid(d, N)

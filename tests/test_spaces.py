@@ -57,6 +57,40 @@ def test_lp_norm_at_a_large_exponent_lies_between_its_bounds():
             assert 32.0 ** (-1.0 / p) * top <= value <= top, (scale, p)
 
 
+def test_integral_lk_norms_at_a_large_exponent_are_retaken_by_the_largest_value():
+    # at k = 1e4 the block norms' k-th powers and the means of |x|^k of
+    # a*cos underflow to 0 (a = 0.8) or overflow (a = 2): both sums are
+    # then retaken relative to the largest value, and each norm is that
+    # of the one block, or of the one state, the cosine has
+    grid = TorusGrid(1, 32)
+    wave = np.cos(2 * np.pi * grid.coords(0))
+    for amp in (0.8, 2.0):
+        f = Field(grid, amp * wave)
+        norm = lp_norm(f, 1e4)
+        assert 0.99 * amp < norm < amp
+        assert block_sequence_norm(f, 1e4) == pytest.approx(norm, rel=1e-14)
+        for t_end in (1.0, 1e-3):
+            series = TimeSeriesField(np.array([0.0, t_end]), [f, f])
+            assert spacetime_lk(series, 1e4) == pytest.approx(norm * t_end ** 1e-4, rel=1e-14)
+    zero = TimeSeriesField(np.array([0.0, 1.0]), [Field(grid, 0.0 * wave)] * 2)
+    assert spacetime_lk(zero, 1e4) == 0.0
+    assert block_sequence_norm(Field(grid, 0.0 * wave), 1e4) == 0.0
+
+
+def test_integral_lk_norms_in_range_keep_the_sum_of_powers_form(rng, grid64):
+    # where no sum leaves the normal range the norms are the plain sums
+    f = Field(grid64, rng.standard_normal(64))
+    f = f - float(np.mean(f.values))
+    times = np.array([0.0, 0.25, 1.0])
+    series = TimeSeriesField(times, [f, 2.0 * f, 0.5 * f])
+    for k in (1.0, 3.0, 40.0):
+        blocks = sum(lp_norm(b, k) ** k for b in dyadic_blocks(f)) ** (1.0 / k)
+        assert block_sequence_norm(f, k) == blocks
+        power = np.mean(np.abs(series.values.reshape(3, -1)) ** k, axis=1)
+        total = float(np.sum(0.5 * (power[1:] + power[:-1]) * np.diff(times)))
+        assert spacetime_lk(series, k) == total ** (1.0 / k)
+
+
 def test_mean_is_exact(rng, grid64):
     f = Field(grid64, rng.standard_normal(64))
     assert mean(f) == pytest.approx(np.mean(f.values), abs=0)

@@ -1,6 +1,7 @@
 """Estimate checkers against exact fixtures and doctored negative controls."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -133,6 +134,83 @@ def test_duality_rejects_nonpositive_mu(grid32, cosine):
     z = TimeSeriesField(np.array([0.0, 0.1]), [cosine(grid32)] * 2)
     with pytest.raises(DomainError, match="positive"):
         check_duality(z, mu, f, cosine(grid32))
+
+
+def report_json(rep):
+    return json.dumps(rep.to_json_dict())
+
+
+def verify_duality_inputs(grid, cosine):
+    """z, mu, f and z_in as `verify` makes them for the u species: mu at
+    z's own times, a zero forcing at the first and last time, and z_in
+    the initial field, a separate array equal to z's first sample."""
+    traj = skt_run(grid, cosine, t_end=0.005)
+    mu = TimeSeriesField(traj.times, SKT.d1 + SKT.p.eval_arrays(traj.u, traj.v))
+    zeros = TimeSeriesField(traj.times[[0, -1]], np.zeros((2,) + grid.shape))
+    return traj.series_u(), mu, zeros, cosine(grid, mean=0.5, amp=0.02)
+
+
+@pytest.mark.parametrize("grid", [TorusGrid(1, 32), TorusGrid(2, 16)], ids=["1d", "2d"])
+def test_duality_shortcuts_are_the_general_path_bitwise(grid, cosine):
+    z, mu, zeros, z_in = verify_duality_inputs(grid, cosine)
+    assert np.array_equal(z_in.values, z.values[0]) and z_in.values is not z.values[0]
+    expected = report_json(check_duality(z, mu, zeros, z_in))
+    # mu on a longer time grid that holds z's times: it is interpolated
+    times = np.concatenate([z.times, 0.5 * (z.times[1:] + z.times[:-1]), [1.0]])
+    order = np.argsort(times)
+    extra = np.concatenate([mu.values, 0.5 + mu.values[1:], mu.values[-1:]])
+    longer = TimeSeriesField(times[order], extra[order])
+    assert report_json(check_duality(z, longer, zeros, z_in)) == expected
+    # an all-zero forcing sampled at every time of z and past it
+    more = TimeSeriesField(times[order], np.zeros((len(times),) + grid.shape))
+    assert report_json(check_duality(z, mu, more, z_in)) == expected
+    # z_in as a view of z's first sample, and as a copy of it
+    for first in (z.values[0], z.values[0].copy()):
+        assert report_json(check_duality(z, mu, zeros, Field(grid, first))) == expected
+
+
+def test_duality_forcing_that_is_zero_at_every_time_of_z_adds_nothing(grid32, cosine):
+    # f is not zero after the horizon, so the forcing term is interpolated
+    # and added (and the unforced bounds are not checked): it is zero at
+    # every time of z, and the forced path gives the same bound
+    z, mu, zeros, z_in = verify_duality_inputs(grid32, cosine)
+    late = TimeSeriesField(np.append(z.times, 1.0),
+                           np.concatenate([np.zeros((len(z),) + grid32.shape),
+                                           np.ones((1,) + grid32.shape)]))
+    unforced, forced = (check_duality(z, mu, f, z_in).measured for f in (zeros, late))
+    assert "l2_max_ratio" in unforced and "l2_max_ratio" not in forced
+    for key in ("max_ratio", "final_margin", "horizon"):
+        assert forced[key] == unforced[key]
+    # a forcing of 0.01 throughout adds the integral of the mean of 0.01^2 / mu
+    steady = TimeSeriesField(zeros.times, np.full((2,) + grid32.shape, 0.01))
+    added = np.trapezoid(np.mean(1e-4 / mu.values, axis=1), z.times)
+    assert (check_duality(z, mu, steady, z_in).measured["final_margin"]
+            - unforced["final_margin"]) == pytest.approx(added, rel=1e-9)
+
+
+def test_duality_initial_norm_is_z_in_s_own(grid32):
+    # z_in = max(cos, 0) has exact zeros, and z's first sample is z_in.
+    # With -0.0 for each +0.0, z_in is equal in value but not bit for bit,
+    # so its H^-1 norm is taken of its own transform: the same bits.  A
+    # different z_in of the same mean moves the bound by the difference of
+    # the H^-1 norms, 0.1^2 / 2 / (4 pi^2 3^2) for an added 0.1 cos 6 pi x
+    # (max(cos, 0) has no third harmonic)
+    t_end = 0.01
+    wave = np.cos(2.0 * np.pi * grid32.coords(0))
+    z0 = Field(grid32, np.maximum(wave, 0.0))
+    mu = TimeSeriesField(np.array([0.0, t_end]), [Field(grid32, 1.0 + 0.5 * wave),
+                                                 Field(grid32, 1.2 - 0.3 * wave)])
+    f = const_series(grid32, 0.0, t_end)
+    z = solve_kolmogorov(z0, mu, f, dt=1e-4, t_end=t_end)
+    assert z.values[0].tobytes() == z0.values.tobytes() and np.any(z0.values == 0.0)
+    signed = Field(grid32, np.where(z0.values == 0.0, -0.0, z0.values))
+    assert signed.values.tobytes() != z0.values.tobytes()
+    expected = check_duality(z, mu, f, z0)
+    assert report_json(check_duality(z, mu, f, signed)) == report_json(expected)
+    other = Field(grid32, z0.values + 0.1 * np.cos(6.0 * np.pi * grid32.coords(0)))
+    moved = check_duality(z, mu, f, other).measured["final_margin"]
+    assert moved - expected.measured["final_margin"] == pytest.approx(
+        0.01 * 0.5 / (9.0 * FOUR_PI_SQ), rel=1e-9)
 
 
 def test_energy_decay_pass(grid32, cosine):
